@@ -21,13 +21,13 @@ package's numerics that the exposed contract does not rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .linalg import SpectralDecomposition, hermitian_eigen, tensor_product
-from .lhv import AngleConfig, angle_pairs
+from .lhv import AngleConfig
 from .quantum import analyzer_operator, singlet_state
 
 # Spectra whose +- pairing is broken beyond this signal a construction bug.
@@ -96,14 +96,11 @@ def build_t(config: AngleConfig) -> ChshOperator:
 def t0_closed_form(config: AngleConfig) -> float:
     """Outcome magnitude 2 sqrt(1 - sin(2(a1 - a2)) sin(2(b1 - b2))).
 
-    The radicand is evaluated through the exact rewriting
-    1 - sin x sin y = sin((x - y)/2)^2 + cos((x + y)/2)^2, a sum of squares
-    that keeps full relative accuracy where the naive form cancels to
-    rounding noise (near t0 = 0, which the validity margin t0 - |E| probes).
+    Uses the cancellation-free sum-of-squares form of
+    :func:`chshlab.kernels.t0`, which keeps full relative accuracy near
+    t0 = 0, where the validity margin t0 - |E| probes.
     """
-    x = 2.0 * (config.alpha1 - config.alpha2)
-    y = 2.0 * (config.beta1 - config.beta2)
-    return 2.0 * math.hypot(math.sin((x - y) / 2.0), math.cos((x + y) / 2.0))
+    return float(kernels.t0(*config.astuple()))
 
 
 def t_mean(config: AngleConfig) -> float:
@@ -113,8 +110,7 @@ def t_mean(config: AngleConfig) -> float:
     cosines. Agrees with the explicit matrix mean and with the mean of the
     two-point outcome law to floating-point accuracy.
     """
-    qs = [-math.cos(2.0 * (alpha - beta)) for alpha, beta in angle_pairs(config)]
-    return qs[0] + qs[1] + qs[2] - qs[3]
+    return float(kernels.eight_variable_sum(*kernels.q_quad(*config.astuple())))
 
 
 def t_spectrum(op: ChshOperator, tol: float = 1e-12) -> TSpectralSummary:

@@ -265,6 +265,8 @@ def cmd_constrained(args, parser) -> int:
             quad = CorrelationQuad(*(float(p) for p in parts))
         except ValueError:
             parser.error("--q expects 4 comma-separated reals")
+        if not all(-1.0 <= q <= 1.0 for q in quad.astuple()):
+            parser.error("--q entries must be finite and lie in [-1, 1]")
         cfg = _base_config(args, "constrained", action="eval", q=list(quad.astuple()))
     else:
         config = _full_angles(args, parser)
@@ -412,7 +414,13 @@ def _run_scan(args, parser, objective: str | None = None) -> int:
     name = objective or args.objective
     if name not in OBJECTIVES:
         parser.error(f"unknown objective {name!r}; expected one of {sorted(OBJECTIVES)}")
-    bound = args.bound if getattr(args, "bound", None) is not None else OBJECTIVES[name].default_bound
+    if args.resolution < 2:
+        parser.error("--resolution must be at least 2")
+    if args.restarts < 0:
+        parser.error("--restarts must be nonnegative")
+    if args.bound is not None and not math.isfinite(args.bound):
+        parser.error("--bound must be finite")
+    bound = args.bound if args.bound is not None else OBJECTIVES[name].default_bound
     report = verify_bound(
         name,
         bound=bound,

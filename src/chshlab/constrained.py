@@ -36,11 +36,9 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from . import kernels
 from .lhv import AngleConfig, angle_pairs
 from .quantum import PairOutcomeDistribution, joint_distribution
-
-# Minimum admissible conditioning mass; below it the table is undefined.
-DEGENERACY_THRESHOLD = 1e-12
 
 # The sixteen (k1, l1, k4, l4) cells in fixed enumeration order.
 CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(product((1, -1), repeat=4))
@@ -68,8 +66,7 @@ class CorrelationQuad:
 
 def correlation_quad(config: AngleConfig) -> CorrelationQuad:
     """The four pair correlations for a given analyzer configuration."""
-    qs = [-math.cos(2.0 * (alpha - beta)) for alpha, beta in angle_pairs(config)]
-    return CorrelationQuad(*qs)
+    return CorrelationQuad(*(float(q) for q in kernels.q_quad(*config.astuple())))
 
 
 def pair_probabilities(config: AngleConfig, n: int) -> PairOutcomeDistribution:
@@ -133,7 +130,7 @@ def build_constrained_from_quad(quad: CorrelationQuad) -> ConstrainedDistributio
         for (k1, l1, k4, l4) in CELL_ORDER
     }
     mass = sum(raw.values())
-    if mass <= DEGENERACY_THRESHOLD:
+    if mass <= kernels.DEGENERACY_THRESHOLD:
         raise DegenerateConditioningError("constraint event has zero probability")
     return ConstrainedDistribution(
         probs={cell: w / mass for cell, w in raw.items()},
@@ -164,12 +161,10 @@ def constrained_expectation_closed(quad: CorrelationQuad) -> float:
     into triple products, so vanishing correlations are not singular; only
     a vanishing denominator 1 + q1 q2 q3 q4 is rejected.
     """
-    q1, q2, q3, q4 = quad.astuple()
-    den = 1.0 + quad.product()
-    if den <= DEGENERACY_THRESHOLD:
+    value = float(kernels.e4(*quad.astuple()))
+    if math.isnan(value):
         raise DegenerateConditioningError("constraint event has zero probability")
-    num = (q1 + q2 + q3 - q4) + (q2 * q3 * q4 + q1 * q3 * q4 + q1 * q2 * q4 - q1 * q2 * q3)
-    return num / den
+    return value
 
 
 def quantum_eight_variable_sum(quad: CorrelationQuad) -> float:
@@ -177,4 +172,4 @@ def quantum_eight_variable_sum(quad: CorrelationQuad) -> float:
 
     Its extrema over all analyzer configurations are -+2 sqrt(2).
     """
-    return quad.q1 + quad.q2 + quad.q3 - quad.q4
+    return float(kernels.eight_variable_sum(*quad.astuple()))

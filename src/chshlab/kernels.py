@@ -1,0 +1,54 @@
+"""Array kernels: every closed-form formula of the package, written once.
+
+Each function works elementwise on floats or on arrays that broadcast
+together. The scalar API (``correlation_quad``, ``t0_closed_form``, ...)
+and the scans and refinement of :mod:`chshlab.scan` all call these.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Minimum admissible conditioning mass 1 + q1 q2 q3 q4; at or below it the
+# conditioned four-variable expectation is undefined.
+DEGENERACY_THRESHOLD = 1e-12
+
+
+def q_quad(a1, a2, b1, b2):
+    """Singlet correlations (q1, q2, q3, q4) = -cos(2(alpha - beta)).
+
+    Pair n uses the settings of :func:`chshlab.lhv.angle_pairs`:
+    (a1, b1), (a1, b2), (a2, b1), (a2, b2).
+    """
+    return tuple(-np.cos(2.0 * (a - b)) for a, b in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)))
+
+
+def eight_variable_sum(q1, q2, q3, q4):
+    """q1 + q2 + q3 - q4, which is also the singlet mean E of the CHSH observable."""
+    return q1 + q2 + q3 - q4
+
+
+def e4(q1, q2, q3, q4):
+    """Closed form of the conditioned four-variable expectation.
+
+    The 1/q_n terms are cleared into triple products, so vanishing
+    correlations are regular. NaN where 1 + q1 q2 q3 q4 is at or below
+    DEGENERACY_THRESHOLD (or is NaN).
+    """
+    den = 1.0 + q1 * q2 * q3 * q4
+    num = (q1 + q2 + q3 - q4) + (q2 * q3 * q4 + q1 * q3 * q4 + q1 * q2 * q4 - q1 * q2 * q3)
+    valid = den > DEGENERACY_THRESHOLD
+    return np.where(valid, num / np.where(valid, den, 1.0), np.nan)
+
+
+def t0(a1, a2, b1, b2):
+    """Outcome magnitude 2 sqrt(1 - sin(2(a1 - a2)) sin(2(b1 - b2))).
+
+    Evaluated through the exact rewriting
+    1 - sin x sin y = sin((x - y)/2)^2 + cos((x + y)/2)^2, a sum of squares
+    that keeps full relative accuracy where the naive form cancels to
+    rounding noise (near t0 = 0).
+    """
+    x = 2.0 * (a1 - a2)
+    y = 2.0 * (b1 - b2)
+    return 2.0 * np.hypot(np.sin((x - y) / 2.0), np.cos((x + y) / 2.0))

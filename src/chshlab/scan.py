@@ -13,23 +13,28 @@ All objectives are pi-periodic in each angle, so the lattice
 {(i/resolution) pi : 0 <= i < resolution}^4 covers the whole space. At the
 default resolution 24 every multiple of pi/8 is on-lattice, which places
 the known extremal configurations exactly on grid points.
+
+Every objective also depends only on angle differences, so shifting all
+four angles by -alpha2 maps each lattice point onto one with alpha2 = 0,
+and exactly resolution lattice points land on each point of that slab.
+Scans therefore evaluate only the resolution^3 slab alpha2 = 0; the counts
+they report (points evaluated, skipped and in violation) are resolution
+times the slab counts, i.e. they still count the full resolution^4
+lattice. Translated lattice points agree with their slab point up to
+floating-point rounding of the angle differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
 
-from .constrained import (
-    DegenerateConditioningError,
-    constrained_expectation_closed,
-    correlation_quad,
-)
+from . import kernels
+from .constrained import DegenerateConditioningError
 from .lhv import AngleConfig
-from .chsh_operator import t0_closed_form, t_mean
 from .seeding import component_stream
 
 BOUND_SLACK = 1e-9
@@ -45,63 +50,33 @@ MAX_STORED_VIOLATIONS = 1000
 @dataclass(frozen=True)
 class _Objective:
     name: str
-    evaluate: Callable[[AngleConfig], float]
-    lattice_values: Callable | None  # (q1..q4 broadcastable arrays) -> ndarray
+    values: Callable  # (a1, a2, b1, b2 broadcastable arrays) -> ndarray, NaN where degenerate
     default_bound: float
     two_sided: bool  # True: |v| <= bound; False: v >= bound
 
-
-def _e4_scalar(config: AngleConfig) -> float:
-    return constrained_expectation_closed(correlation_quad(config))
-
-
-def _eight_scalar(config: AngleConfig) -> float:
-    quad = correlation_quad(config)
-    return quad.q1 + quad.q2 + quad.q3 - quad.q4
-
-
-def _margin_scalar(config: AngleConfig) -> float:
-    return t0_closed_form(config) - abs(t_mean(config))
-
-
-def _e4_lattice(q1, q2, q3, q4):
-    den = 1.0 + q1 * q2 * q3 * q4
-    num = (q1 + q2 + q3 - q4) + (q2 * q3 * q4 + q1 * q3 * q4 + q1 * q2 * q4 - q1 * q2 * q3)
-    valid = den > 1e-12
-    return np.where(valid, num / np.where(valid, den, 1.0), np.nan)
-
-
-def _eight_lattice(q1, q2, q3, q4):
-    return q1 + q2 + q3 - q4
-
-
-def _t0_lattice(a1, a2, b1, b2):
-    # Needs the raw angles, not just the quad; same cancellation-free
-    # sum-of-squares form as the scalar t0 evaluation.
-    x = 2.0 * (a1 - a2)
-    y = 2.0 * (b1 - b2)
-    return 2.0 * np.hypot(np.sin((x - y) / 2.0), np.cos((x + y) / 2.0))
+    def evaluate(self, config: AngleConfig) -> float:
+        """The objective at one configuration (NaN where degenerate)."""
+        return float(self.values(*config.astuple()))
 
 
 OBJECTIVES: dict[str, _Objective] = {
     "constrained_e4": _Objective(
         name="constrained_e4",
-        evaluate=_e4_scalar,
-        lattice_values=_e4_lattice,
+        values=lambda a1, a2, b1, b2: kernels.e4(*kernels.q_quad(a1, a2, b1, b2)),
         default_bound=2.0,
         two_sided=True,
     ),
     "eight_variable_sum": _Objective(
         name="eight_variable_sum",
-        evaluate=_eight_scalar,
-        lattice_values=_eight_lattice,
+        values=lambda a1, a2, b1, b2: kernels.eight_variable_sum(*kernels.q_quad(a1, a2, b1, b2)),
         default_bound=2.0 * math.sqrt(2.0),
         two_sided=True,
     ),
     "t_validity_margin": _Objective(
         name="t_validity_margin",
-        evaluate=_margin_scalar,
-        lattice_values=None,  # handled specially: needs raw angles
+        values=lambda a1, a2, b1, b2: (
+            kernels.t0(a1, a2, b1, b2) - np.abs(kernels.eight_variable_sum(*kernels.q_quad(a1, a2, b1, b2)))
+        ),
         default_bound=0.0,
         two_sided=False,
     ),
@@ -137,85 +112,65 @@ def _lookup(objective: Union[str, _Objective]) -> _Objective:
         ) from None
 
 
-def _lattice_axis(resolution: int) -> np.ndarray:
-    return (np.arange(resolution) / resolution) * math.pi
-
-
-def _evaluate_lattice(obj: _Objective, resolution: int) -> np.ndarray:
-    """Objective values on the resolution^4 lattice (NaN where degenerate)."""
-    ax = _lattice_axis(resolution)
-    a1 = ax[:, None, None, None]
-    a2 = ax[None, :, None, None]
-    b1 = ax[None, None, :, None]
-    b2 = ax[None, None, None, :]
-    q1 = -np.cos(2.0 * (a1 - b1))
-    q2 = -np.cos(2.0 * (a1 - b2))
-    q3 = -np.cos(2.0 * (a2 - b1))
-    q4 = -np.cos(2.0 * (a2 - b2))
-    if obj.name == "t_validity_margin":
-        t0 = _t0_lattice(a1, a2, b1, b2)
-        values = t0 - np.abs(q1 + q2 + q3 - q4)
-        return np.broadcast_to(values, (resolution,) * 4).copy()
-    values = obj.lattice_values(q1, q2, q3, q4)
-    return np.broadcast_to(values, (resolution,) * 4).copy()
-
-
-def _config_at(ax: np.ndarray, flat_index: int, shape) -> AngleConfig:
-    i1, i2, i3, i4 = np.unravel_index(flat_index, shape)
-    return AngleConfig(float(ax[i1]), float(ax[i2]), float(ax[i3]), float(ax[i4]))
-
-
-def _is_violation(obj: _Objective, bound: float, value: float) -> bool:
+def _violates(obj: _Objective, bound: float, values):
+    """Elementwise: is the value beyond the bound (with BOUND_SLACK)? NaN never is."""
     if obj.two_sided:
-        return abs(value) > bound + BOUND_SLACK
-    return value < bound - BOUND_SLACK
+        return np.abs(values) > bound + BOUND_SLACK
+    return values < bound - BOUND_SLACK
 
 
-def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float | None = None) -> ScanReport:
-    """Evaluate an objective on the full angle lattice and record extrema.
+def _slab_angles(ax: np.ndarray, index):
+    """Angles (alpha1, 0, beta1, beta2) of flat slab index/indices, last axis 4."""
+    i1, i3, i4 = np.unravel_index(index, (ax.size,) * 3)
+    return np.stack([ax[i1], np.zeros_like(ax[i1]), ax[i3], ax[i4]], axis=-1)
 
-    Degenerate-conditioning points (possible only off the angle manifold,
-    so in practice never) are skipped and counted, never flagged. Ties for
-    the extrema resolve to the lexicographically smallest lattice index.
+
+def _scan_slab(obj: _Objective, resolution: int, bound: float):
+    """Evaluate the alpha2 = 0 slab; returns (report, flat slab values, lattice axis).
+
+    The slab is flattened in C order of (alpha1, beta1, beta2), so the first
+    extremum found is the lexicographically smallest slab index.
     """
-    obj = _lookup(objective)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if bound is None:
-        bound = obj.default_bound
-    values = _evaluate_lattice(obj, resolution)
-    flat = values.ravel()
-    valid = ~np.isnan(flat)
-    n_skipped = int(np.count_nonzero(~valid))
-    n_evaluated = flat.size - n_skipped
-    ax = _lattice_axis(resolution)
-    idx_max = int(np.nanargmax(flat))
-    idx_min = int(np.nanargmin(flat))
-
-    if obj.two_sided:
-        bad = valid & (np.abs(flat) > bound + BOUND_SLACK)
-    else:
-        bad = valid & (flat < bound - BOUND_SLACK)
-    bad_indices = np.flatnonzero(bad)
-    violations = [
-        (_config_at(ax, int(i), values.shape), float(flat[i]))
-        for i in bad_indices[:MAX_STORED_VIOLATIONS]
-    ]
-
-    return ScanReport(
+    ax = (np.arange(resolution) / resolution) * math.pi
+    flat = obj.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel()
+    config_at = lambda index: AngleConfig(*_slab_angles(ax, index).tolist())
+    n_skipped = resolution * int(np.count_nonzero(np.isnan(flat)))
+    idx_max, idx_min = int(np.nanargmax(flat)), int(np.nanargmin(flat))
+    bad = np.flatnonzero(_violates(obj, bound, flat))
+    report = ScanReport(
         objective_name=obj.name,
         grid_resolution=resolution,
         n_refinements=0,
         max_value=float(flat[idx_max]),
-        argmax=_config_at(ax, idx_max, values.shape),
+        argmax=config_at(idx_max),
         min_value=float(flat[idx_min]),
-        argmin=_config_at(ax, idx_min, values.shape),
-        violations=violations,
-        n_violations=int(bad_indices.size),
-        n_evaluated=n_evaluated,
+        argmin=config_at(idx_min),
+        violations=[(config_at(i), float(flat[i])) for i in bad[:MAX_STORED_VIOLATIONS]],
+        n_violations=resolution * int(bad.size),
+        n_evaluated=resolution**4 - n_skipped,
         n_skipped=n_skipped,
         bound=bound,
     )
+    return report, flat, ax
+
+
+def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float | None = None) -> ScanReport:
+    """Evaluate an objective over the full angle lattice and record extrema.
+
+    Only the resolution^3 slab alpha2 = 0 is evaluated (see the module
+    docstring); ``n_evaluated``, ``n_skipped`` and ``n_violations`` count the
+    full resolution^4 lattice, while argmax, argmin and the stored
+    violations are slab points. Degenerate-conditioning points (possible
+    only off the angle manifold, so in practice never) are skipped and
+    counted, never flagged. Ties for the extrema resolve to the
+    lexicographically smallest (alpha1, beta1, beta2) slab index.
+    """
+    obj = _lookup(objective)
+    if bound is None:
+        bound = obj.default_bound
+    return _scan_slab(obj, resolution, bound)[0]
 
 
 def _safe_eval(fn: Callable[[AngleConfig], float], config: AngleConfig) -> float:
@@ -223,6 +178,37 @@ def _safe_eval(fn: Callable[[AngleConfig], float], config: AngleConfig) -> float
         return fn(config)
     except DegenerateConditioningError:
         return math.nan
+
+
+def _descend(values: Callable, starts, maximize, step0: float, tol: float):
+    """Coordinate descent with step halving, every row of ``starts`` in lockstep.
+
+    Each row of the (n, 4) ``starts`` follows its own schedule: per sweep it
+    tries coordinates 0..3, +step then -step, and accepts a strict
+    improvement in its own sense (``maximize`` per row) at once; NaN never
+    improves; the row's step halves after a sweep without improvement, and
+    the row stops once its step drops below ``tol``. Rows share only the
+    array calls to ``values``. Returns the final (n, 4) angles and values.
+    """
+    cols = list(np.array(starts, dtype=float).T.copy())
+    best = np.asarray(values(*cols), dtype=float)
+    sense = np.where(maximize, 1.0, -1.0)
+    best_s = np.where(np.isnan(best), -np.inf, sense * best)  # any real value improves on NaN
+    step = np.full(best.size, step0)
+    while (active := step >= tol).any():
+        improved = np.zeros(best.size, dtype=bool)
+        for i in range(4):
+            for delta in (step, -step):
+                cand = cols.copy()
+                cand[i] = cols[i] + delta
+                val = np.asarray(values(*cand), dtype=float)
+                better = active & (sense * val > best_s)  # False wherever val is NaN
+                cols[i] = np.where(better, cand[i], cols[i])
+                best = np.where(better, val, best)
+                best_s = np.where(better, sense * val, best_s)
+                improved |= better
+        step = np.where(improved, step, step / 2.0)
+    return np.column_stack(cols), best
 
 
 def refine(
@@ -242,27 +228,13 @@ def refine(
     """
     if not (step0 > tol > 0.0):
         raise ValueError("need step0 > tol > 0")
-    fn = objective if callable(objective) else _lookup(objective).evaluate
-    sense = 1.0 if maximize else -1.0
-
-    x = list(start.astuple())
-    best = _safe_eval(fn, AngleConfig(*x))
-    best_s = sense * best if not math.isnan(best) else -math.inf
-    step = step0
-    while step >= tol:
-        improved = False
-        for i in range(4):
-            for delta in (step, -step):
-                cand = x.copy()
-                cand[i] += delta
-                val = _safe_eval(fn, AngleConfig(*cand))
-                val_s = sense * val if not math.isnan(val) else -math.inf
-                if val_s > best_s:
-                    x, best, best_s = cand, val, val_s
-                    improved = True
-        if not improved:
-            step /= 2.0
-    return AngleConfig(*x), best
+    if callable(objective):
+        def values(*angles):
+            return [_safe_eval(objective, AngleConfig(*row)) for row in zip(*(a.tolist() for a in angles))]
+    else:
+        values = _lookup(objective).values
+    angles, best = _descend(values, [start.astuple()], [maximize], step0, tol)
+    return AngleConfig(*angles[0].tolist()), float(best[0])
 
 
 def verify_bound(
@@ -275,64 +247,39 @@ def verify_bound(
 ) -> ScanReport:
     """Grid scan plus local refinement hunting for bound violations.
 
-    Refines from the ``n_grid_starts`` best lattice points in each relevant
-    direction and from ``n_random_restarts`` uniform random configurations,
-    then reports every refined or lattice value beyond the bound (with a
-    1e-9 slack). Deterministic in (objective, bound, resolution,
-    n_random_restarts, seed).
+    Scans the alpha2 = 0 slab once, as :func:`grid_scan` does (counts are
+    over the full resolution^4 lattice). Then refines from the
+    ``n_grid_starts`` best slab points in each relevant direction and from
+    ``n_random_restarts`` uniform random configurations, all starts of both
+    directions in lockstep under the rule of :func:`refine`, and reports
+    every refined or lattice value beyond the bound (with a 1e-9 slack).
+    Deterministic in (objective, bound, resolution, n_random_restarts, seed).
     """
     obj = _lookup(objective)
-    report = grid_scan(obj, resolution, bound=bound)
+    report, flat, ax = _scan_slab(obj, resolution, bound)
+    order = np.argsort(flat, kind="stable")[: np.count_nonzero(~np.isnan(flat))]  # NaN sorts last
+    restarts = component_stream(seed, "scan/restarts").uniform(0.0, math.pi, (n_random_restarts, 4))
 
-    values = _evaluate_lattice(obj, resolution)
-    flat = values.ravel()
-    ax = _lattice_axis(resolution)
-    order = np.argsort(flat, kind="stable")  # NaN sorts last
-    n_valid = int(np.count_nonzero(~np.isnan(flat)))
-    bottom = [int(i) for i in order[: min(n_grid_starts, n_valid)]]
-    top = [int(i) for i in order[max(0, n_valid - n_grid_starts) : n_valid]]
+    starts, senses = [], []
+    for maximize in ([True, False] if obj.two_sided else [False]):
+        grid = order[max(0, order.size - n_grid_starts) :] if maximize else order[:n_grid_starts]
+        starts += [_slab_angles(ax, grid), restarts]
+        senses += [maximize] * (grid.size + n_random_restarts)
+    angles, values = _descend(obj.values, np.concatenate(starts), senses, DEFAULT_STEP0, DEFAULT_TOL)
 
-    rng = component_stream(seed, "scan/restarts")
-    restarts = [
-        AngleConfig(*(float(v) for v in rng.uniform(0.0, math.pi, 4)))
-        for _ in range(n_random_restarts)
-    ]
-
-    max_value, argmax = report.max_value, report.argmax
-    min_value, argmin = report.min_value, report.argmin
-    violations = list(report.violations)
-    n_violations = report.n_violations
-    n_refinements = 0
-
-    senses = [True, False] if obj.two_sided else [False]
-    for maximize in senses:
-        starts = [_config_at(ax, i, values.shape) for i in (top if maximize else bottom)]
-        starts += restarts
-        for start in starts:
-            cand, value = refine(obj, start, maximize=maximize)
-            n_refinements += 1
-            if math.isnan(value):
-                continue
-            if value > max_value:
-                max_value, argmax = value, cand
-            if value < min_value:
-                min_value, argmin = value, cand
-            if _is_violation(obj, bound, value):
-                n_violations += 1
-                if len(violations) < MAX_STORED_VIOLATIONS:
-                    violations.append((cand, value))
-
-    return ScanReport(
-        objective_name=obj.name,
-        grid_resolution=resolution,
-        n_refinements=n_refinements,
+    # Refined points in refinement order; the first strict improvement on
+    # the lattice extremum wins, as with a running max/min.
+    found = [(v, AngleConfig(*row)) for row, v in zip(angles.tolist(), values.tolist()) if not math.isnan(v)]
+    max_value, argmax = max([(report.max_value, report.argmax), *found], key=lambda p: p[0])
+    min_value, argmin = min([(report.min_value, report.argmin), *found], key=lambda p: p[0])
+    bad = [(c, v) for v, c in found if _violates(obj, bound, v)]
+    return replace(
+        report,
+        n_refinements=values.size,
         max_value=max_value,
         argmax=argmax,
         min_value=min_value,
         argmin=argmin,
-        violations=violations,
-        n_violations=n_violations,
-        n_evaluated=report.n_evaluated,
-        n_skipped=report.n_skipped,
-        bound=bound,
+        violations=(report.violations + bad)[:MAX_STORED_VIOLATIONS],
+        n_violations=report.n_violations + len(bad),
     )

@@ -127,3 +127,65 @@ def sign_model_sawtooth(alpha: float, beta: float) -> float:
 
 def random_angle_tuple(rng: np.random.Generator) -> tuple[float, float, float, float]:
     return tuple(float(v) for v in rng.uniform(0.0, math.pi, 4))
+
+
+def lattice_objective_values(name: str, resolution: int) -> list[float]:
+    """A scan objective at every point of the full resolution^4 angle lattice.
+
+    A plain loop over all (alpha1, alpha2, beta1, beta2) lattice points,
+    each evaluated with scalar math-module formulas: the conditioned
+    expectation (NaN where 1 + q1 q2 q3 q4 <= 1e-12), the eight-variable sum
+    q1 + q2 + q3 - q4, or the validity margin t0 - |E|.
+    """
+    ax = [(i / resolution) * math.pi for i in range(resolution)]
+    q = [[-math.cos(2.0 * (a - b)) for b in ax] for a in ax]
+    values = []
+    for i1, a1 in enumerate(ax):
+        for i2, a2 in enumerate(ax):
+            x = 2.0 * (a1 - a2)
+            for i3, b1 in enumerate(ax):
+                q1, q3 = q[i1][i3], q[i2][i3]
+                for i4, b2 in enumerate(ax):
+                    q2, q4 = q[i1][i4], q[i2][i4]
+                    e = q1 + q2 + q3 - q4
+                    if name == "eight_variable_sum":
+                        values.append(e)
+                    elif name == "constrained_e4":
+                        den = 1.0 + q1 * q2 * q3 * q4
+                        num = e + (q2 * q3 * q4 + q1 * q3 * q4 + q1 * q2 * q4 - q1 * q2 * q3)
+                        values.append(num / den if den > 1e-12 else math.nan)
+                    else:
+                        y = 2.0 * (b1 - b2)
+                        t0 = 2.0 * math.hypot(math.sin((x - y) / 2.0), math.cos((x + y) / 2.0))
+                        values.append(t0 - abs(e))
+    return values
+
+
+def coordinate_descent(fn, start, step0: float, tol: float, maximize: bool):
+    """Scalar coordinate descent with step halving: the reference refinement rule.
+
+    ``fn`` maps a 4-tuple of angles to a float (NaN where undefined). Per
+    sweep, coordinates 0..3 are tried at +step then -step and a strict
+    improvement is accepted at once; NaN never improves; the step halves
+    after a sweep without improvement; the search stops once the step drops
+    below ``tol``. Returns (angles, value).
+    """
+    sense = 1.0 if maximize else -1.0
+    x = list(start)
+    best = fn(tuple(x))
+    best_s = sense * best if not math.isnan(best) else -math.inf
+    step = step0
+    while step >= tol:
+        improved = False
+        for i in range(4):
+            for delta in (step, -step):
+                cand = x.copy()
+                cand[i] += delta
+                val = fn(tuple(cand))
+                val_s = sense * val if not math.isnan(val) else -math.inf
+                if val_s > best_s:
+                    x, best, best_s = cand, val, val_s
+                    improved = True
+        if not improved:
+            step /= 2.0
+    return tuple(x), best

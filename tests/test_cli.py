@@ -172,6 +172,15 @@ class TestConstrained:
             cli.main(["constrained", "eval", "--q", "1,2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("q", ["2,0,0,0", "0,-1.5,0,0", "nan,0,0,0", "0,0,inf,0", "0,0,0,-inf"])
+    def test_out_of_range_q_is_usage_error(self, capsys, q):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["constrained", "eval", f"--q={q}"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
     def test_scan_action(self, capsys):
         code, payload = run_json(
             capsys,
@@ -271,6 +280,19 @@ class TestScanCommand:
         assert payload["status"] == "violations"
         assert summary_row(payload)["n_violations"] > 0
         assert any(r["kind"] == "violation" for r in payload["rows"])
+
+    @pytest.mark.parametrize("head", [["scan"], ["constrained", "scan"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--resolution", "1"], ["--resolution", "-4"], ["--restarts", "-3"], ["--bound", "nan"], ["--bound", "inf"]],
+    )
+    def test_invalid_arguments_are_usage_errors(self, capsys, head, flags):
+        with pytest.raises(SystemExit) as err:
+            cli.main(head + flags)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from chshlab.lhv import AngleConfig, tsirelson_angles
@@ -7,10 +8,12 @@ from chshlab.scan import (
     OBJECTIVES,
     DEFAULT_STEP0,
     DEFAULT_TOL,
+    _descend,
     grid_scan,
     refine,
     verify_bound,
 )
+from oracles import coordinate_descent, lattice_objective_values
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -58,6 +61,35 @@ class TestGridScan:
         with pytest.raises(ValueError):
             grid_scan("eight_variable_sum", 1)
 
+    @pytest.mark.parametrize("resolution", [6, 8, 25])
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [
+            ("eight_variable_sum", [SQRT8, 2.0]),
+            ("constrained_e4", [2.0, 1.9]),
+            ("t_validity_margin", [0.0, 0.5]),
+        ],
+    )
+    def test_slab_matches_full_lattice(self, name, bounds, resolution):
+        # The alpha2 = 0 slab, scaled by the resolution, reproduces a
+        # brute-force loop over every resolution^4 lattice point.
+        values = np.array(lattice_objective_values(name, resolution))
+        valid = ~np.isnan(values)
+        two_sided = OBJECTIVES[name].two_sided
+        for bound in bounds:
+            report = grid_scan(name, resolution, bound=bound)
+            if two_sided:
+                n_bad = np.count_nonzero(np.abs(values[valid]) > bound + 1e-9)
+            else:
+                n_bad = np.count_nonzero(values[valid] < bound - 1e-9)
+            assert report.n_evaluated == np.count_nonzero(valid) == resolution**4
+            assert report.n_skipped == values.size - np.count_nonzero(valid)
+            assert report.n_violations == n_bad
+            assert report.max_value == pytest.approx(np.nanmax(values), abs=1e-12)
+            assert report.min_value == pytest.approx(np.nanmin(values), abs=1e-12)
+        # the second bound of each objective is violated on the lattice
+        assert report.n_violations > 0
+
 
 class TestRefine:
     def test_absolute_eight_sum_from_max_violation_angles(self):
@@ -96,6 +128,27 @@ class TestRefine:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             refine("eight_variable_sum", tsirelson_angles(), step0=1e-12, tol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_lockstep_rows_match_single_runs_and_oracle(self, name):
+        # Rows of one batch, with mixed senses, must not share step or
+        # improvement state: each equals its own refine run and the scalar rule.
+        obj = OBJECTIVES[name]
+        rng = np.random.default_rng(20)
+        starts = rng.uniform(0.0, math.pi, (12, 4))
+        maximize = np.arange(12) % 3 != 0
+        angles, values = _descend(obj.values, starts, maximize, DEFAULT_STEP0, DEFAULT_TOL)
+        scalar = lambda t: obj.evaluate(AngleConfig(*t))
+        for start, mx, row, value in zip(starts, maximize, angles, values):
+            start_cfg = AngleConfig(*map(float, start))
+            cfg, alone = refine(name, start_cfg, maximize=bool(mx))
+            assert np.max(np.abs(row - cfg.astuple())) <= 1e-12
+            assert abs(value - alone) <= 1e-12
+            ref_angles, ref_value = coordinate_descent(scalar, start_cfg.astuple(), DEFAULT_STEP0, DEFAULT_TOL, bool(mx))
+            assert np.max(np.abs(row - ref_angles)) <= 1e-12
+            assert abs(value - ref_value) <= 1e-12
+            sense = 1.0 if mx else -1.0
+            assert sense * value >= sense * scalar(start_cfg.astuple())
 
 
 class TestVerifyBound:
