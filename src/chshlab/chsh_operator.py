@@ -28,6 +28,7 @@ import numpy as np
 from . import kernels
 from .linalg import SpectralDecomposition, hermitian_eigen, tensor_product
 from .lhv import AngleConfig
+from .montecarlo import CorrelationEstimate, signs, stream_estimate
 from .quantum import analyzer_operator, singlet_state
 
 # Spectra whose +- pairing is broken beyond this signal a construction bug.
@@ -165,6 +166,21 @@ def sample_t(config: AngleConfig, n: int, rng: np.random.Generator) -> np.ndarra
     dist = t_distribution(config)
     u = rng.random(n)
     return np.where(u < dist.weight_plus, dist.t0, -dist.t0)
+
+
+def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
+    """Monte Carlo mean of n single-shot outcomes, in bounded memory.
+
+    Consumes the same uniforms as :func:`sample_t` with the same ``n`` and
+    keeps only the count of +t0 outcomes; the mean is t0 times the exact
+    mean of the signs.
+    """
+    dist = t_distribution(config)
+
+    def draw_chunk(size):
+        return signs(rng.random(size) < dist.weight_plus)
+
+    return stream_estimate(n, draw_chunk, (-1, 1), scale=dist.t0)
 
 
 def singlet_overlaps(summary: TSpectralSummary) -> np.ndarray:

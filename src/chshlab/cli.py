@@ -16,7 +16,8 @@ lines above the header row; numeric CSV fields use 17 significant digits.
 
 Exit codes: 0 success (including status rows such as degenerate
 conditioning), 2 usage error, 3 internal deterministic-bound violation,
-4 numerical failure.
+4 numerical failure (including a NaN or infinite output value, which is
+never written).
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import json
 import math
 import sys
 
-from . import __version__
+from . import __version__, kernels
 from .chsh_operator import (
     DegenerateSpectrumError,
     build_t,
-    sample_t,
     singlet_overlaps,
     t_distribution,
+    t_estimate,
     t_mean,
     t_spectrum,
 )
@@ -58,7 +59,7 @@ from .lhv import (
     quantum_chsh_independent,
 )
 from .linalg import EigenConvergenceError
-from .quantum import joint_distribution, sample_pairs, singlet_correlation, singlet_state
+from .quantum import joint_distribution, product_estimate, singlet_correlation, singlet_state
 from .scan import OBJECTIVES, verify_bound
 from .seeding import component_stream
 
@@ -70,30 +71,43 @@ EXIT_NUMERICAL = 4
 SQRT8 = 2.0 * math.sqrt(2.0)
 
 
+class NonFiniteOutputError(ValueError):
+    """An output value is NaN or infinite, which strict JSON/CSV cannot carry."""
+
+
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
         return f"{value:.17g}"
     if value is None:
         return ""
     return str(value)
 
 
-def _emit(config: dict, rows: list[dict], status: str, fmt: str, out: str | None) -> None:
+def _render(config: dict, rows: list[dict], status: str, fmt: str) -> str:
     if fmt == "json":
-        text = json.dumps({"config": config, "rows": rows, "status": status}, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write("# config: " + json.dumps(config) + "\n")
-        buf.write("# status: " + status + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        if rows:
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row.get(k)) for k in header])
-        text = buf.getvalue()
+        doc = {"config": config, "rows": rows, "status": status}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    buf.write("# config: " + json.dumps(config, allow_nan=False) + "\n")
+    buf.write("# status: " + status + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    if rows:
+        header = list(rows[0].keys())
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(row.get(k)) for k in header])
+    return buf.getvalue()
+
+
+def _emit(config: dict, rows: list[dict], status: str, fmt: str, out: str | None) -> None:
+    try:
+        text = _render(config, rows, status, fmt)
+    except ValueError as exc:
+        raise NonFiniteOutputError(str(exc)) from exc
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -101,8 +115,17 @@ def _emit(config: dict, rows: list[dict], status: str, fmt: str, out: str | None
         sys.stdout.write(text)
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
+def _angles(parser, values, degrees: bool) -> list[float]:
+    if not all(math.isfinite(v) for v in values):
+        parser.error("angles must be finite")
+    return [math.radians(v) if degrees else v for v in values]
+
+
+def _trials(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be at least 2")
+    return value
 
 
 def _base_config(args, subcommand: str, **extra) -> dict:
@@ -117,19 +140,18 @@ def _full_angles(args, parser) -> AngleConfig:
     values = (args.alpha1, args.alpha2, args.beta1, args.beta2)
     if any(v is None for v in values):
         parser.error("--alpha1, --alpha2, --beta1 and --beta2 are all required here")
-    return AngleConfig(*(_angle(v, args.degrees) for v in values))
+    return AngleConfig(*_angles(parser, values, args.degrees))
 
 
 def cmd_correlate(args, parser) -> int:
     if args.alpha is None or args.beta is None:
         parser.error("--alpha and --beta are required")
-    alpha = _angle(args.alpha, args.degrees)
-    beta = _angle(args.beta, args.degrees)
+    alpha, beta = _angles(parser, (args.alpha, args.beta), args.degrees)
     dist = joint_distribution(alpha, beta)
     row = {
         "alpha": alpha,
         "beta": beta,
-        "correlation_analytic": -math.cos(2.0 * (alpha - beta)),
+        "correlation_analytic": float(kernels.pair_correlation(alpha, beta)),
         "correlation_matrix": singlet_correlation(alpha, beta),
         "p_pp": dist.probability(1, 1),
         "p_pm": dist.probability(1, -1),
@@ -346,6 +368,20 @@ def cmd_spectrum(args, parser) -> int:
     return EXIT_OK
 
 
+def _simulate_row(kind: str, index, alpha, beta, est, analytic: float) -> dict:
+    return {
+        "kind": kind,
+        "pair_index": index,
+        "alpha": alpha,
+        "beta": beta,
+        "empirical_mean": est.mean,
+        "analytic_mean": analytic,
+        "stderr": est.stderr,
+        "trials": est.n_samples,
+        "check": "PASS" if abs(est.mean - analytic) <= 4.0 * est.stderr + 1e-15 else "FAIL",
+    }
+
+
 def cmd_simulate(args, parser) -> int:
     config = _full_angles(args, parser)
     n = args.trials
@@ -355,44 +391,13 @@ def cmd_simulate(args, parser) -> int:
     rng_pairs = component_stream(args.seed, "simulate/pairs")
     for index, (alpha, beta) in enumerate(angle_pairs(config), start=1):
         dist = joint_distribution(alpha, beta)
-        x, y = sample_pairs(dist, n, rng_pairs)
-        products = (x * y).astype(float)
-        mean = float(products.mean())
-        stderr = float(products.std(ddof=1) / math.sqrt(n))
-        analytic = dist.product_mean()
-        rows.append(
-            {
-                "kind": "pair",
-                "pair_index": index,
-                "alpha": alpha,
-                "beta": beta,
-                "empirical_mean": mean,
-                "analytic_mean": analytic,
-                "stderr": stderr,
-                "trials": n,
-                "check": "PASS" if abs(mean - analytic) <= 4.0 * stderr + 1e-15 else "FAIL",
-            }
-        )
+        est = product_estimate(dist, n, rng_pairs)
+        rows.append(_simulate_row("pair", index, alpha, beta, est, dist.product_mean()))
 
     rng_t = component_stream(args.seed, "simulate/t-observable")
     try:
-        outcomes = sample_t(config, n, rng_t)
-        mean = float(outcomes.mean())
-        stderr = float(outcomes.std(ddof=1) / math.sqrt(n))
-        analytic = t_mean(config)
-        rows.append(
-            {
-                "kind": "t-observable",
-                "pair_index": None,
-                "alpha": None,
-                "beta": None,
-                "empirical_mean": mean,
-                "analytic_mean": analytic,
-                "stderr": stderr,
-                "trials": n,
-                "check": "PASS" if abs(mean - analytic) <= 4.0 * stderr + 1e-15 else "FAIL",
-            }
-        )
+        est = t_estimate(config, n, rng_t)
+        rows.append(_simulate_row("t-observable", None, None, None, est, t_mean(config)))
     except DegenerateSpectrumError:
         status = "t0-zero"
 
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
     p.add_argument("--model", default=None, help="LHV model name (sign, quantum-mimic)")
     _add_four_angles(p)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_trials, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_chsh)
@@ -542,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling vs analytic values")
     _add_four_angles(p)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_trials, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -568,7 +573,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (EigenConvergenceError, DegenerateConditioningError, DegenerateSpectrumError) as exc:
+    except (
+        EigenConvergenceError,
+        DegenerateConditioningError,
+        DegenerateSpectrumError,
+        NonFiniteOutputError,
+    ) as exc:
         print(f"chshlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

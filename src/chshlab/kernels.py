@@ -14,13 +14,18 @@ import numpy as np
 DEGENERACY_THRESHOLD = 1e-12
 
 
+def pair_correlation(alpha, beta):
+    """Singlet correlation -cos(2(alpha - beta)) of one analyzer pair."""
+    return -np.cos(2.0 * (alpha - beta))
+
+
 def q_quad(a1, a2, b1, b2):
-    """Singlet correlations (q1, q2, q3, q4) = -cos(2(alpha - beta)).
+    """Singlet correlations (q1, q2, q3, q4) of the four analyzer pairs.
 
     Pair n uses the settings of :func:`chshlab.lhv.angle_pairs`:
     (a1, b1), (a1, b2), (a2, b1), (a2, b2).
     """
-    return tuple(-np.cos(2.0 * (a - b)) for a, b in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)))
+    return tuple(pair_correlation(a, b) for a, b in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)))
 
 
 def eight_variable_sum(q1, q2, q3, q4):

@@ -16,6 +16,9 @@ Two protocols are implemented:
 The quantum analogue of the independent-pairs protocol samples the four
 pair outcomes from the singlet joint law instead of a shared lambda; its
 mean converges to the sum of the four singlet correlations.
+
+Every estimator streams its trials through :mod:`chshlab.montecarlo`:
+MC_CHUNK trials at a time, reduced to counts of the per-trial values.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .quantum import _outcomes_from_uniforms, joint_distribution, sample_pairs
+from .montecarlo import MC_CHUNK, CorrelationEstimate, signs, stream_estimate
+from .quantum import _product_cuts, _product_is_plus, joint_distribution, sample_pairs
+
+# Per-trial values of the two protocols.
+_SAME_LAMBDA_VALUES = (-2, 2)
+_INDEPENDENT_VALUES = (-4, -2, 0, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -62,22 +70,16 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
 
 
 @dataclass(frozen=True)
-class CorrelationEstimate:
-    """Monte Carlo estimate: sample mean, stderr = sample std / sqrt(n)."""
-
-    mean: float
-    stderr: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class HiddenVariableModel:
     """A latent-variable sampler plus deterministic +-1 response functions.
 
     ``sample(rng, size)`` draws lambda values (scalar when size is None,
-    ndarray otherwise). ``respond_a(angle, lam)`` and ``respond_b`` accept
-    scalar or array lambda and must return only -1 or +1, deterministically
-    in (angle, lambda). ``support`` is the lambda interval used by the
+    ndarray otherwise). Draws must be chunk-consistent: sizes c1 then c2
+    (or (c1, 4) then (c2, 4)) must give the same values as one draw of
+    c1 + c2, because the estimators draw MC_CHUNK trials at a time; numpy's
+    ``rng.uniform`` and ``rng.random`` are. ``respond_a(angle, lam)`` and
+    ``respond_b`` accept scalar or array lambda and must return only -1 or
+    +1, deterministically in (angle, lambda). ``support`` is the lambda interval used by the
     quadrature estimator; only one-dimensional lambdas are supported there.
     """
 
@@ -110,9 +112,56 @@ class QuantumMimicModel:
 Model = Union[HiddenVariableModel, QuantumMimicModel]
 
 
+# Draws closer than _ARC_GUARD to an arc endpoint take the cosine rule.
+# Below _ARC_LIMIT in |angle| and |lam| the rounding of the endpoints, of
+# folding lam into [0, pi] and of the cosine rule's own angle - lam stays
+# under 1e-12, far inside the guard.
+_ARC_GUARD = 1e-9
+_ARC_LIMIT = 1e3
+
+
+def _cos_sign(angle, lam) -> np.ndarray:
+    return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1).astype(np.int8)
+
+
+def _on_arc(lam: np.ndarray, start: float, length: float) -> np.ndarray:
+    # lam in [0, pi]; the arc [start, start + length] is taken modulo pi.
+    lo = start % math.pi
+    hi = lo + length
+    if hi <= math.pi:
+        return (lam >= lo) & (lam <= hi)
+    return (lam >= lo) | (lam <= hi - math.pi)
+
+
 def _sign_response(angle: float, lam) -> np.ndarray:
-    # sign(cos 2(angle - lam)) with sign(0) := +1 so responses are total.
-    return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1)
+    """sign(cos 2(angle - lam)), with sign(0) := +1 so responses are total.
+
+    The response is +1 exactly on the closed arc [angle - pi/4, angle + pi/4]
+    modulo pi, so it is read off two comparisons of lam against the arc
+    endpoints, at int8 width, instead of a cosine per draw. Draws within
+    _ARC_GUARD of an endpoint, and any input beyond _ARC_LIMIT, take the
+    cosine rule itself, so the result equals it for every input.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.ndim(angle) != 0 or not abs(angle) <= _ARC_LIMIT:
+        return _cos_sign(angle, lam)
+    flat = lam.reshape(-1)
+    if flat.size and 0.0 <= flat.min() and flat.max() <= math.pi:
+        folded, far = flat, None
+    else:
+        folded = np.mod(flat, math.pi)
+        far = ~(np.abs(flat) <= _ARC_LIMIT)
+    start = angle - math.pi / 4
+    inner = _on_arc(folded, start + _ARC_GUARD, math.pi / 2 - 2 * _ARC_GUARD)
+    outer = _on_arc(folded, start - _ARC_GUARD, math.pi / 2 + 2 * _ARC_GUARD)
+    out = signs(outer)
+    near = inner != outer
+    if far is not None:
+        near |= far
+    if near.any():
+        idx = np.flatnonzero(near)
+        out[idx] = _cos_sign(angle, flat[idx])
+    return out.reshape(lam.shape)
 
 
 def reference_sign_model() -> HiddenVariableModel:
@@ -153,24 +202,17 @@ def _responses(model: HiddenVariableModel, angle: float, lam: np.ndarray, statio
     return out
 
 
-def _estimate(samples: np.ndarray) -> CorrelationEstimate:
-    n = samples.size
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(n))
-    return CorrelationEstimate(mean=mean, stderr=stderr, n_samples=n)
-
-
 def correlation_mc(
     model: Model, alpha: float, beta: float, n: int, rng: np.random.Generator
 ) -> CorrelationEstimate:
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n lambda draws."""
     m = _require_lhv(model, "correlation_mc")
-    lam = m.sample(rng, n)
-    a = _responses(m, alpha, lam, "a")
-    b = _responses(m, beta, lam, "b")
-    return _estimate((a * b).astype(float))
+
+    def draw_chunk(size):
+        lam = m.sample(rng, size)
+        return _responses(m, alpha, lam, "a") * _responses(m, beta, lam, "b")
+
+    return stream_estimate(n, draw_chunk, (-1, 1))
 
 
 def correlation_quadrature(
@@ -212,13 +254,29 @@ def chsh_same_lambda(
     returned mean is deterministically inside [-2, 2].
     """
     m = _require_lhv(model, "chsh_same_lambda")
-    lam = m.sample(rng, n)
-    a1 = _responses(m, config.alpha1, lam, "a")
-    a2 = _responses(m, config.alpha2, lam, "a")
-    b1 = _responses(m, config.beta1, lam, "b")
-    b2 = _responses(m, config.beta2, lam, "b")
-    s = (a1 + a2) * b1 + (a1 - a2) * b2
-    return _estimate(s.astype(float))
+
+    def draw_chunk(size):
+        lam = m.sample(rng, size)
+        a1 = _responses(m, config.alpha1, lam, "a")
+        a2 = _responses(m, config.alpha2, lam, "a")
+        b1 = _responses(m, config.beta1, lam, "b")
+        b2 = _responses(m, config.beta2, lam, "b")
+        return (a1 + a2) * b1 + (a1 - a2) * b2
+
+    return stream_estimate(n, draw_chunk, _SAME_LAMBDA_VALUES)
+
+
+def _pair_major(n: int):
+    # Copies each chunk's trial-major (size, 4) draws into one reused (4, size)
+    # buffer, so every pair's draws are contiguous and no chunk allocates it anew.
+    buf = np.empty((4, min(n, MC_CHUNK)))
+
+    def pair_major(draws: np.ndarray) -> np.ndarray:
+        out = buf[:, : len(draws)]
+        np.copyto(out, draws.T)
+        return out
+
+    return pair_major
 
 
 def chsh_independent(
@@ -235,29 +293,32 @@ def chsh_independent(
     if isinstance(model, QuantumMimicModel):
         return _quantum_independent(config, n, rng)
     m = _require_lhv(model, "chsh_independent")
-    lam = m.sample(rng, (n, 4))
     pairs = angle_pairs(config)
-    a = [
-        _responses(m, pairs[j][0], lam[:, j], "a")
-        for j in range(4)
-    ]
-    b = [
-        _responses(m, pairs[j][1], lam[:, j], "b")
-        for j in range(4)
-    ]
-    s = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
-    return _estimate(s.astype(float))
+    pair_major = _pair_major(n)
+
+    def draw_chunk(size):
+        lam = pair_major(m.sample(rng, (size, 4)))
+        p = [
+            _responses(m, alpha, lam[j], "a") * _responses(m, beta, lam[j], "b")
+            for j, (alpha, beta) in enumerate(pairs)
+        ]
+        return p[0] + p[1] + p[2] - p[3]
+
+    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
 
 
 def _quantum_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
-    # One uniform per pair, trial-major: u[t, j] drives pair j+1 of trial t.
-    u = rng.random((n, 4))
-    products = []
-    for j, (alpha, beta) in enumerate(angle_pairs(config)):
-        x, y = _outcomes_from_uniforms(joint_distribution(alpha, beta), u[:, j])
-        products.append(x * y)
-    s = products[0] + products[1] + products[2] - products[3]
-    return _estimate(s.astype(float))
+    cuts = [_product_cuts(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
+    pair_major = _pair_major(n)
+
+    def draw_chunk(size):
+        # One uniform per pair, trial-major: draw [t, j] drives pair j+1 of
+        # trial t, so after the copy u[j] holds pair j+1's uniforms.
+        u = pair_major(rng.random((size, 4)))
+        plus = [_product_is_plus(u[j], cuts[j]).view(np.int8) for j in range(4)]
+        return (plus[0] + plus[1] + plus[2] - plus[3]) * np.int8(2) - np.int8(2)
+
+    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
 
 
 def quantum_chsh_independent(

@@ -14,7 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .linalg import mat_mul, tensor_product
+from .montecarlo import CorrelationEstimate, signs, stream_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -108,10 +110,10 @@ class OutcomeRecord(NamedTuple):
 
 
 def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
-    """Singlet joint outcome law: P(k, l) = (1 - k l cos(2(alpha - beta)))/4."""
-    c = math.cos(2.0 * (alpha - beta))
+    """Singlet joint outcome law: P(k, l) = (1 + k l q)/4, q = -cos(2(alpha - beta))."""
+    q = float(kernels.pair_correlation(alpha, beta))
     return PairOutcomeDistribution(
-        probs={(k, l): (1.0 - k * l * c) / 4.0 for (k, l) in OUTCOME_ORDER}
+        probs={(k, l): (1.0 + k * l * q) / 4.0 for (k, l) in OUTCOME_ORDER}
     )
 
 
@@ -121,6 +123,21 @@ def _outcomes_from_uniforms(dist: PairOutcomeDistribution, u: np.ndarray) -> tup
     idx = np.minimum(np.searchsorted(cum, u, side="right"), 3)
     table = np.array(OUTCOME_ORDER)
     return table[idx, 0], table[idx, 1]
+
+
+def _product_cuts(dist: PairOutcomeDistribution) -> tuple[float, float]:
+    # The inverse CDF of _outcomes_from_uniforms gives x*y = +1 exactly when
+    # u < cum[0] (outcome (1, 1)) or u >= cum[2] (outcome (-1, -1)).
+    cum = np.cumsum(dist.as_array())
+    if not np.all(np.isfinite(cum)):
+        raise ValueError("outcome probabilities must be finite")
+    return float(cum[0]), float(cum[2])
+
+
+def _product_is_plus(u: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:
+    """x*y == +1 for each uniform, as a bool array; same rule as the inverse CDF."""
+    lo, hi = cuts
+    return (u < lo) | (u >= hi)
 
 
 def sample_pair(dist: PairOutcomeDistribution, rng: np.random.Generator) -> OutcomeRecord:
@@ -141,3 +158,20 @@ def sample_pairs(
     if n < 1:
         raise ValueError("n must be positive")
     return _outcomes_from_uniforms(dist, rng.random(n))
+
+
+def product_estimate(
+    dist: PairOutcomeDistribution, n: int, rng: np.random.Generator
+) -> CorrelationEstimate:
+    """Monte Carlo mean of x*y over ``n`` sampled pairs, in bounded memory.
+
+    Consumes the same uniforms, in the same order, as :func:`sample_pairs`
+    with the same ``n``, and its mean equals the mean of x*y over those
+    samples exactly; only the count of x*y = +1 is kept.
+    """
+    cuts = _product_cuts(dist)
+
+    def draw_chunk(size):
+        return signs(_product_is_plus(rng.random(size), cuts))
+
+    return stream_estimate(n, draw_chunk, (-1, 1))

@@ -189,3 +189,76 @@ def coordinate_descent(fn, start, step0: float, tol: float, maximize: bool):
         if not improved:
             step /= 2.0
     return tuple(x), best
+
+
+def cos_sign_response(angle, lam) -> np.ndarray:
+    """The sign model's response rule, sign(cos 2(angle - lam)) with sign(0) := +1."""
+    return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1)
+
+
+def _dense_estimate(samples: np.ndarray) -> tuple[float, float]:
+    # (mean, stderr = sample std / sqrt(n)) of one whole-run float array.
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.size))
+
+
+def _pairs(config):
+    a1, a2, b1, b2 = config
+    return ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
+
+
+def dense_sign_correlation(alpha: float, beta: float, n: int, rng: np.random.Generator):
+    """Sign model, one whole-run draw of n lambdas ~ U[0, pi): (mean, stderr) of A(alpha) B(beta)."""
+    lam = rng.uniform(0.0, math.pi, n)
+    return _dense_estimate((cos_sign_response(alpha, lam) * -cos_sign_response(beta, lam)).astype(float))
+
+
+def dense_sign_same_lambda(config, n: int, rng: np.random.Generator):
+    """Sign model, same-lambda protocol: (mean, stderr) of (a1 + a2) b1 + (a1 - a2) b2."""
+    a1, a2, b1, b2 = config
+    lam = rng.uniform(0.0, math.pi, n)
+    ra1, ra2 = cos_sign_response(a1, lam), cos_sign_response(a2, lam)
+    rb1, rb2 = -cos_sign_response(b1, lam), -cos_sign_response(b2, lam)
+    return _dense_estimate(((ra1 + ra2) * rb1 + (ra1 - ra2) * rb2).astype(float))
+
+
+def dense_sign_independent(config, n: int, rng: np.random.Generator):
+    """Sign model, independent pairs: an (n, 4) trial-major lambda draw, pair j on column j."""
+    lam = rng.uniform(0.0, math.pi, (n, 4))
+    p = [cos_sign_response(a, lam[:, j]) * -cos_sign_response(b, lam[:, j]) for j, (a, b) in enumerate(_pairs(config))]
+    return _dense_estimate((p[0] + p[1] + p[2] - p[3]).astype(float))
+
+
+def singlet_cumulative(alpha: float, beta: float) -> np.ndarray:
+    """Cumulative probabilities of the outcomes (1, 1), (1, -1), (-1, 1), (-1, -1)."""
+    c = math.cos(2.0 * (alpha - beta))
+    return np.cumsum([(1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0])
+
+
+def dense_singlet_products(alpha: float, beta: float, u: np.ndarray) -> np.ndarray:
+    """x*y of the singlet outcomes drawn by inverse CDF, one uniform each."""
+    table = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    idx = np.minimum(np.searchsorted(singlet_cumulative(alpha, beta), u, side="right"), 3)
+    return table[idx, 0] * table[idx, 1]
+
+
+def dense_pair_products(alpha: float, beta: float, n: int, rng: np.random.Generator):
+    """(mean, stderr) of x*y over n singlet pairs from one whole-run draw."""
+    return _dense_estimate(dense_singlet_products(alpha, beta, rng.random(n)).astype(float))
+
+
+def dense_quantum_independent(config, n: int, rng: np.random.Generator):
+    """Quantum independent pairs: an (n, 4) trial-major uniform draw, pair j on column j."""
+    u = rng.random((n, 4))
+    p = [dense_singlet_products(a, b, u[:, j]) for j, (a, b) in enumerate(_pairs(config))]
+    return _dense_estimate((p[0] + p[1] + p[2] - p[3]).astype(float))
+
+
+def dense_two_point(t0: float, weight_plus: float, n: int, rng: np.random.Generator):
+    """Outcomes +-t0 (u < weight_plus gives +t0) from one whole-run draw.
+
+    Returns (mean, stderr) as t0 times those of the signs, and the float
+    outcome array itself.
+    """
+    signs = np.where(rng.random(n) < weight_plus, 1.0, -1.0)
+    mean, stderr = _dense_estimate(signs)
+    return t0 * mean, t0 * stderr, t0 * signs

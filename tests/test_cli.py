@@ -351,3 +351,57 @@ class TestReproducibility:
         from chshlab import __version__
 
         assert payload["config"]["version"] == __version__
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("trials", ["1", "0", "-5"])
+    @pytest.mark.parametrize(
+        "head", [["chsh", "--mode", "quantum"], ["chsh", "--mode", "same-lambda", "--model", "sign"], ["simulate"]]
+    )
+    def test_fewer_than_two_trials_is_usage_error(self, capsys, head, trials):
+        with pytest.raises(SystemExit) as err:
+            cli.main(head + MAXV + ["--trials", trials])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["correlate", "--alpha", "{}", "--beta", "0.1"],
+            ["correlate", "--alpha", "0.1", "--beta", "{}"],
+            ["chsh", "--mode", "quantum", "--alpha1", "{}", "--alpha2", "0", "--beta1", "0.3", "--beta2", "1"],
+            ["spectrum", "--alpha1", "{}", "--alpha2", "0", "--beta1", "0.3", "--beta2", "1"],
+            ["simulate", "--alpha1", "0.2", "--alpha2", "0", "--beta1", "0.3", "--beta2", "{}"],
+            ["constrained", "eval", "--alpha1", "0.2", "--alpha2", "{}", "--beta1", "0.3", "--beta2", "1"],
+        ],
+    )
+    def test_non_finite_angles_are_usage_errors(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as err:
+            cli.main([a.format(bad) for a in argv])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_output_exits_4_without_output(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "singlet_correlation", lambda *a: math.nan)
+        code = cli.main(["correlate", "--alpha", "0.1", "--beta", "0.2", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+
+    def test_two_trials_report_finite_stderr(self, capsys):
+        code, payload = run_json(capsys, ["simulate", *MAXV, "--trials", "2", "--seed", "3"])
+        assert code == 0
+        assert all(math.isfinite(r["stderr"]) for r in payload["rows"])
+
+    def test_correlate_uses_the_pair_correlation_kernel(self, capsys):
+        from chshlab import kernels
+
+        _, payload = run_json(capsys, ["correlate", "--alpha", "0.123", "--beta", "1.7"])
+        assert payload["rows"][0]["correlation_analytic"] == float(kernels.pair_correlation(0.123, 1.7))

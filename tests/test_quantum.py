@@ -193,3 +193,15 @@ class TestSampling:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             sample_pairs(joint_distribution(0.0, 0.0), 0, np.random.default_rng(0))
+
+
+class TestPairCorrelationKernel:
+    @given(angles, angles)
+    def test_one_formula_for_the_pair_correlation(self, alpha, beta):
+        from chshlab import kernels
+
+        q = float(kernels.pair_correlation(alpha, beta))
+        assert abs(q + math.cos(2.0 * (alpha - beta))) <= 1e-15
+        d = joint_distribution(alpha, beta)
+        assert d.probability(1, 1) == (1.0 + q) / 4.0
+        assert d.probability(1, -1) == (1.0 - q) / 4.0

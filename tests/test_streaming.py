@@ -1,0 +1,202 @@
+"""Streaming Monte Carlo: the cosine-free sign response, chunk boundaries,
+exact count-based estimates and bounded memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chshlab import lhv
+from chshlab.chsh_operator import t_distribution, t_estimate
+from chshlab.lhv import (
+    AngleConfig,
+    HiddenVariableModel,
+    QuantumMimicModel,
+    chsh_independent,
+    chsh_same_lambda,
+    correlation_mc,
+    quantum_chsh_independent,
+    reference_sign_model,
+)
+from chshlab.montecarlo import MC_CHUNK, estimate_from_counts
+from chshlab.quantum import joint_distribution, product_estimate
+
+from oracles import (
+    cos_sign_response,
+    dense_pair_products,
+    dense_quantum_independent,
+    dense_sign_correlation,
+    dense_sign_independent,
+    dense_sign_same_lambda,
+    dense_two_point,
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+moderate = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+angles = st.one_of(moderate, finite)
+lambdas = st.lists(st.one_of(st.floats(min_value=0.0, max_value=math.pi), moderate, finite), min_size=1, max_size=50)
+
+
+class TestSignResponse:
+    @given(angles, lambdas)
+    def test_matches_cos_rule(self, angle, lam):
+        lam = np.array(lam)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = cos_sign_response(angle, lam)
+            got = lhv._sign_response(angle, lam)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200)
+    @given(moderate)
+    def test_arc_endpoints_to_the_ulp(self, angle):
+        # lambda at each arc endpoint angle +- pi/4 (+ j pi), walked k ulp either way.
+        lam = []
+        for edge in (angle - math.pi / 4, angle + math.pi / 4):
+            for j in range(-2, 3):
+                for center in (edge + j * math.pi, edge % math.pi):
+                    below = above = center
+                    lam.append(center)
+                    for _ in range(4):
+                        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                        lam += [below, above]
+        lam = np.array(lam)
+        assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
+
+    def test_scalar_and_shaped_lambda(self):
+        lam = np.linspace(-4.0, 4.0, 24).reshape(2, 3, 4)
+        assert np.array_equal(lhv._sign_response(0.7, lam), cos_sign_response(0.7, lam))
+        assert lhv._sign_response(math.pi / 4, 0.0) == 1
+        assert lhv._sign_response(math.pi / 4, 0.0).shape == ()
+
+    def test_cos_rule_runs_only_near_endpoints(self, monkeypatch):
+        seen = []
+        cos_sign = lhv._cos_sign
+
+        def counted(angle, lam):
+            seen.append(np.size(lam))
+            return cos_sign(angle, lam)
+
+        monkeypatch.setattr(lhv, "_cos_sign", counted)
+        lam = np.random.default_rng(0).uniform(0.0, math.pi, 100_000)
+        got = lhv._sign_response(1.3, lam)
+        assert np.array_equal(got, cos_sign_response(1.3, lam))
+        assert sum(seen) <= 10
+
+
+C = MC_CHUNK
+SIZES = [2, C - 1, C, C + 1, 3 * C + 7]
+CFG = AngleConfig(0.3, 1.1, 0.7, 2.0)
+T_CFG = AngleConfig(1.0, 0.3, 2.1, 0.9)
+
+
+def _assert_matches(est, n, dense):
+    mean, stderr = dense
+    assert est.n_samples == n
+    assert est.mean == mean
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_correlation_mc(self, n):
+        est = correlation_mc(reference_sign_model(), 0.4, 1.9, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_sign_correlation(0.4, 1.9, n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_lambda(self, n):
+        est = chsh_same_lambda(reference_sign_model(), CFG, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_sign_same_lambda(CFG.astuple(), n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_independent_sign(self, n):
+        est = chsh_independent(reference_sign_model(), CFG, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_sign_independent(CFG.astuple(), n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_independent_quantum_mimic(self, n):
+        est = chsh_independent(QuantumMimicModel(), CFG, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_quantum_independent(CFG.astuple(), n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_quantum(self, n):
+        est = quantum_chsh_independent(CFG, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_quantum_independent(CFG.astuple(), n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_simulate_pair_stream(self, n):
+        # simulate draws the four pairs back to back from one stream.
+        rng, dense_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for alpha, beta in lhv.angle_pairs(CFG):
+            est = product_estimate(joint_distribution(alpha, beta), n, rng)
+            _assert_matches(est, n, dense_pair_products(alpha, beta, n, dense_rng))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_t_observable(self, n):
+        dist = t_distribution(T_CFG)
+        est = t_estimate(T_CFG, n, np.random.default_rng(n))
+        mean, stderr, outcomes = dense_two_point(dist.t0, dist.weight_plus, n, np.random.default_rng(n))
+        _assert_matches(est, n, (mean, stderr))
+        # The float mean of the outcomes themselves differs by rounding only.
+        assert est.mean == pytest.approx(float(np.mean(outcomes)), rel=1e-12, abs=1e-15)
+
+
+class TestCountEstimate:
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_requires_two_samples(self, n):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            estimate_from_counts((-1, 1), (max(n, 0), 0))
+        with pytest.raises(ValueError):
+            correlation_mc(reference_sign_model(), 0.1, 0.2, n, rng)
+        with pytest.raises(ValueError):
+            chsh_same_lambda(reference_sign_model(), CFG, n, rng)
+        with pytest.raises(ValueError):
+            product_estimate(joint_distribution(0.1, 0.2), n, rng)
+
+    def test_exact_at_huge_counts(self):
+        # n * (sum of squares) is about 6e31: exact as Python ints, far past int64.
+        n = 2 * 10**15 + 1
+        est = estimate_from_counts((-4, -2, 0, 2, 4), (10**15, 0, 0, 0, 10**15 + 1))
+        assert est.n_samples == n
+        assert est.mean == 4 / n
+        # sum 4, sum of squares 16 n: unbiased variance 16 (n + 1) / n.
+        assert est.stderr == pytest.approx(math.sqrt(16 * (n + 1) / n) / math.sqrt(n), rel=1e-15)
+
+    def test_constant_sample_has_zero_stderr(self):
+        est = estimate_from_counts((-1, 1), (0, 12345))
+        assert (est.mean, est.stderr) == (1.0, 0.0)
+
+    def test_responses_validated_on_every_chunk(self):
+        calls = []
+
+        def respond(angle, lam):
+            calls.append(1)
+            return np.ones_like(lam) if len(calls) <= 2 else np.zeros_like(lam)
+
+        broken = HiddenVariableModel(
+            name="late-broken",
+            sample=lambda rng, size=None: rng.uniform(0.0, math.pi, size),
+            respond_a=respond,
+            respond_b=respond,
+            support=(0.0, math.pi),
+        )
+        with pytest.raises(ValueError, match="outside"):
+            correlation_mc(broken, 0.0, 0.1, C + 1, np.random.default_rng(0))
+        assert len(calls) == 3
+
+
+def test_independent_memory_is_bounded():
+    n = 4_000_000
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        est = chsh_independent(reference_sign_model(), CFG, n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == n
+    assert peak < 16 * 2**20
