@@ -16,14 +16,15 @@ lines above the header row; numeric CSV fields use 17 significant digits.
 
 Exit codes: 0 success (including status rows such as degenerate
 conditioning), 2 usage error, 3 internal deterministic-bound violation,
-4 numerical failure (including a NaN or infinite output value, which is
-never written).
+4 numerical failure (any library error once the flags are validated,
+including a NaN or infinite output value, which is never written).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -60,7 +61,7 @@ from .lhv import (
 )
 from .linalg import EigenConvergenceError
 from .quantum import joint_distribution, product_estimate, singlet_correlation, singlet_state
-from .scan import OBJECTIVES, verify_bound
+from .scan import MAX_RESOLUTION, OBJECTIVES, verify_bound
 from .seeding import component_stream
 
 EXIT_OK = 0
@@ -166,25 +167,24 @@ def cmd_correlate(args, parser) -> int:
 def cmd_chsh(args, parser) -> int:
     config = _full_angles(args, parser)
     mode = args.mode
-    if mode in ("same-lambda", "independent") and args.model is None:
+    model_name = args.model
+    if mode in ("same-lambda", "independent") and model_name is None:
         parser.error(f"--model is required for mode {mode}")
-    if mode == "quantum" and args.model is not None:
+    if mode == "quantum" and model_name is not None:
         parser.error("--model is not accepted in quantum mode")
+    if mode == "same-lambda" and model_name == "quantum-mimic":
+        parser.error("same-lambda mode requires a local-hidden-variable model, not quantum-mimic")
 
     rng = component_stream(args.seed, f"chsh/{mode}")
-    model_name = args.model
-    try:
-        if mode == "same-lambda":
-            est = chsh_same_lambda(get_model(model_name), config, args.trials, rng)
-            lo, hi, deterministic = -2.0, 2.0, True
-        elif mode == "independent":
-            est = chsh_independent(get_model(model_name), config, args.trials, rng)
-            lo, hi, deterministic = -4.0, 4.0, True
-        else:
-            est = quantum_chsh_independent(config, args.trials, rng)
-            lo, hi, deterministic = -SQRT8, SQRT8, False
-    except ValueError as exc:
-        parser.error(str(exc))
+    if mode == "same-lambda":
+        est = chsh_same_lambda(get_model(model_name), config, args.trials, rng)
+        lo, hi, deterministic = -2.0, 2.0, True
+    elif mode == "independent":
+        est = chsh_independent(get_model(model_name), config, args.trials, rng)
+        lo, hi, deterministic = -4.0, 4.0, True
+    else:
+        est = quantum_chsh_independent(config, args.trials, rng)
+        lo, hi, deterministic = -SQRT8, SQRT8, False
 
     # Statistical allowance for the quantum bound: it constrains the
     # expectation, not the finite-sample mean.
@@ -419,8 +419,8 @@ def _run_scan(args, parser, objective: str | None = None) -> int:
     name = objective or args.objective
     if name not in OBJECTIVES:
         parser.error(f"unknown objective {name!r}; expected one of {sorted(OBJECTIVES)}")
-    if args.resolution < 2:
-        parser.error("--resolution must be at least 2")
+    if not 2 <= args.resolution <= MAX_RESOLUTION:
+        parser.error(f"--resolution must lie in [2, {MAX_RESOLUTION}]")
     if args.restarts < 0:
         parser.error("--restarts must be nonnegative")
     if args.bound is not None and not math.isfinite(args.bound):
@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", help="CHSH estimate in one of the three modes")
     p.add_argument("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
-    p.add_argument("--model", default=None, help="LHV model name (sign, quantum-mimic)")
+    p.add_argument("--model", choices=["sign", "quantum-mimic"], default=None, help="LHV model name")
     _add_four_angles(p)
     p.add_argument("--trials", type=_trials, default=100_000)
     p.add_argument("--seed", type=int, default=0)
@@ -568,17 +568,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building it costs more than a small command's
+    # work, and parse_args keeps no state between calls (each call fills a
+    # fresh Namespace).
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (
-        EigenConvergenceError,
-        DegenerateConditioningError,
-        DegenerateSpectrumError,
-        NonFiniteOutputError,
-    ) as exc:
+    except (EigenConvergenceError, ValueError) as exc:
+        # Flags are validated before any computation, so a ValueError here is
+        # a library failure: degenerate conditioning or spectrum, a
+        # non-Hermitian matrix, invalid model responses or a non-finite output.
         print(f"chshlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

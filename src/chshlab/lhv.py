@@ -30,7 +30,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .montecarlo import MC_CHUNK, CorrelationEstimate, signs, stream_estimate
-from .quantum import _product_cuts, _product_is_plus, joint_distribution, sample_pairs
+from .quantum import _product_cuts, _product_is_plus, joint_distribution
 
 # Per-trial values of the two protocols.
 _SAME_LAMBDA_VALUES = (-2, 2)
@@ -93,20 +93,18 @@ class HiddenVariableModel:
 
 @dataclass(frozen=True)
 class QuantumMimicModel:
-    """Samples joint pair outcomes directly from the singlet law.
+    """Marker model whose pair outcomes follow the singlet law directly.
 
     Deliberately NOT a local-hidden-variable model: there is no shared
     latent variable and no per-station response function, so it is rejected
-    by the same-lambda estimator and by the quadrature oracle. It exists
-    only to cross-check the quantum independent-pairs estimator through the
-    model interface.
+    by the same-lambda estimator and by the quadrature oracle. It carries no
+    sampler of its own: :func:`chsh_independent` routes it to the quantum
+    independent-pairs estimator, so it cross-checks that estimator through
+    the model interface.
     """
 
     name: str = "quantum-mimic"
     is_lhv: bool = False
-
-    def sample_outcomes(self, alpha, beta, n, rng):
-        return sample_pairs(joint_distribution(alpha, beta), n, rng)
 
 
 Model = Union[HiddenVariableModel, QuantumMimicModel]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .linalg import mat_mul, tensor_product
+from .linalg import tensor_product
 from .montecarlo import CorrelationEstimate, signs, stream_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
@@ -50,13 +50,13 @@ def analyzer_operator(theta: float) -> np.ndarray:
 def commutator(theta: float, theta_prime: float) -> np.ndarray:
     """F(theta) F(theta') - F(theta') F(theta) for two analyzer operators.
 
-    Proportional to sin(2(theta - theta')) times the antisymmetric matrix
-    [[0, 1], [-1, 0]]; in particular it vanishes whenever the angle
-    difference is a multiple of pi/2.
+    Equals -2 sin(2(theta - theta')) times the antisymmetric matrix
+    [[0, 1], [-1, 0]], so it is anti-Hermitian and vanishes whenever the
+    angle difference is a multiple of pi/2.
     """
     f = analyzer_operator(theta)
     g = analyzer_operator(theta_prime)
-    return mat_mul(f, g) - mat_mul(g, f)
+    return f @ g - g @ f
 
 
 def singlet_correlation(alpha: float, beta: float) -> float:

@@ -46,6 +46,10 @@ DEFAULT_TOL = 1e-10
 # Violations stored per report are capped; n_violations counts all of them.
 MAX_STORED_VIOLATIONS = 1000
 
+# The res^3 slab is evaluated in one broadcast call with several float64
+# temporaries of res^3 entries each; this cap keeps a scan near 100 MB.
+MAX_RESOLUTION = 128
+
 
 @dataclass(frozen=True)
 class _Objective:
@@ -131,8 +135,8 @@ def _scan_slab(obj: _Objective, resolution: int, bound: float):
     The slab is flattened in C order of (alpha1, beta1, beta2), so the first
     extremum found is the lexicographically smallest slab index.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
     ax = (np.arange(resolution) / resolution) * math.pi
     flat = obj.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel()
     config_at = lambda index: AngleConfig(*_slab_angles(ax, index).tolist())
@@ -166,6 +170,7 @@ def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float |
     only off the angle manifold, so in practice never) are skipped and
     counted, never flagged. Ties for the extrema resolve to the
     lexicographically smallest (alpha1, beta1, beta2) slab index.
+    ``resolution`` must lie in [2, MAX_RESOLUTION]; ValueError otherwise.
     """
     obj = _lookup(objective)
     if bound is None:

@@ -127,6 +127,29 @@ class TestChsh:
             cli.main(["chsh", "--mode", "quantum", "--model", "sign", *MAXV])
         assert err.value.code == 2
 
+    def test_mimic_model_rejected_in_same_lambda_mode(self, capsys, monkeypatch):
+        def unreachable(*a, **k):
+            raise AssertionError("estimator ran before the flags were settled")
+
+        monkeypatch.setattr(cli, "chsh_same_lambda", unreachable)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["chsh", "--mode", "same-lambda", "--model", "quantum-mimic", *MAXV])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "quantum-mimic" in captured.err
+
+    def test_estimator_value_error_exits_4(self, capsys, monkeypatch):
+        def invalid_responses(*a, **k):
+            raise ValueError("model 'sign' respond_a returned values outside {-1, +1}")
+
+        monkeypatch.setattr(cli, "chsh_same_lambda", invalid_responses)
+        code = cli.main(["chsh", "--mode", "same-lambda", "--model", "sign", *MAXV, "--trials", "100"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("chshlab: numerical failure: model 'sign' respond_a")
+
     def test_deterministic_bound_violation_exits_3(self, capsys, monkeypatch):
         from chshlab.lhv import CorrelationEstimate
 
@@ -284,7 +307,14 @@ class TestScanCommand:
     @pytest.mark.parametrize("head", [["scan"], ["constrained", "scan"]])
     @pytest.mark.parametrize(
         "flags",
-        [["--resolution", "1"], ["--resolution", "-4"], ["--restarts", "-3"], ["--bound", "nan"], ["--bound", "inf"]],
+        [
+            ["--resolution", "1"],
+            ["--resolution", "-4"],
+            ["--resolution", "129"],
+            ["--restarts", "-3"],
+            ["--bound", "nan"],
+            ["--bound", "inf"],
+        ],
     )
     def test_invalid_arguments_are_usage_errors(self, capsys, head, flags):
         with pytest.raises(SystemExit) as err:
@@ -351,6 +381,42 @@ class TestReproducibility:
         from chshlab import __version__
 
         assert payload["config"]["version"] == __version__
+
+
+class TestParserCache:
+    # All six subcommands, CSV and JSON, a usage error, then the first argv again.
+    ARGVS = [
+        ["correlate", "--alpha", "0.3", "--beta", "1.1"],
+        ["chsh", "--mode", "independent", "--model", "sign", *MAXV, "--trials", "500", "--seed", "4", "--format", "json"],
+        ["constrained", "eval", "--alpha1", "0.2", "--alpha2", "0.9", "--beta1", "0.4", "--beta2", "1.3"],
+        ["spectrum", "--alpha1", "0.6", "--alpha2", "0.6", "--beta1", "0.2", "--beta2", "0.2", "--format", "json"],
+        ["simulate", *MAXV, "--trials", "300", "--seed", "2"],
+        ["chsh", "--mode", "quantum", *MAXV, "--trials", "1"],
+        ["scan", "--objective", "eight_variable_sum", "--resolution", "6", "--restarts", "2", "--format", "json"],
+        ["constrained", "scan", "--resolution", "6", "--restarts", "1", "--seed", "3"],
+        ["correlate", "--alpha", "0.3", "--beta", "1.1"],
+    ]
+
+    @staticmethod
+    def outputs(capsys, argvs):
+        results = []
+        for argv in argvs:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_one_parser_per_process_matches_fresh_parsers(self, capsys, monkeypatch):
+        cached = self.outputs(capsys, self.ARGVS)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outputs(capsys, self.ARGVS)
+        assert [r[0] for r in cached] == [0, 0, 0, 0, 0, 2, 0, 0, 0]
+        assert cached == fresh
+        assert cached[-1] == cached[0]
 
 
 class TestInputBoundary:

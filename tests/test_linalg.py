@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chshlab.linalg import (
+    EigenConvergenceError,
     NonHermitianError,
-    adjoint,
     hermitian_eigen,
     is_hermitian,
-    mat_mul,
     tensor_product,
 )
+from chshlab.quantum import analyzer_operator, commutator
 
 from oracles import charpoly_eigenvalues
 
@@ -47,46 +47,69 @@ class TestComplexCarrier:
 
 
 class TestMatMul:
+    """Matrix-product identities of the package's operators (numpy ``@``)."""
+
     def test_identity(self):
-        i2 = np.eye(2, dtype=complex)
-        assert np.array_equal(mat_mul(i2, i2), i2)
-
-    def test_involution(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(mat_mul(x, x), np.eye(2), atol=0)
-
-    def test_product_adjoint_identity(self):
+        # Mixed-product identity (A x B)(C x D) = AC x BD.
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a, b = random_complex(rng, 4), random_complex(rng, 4)
-            lhs = adjoint(mat_mul(a, b))
-            rhs = mat_mul(adjoint(b), adjoint(a))
+            a, b, c, d = (random_complex(rng, 2) for _ in range(4))
+            lhs = tensor_product(a, b) @ tensor_product(c, d)
+            rhs = tensor_product(a @ c, b @ d)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(1.0, np.abs(rhs).max())
+
+    def test_involution(self):
+        # The joint observable F(a) x F(b) squares to the 4x4 identity.
+        rng = np.random.default_rng(12)
+        for alpha, beta in rng.uniform(-4.0, 4.0, size=(25, 2)):
+            m = tensor_product(analyzer_operator(alpha), analyzer_operator(beta))
+            assert np.max(np.abs(m @ m - np.eye(4))) <= 1e-14
+
+    def test_product_adjoint_identity(self):
+        # (A x B)^dagger = A^dagger x B^dagger
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b = random_complex(rng, 2), random_complex(rng, 2)
+            lhs = tensor_product(a, b).conj().T
+            rhs = tensor_product(a.conj().T, b.conj().T)
             assert np.max(np.abs(lhs - rhs)) <= 1e-14 * max(1.0, np.abs(lhs).max())
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_mul(np.eye(2), np.eye(4))
+        with pytest.raises(ValueError):
+            tensor_product(np.eye(2), np.eye(4))
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            mat_mul(np.ones((2, 3)), np.ones((3, 2)))
+        for fn in (hermitian_eigen, is_hermitian):
+            with pytest.raises(ValueError, match="square"):
+                fn(np.ones((2, 3)))
 
 
 class TestAdjoint:
+    """Conjugate-transpose contracts, read through :func:`is_hermitian`."""
+
     def test_real_symmetric_fixed_point(self):
-        m = np.array([[1.0, 2.0], [2.0, -3.0]])
-        assert np.array_equal(adjoint(m), m.astype(complex))
+        m = tensor_product(analyzer_operator(0.3), analyzer_operator(-1.1))
+        assert np.array_equal(m.imag, np.zeros((4, 4)))
+        assert np.array_equal(m, m.T)
+        assert is_hermitian(m, 0.0)
 
     def test_single_entry_conjugation(self):
-        m = np.array([[0, 1j], [0, 0]])
-        expected = np.array([[0, 0], [-1j, 0]])
-        assert np.array_equal(adjoint(m), expected)
+        assert is_hermitian(np.array([[0, 1j], [-1j, 0]]), 0.0)
+        assert not is_hermitian(np.array([[0, 1j], [0, 0]]), 0.5)
+        # The commutator of two analyzer operators is anti-Hermitian.
+        rng = np.random.default_rng(4)
+        for theta, theta_prime in rng.uniform(-4.0, 4.0, size=(20, 2)):
+            c = commutator(theta, theta_prime)
+            assert np.array_equal(c.conj().T, -c)
+            assert is_hermitian(1j * c, 0.0)
 
     def test_involution(self):
+        # (a + a^dagger)^dagger = a^dagger + a exactly, so the symmetrised
+        # input hermitian_eigen decomposes is Hermitian at tolerance 0.
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = random_complex(rng, 4)
-            assert np.array_equal(adjoint(adjoint(a)), a)
+            assert is_hermitian(a + a.conj().T, 0.0)
 
 
 class TestTensorProduct:
@@ -208,3 +231,17 @@ class TestHermitianEigen:
         for _ in range(20):
             dec = hermitian_eigen(random_hermitian(rng, 4))
             assert np.all(np.diff(dec.eigenvalues) >= 0)
+
+    def test_returns_read_only_arrays(self):
+        dec = hermitian_eigen(random_hermitian(np.random.default_rng(12), 4))
+        for arr in (dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            hermitian_eigen(np.eye(4))

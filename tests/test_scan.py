@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from chshlab.scan import (
     OBJECTIVES,
     DEFAULT_STEP0,
     DEFAULT_TOL,
+    MAX_RESOLUTION,
     _descend,
     grid_scan,
     refine,
@@ -60,6 +62,16 @@ class TestGridScan:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             grid_scan("eight_variable_sum", 1)
+
+    def test_rejects_huge_resolution_before_evaluating(self):
+        def unreachable(*angles):
+            raise AssertionError("slab evaluated above MAX_RESOLUTION")
+
+        obj = replace(OBJECTIVES["constrained_e4"], values=unreachable)
+        with pytest.raises(ValueError, match="resolution"):
+            grid_scan(obj, MAX_RESOLUTION + 1)
+        with pytest.raises(ValueError, match="resolution"):
+            verify_bound(obj, 2.0, resolution=MAX_RESOLUTION + 1, n_random_restarts=0)
 
     @pytest.mark.parametrize("resolution", [6, 8, 25])
     @pytest.mark.parametrize(
