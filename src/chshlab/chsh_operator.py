@@ -21,6 +21,7 @@ package's numerics that the exposed contract does not rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ SYMMETRY_TOL = 1e-10
 
 # Below this t0 the two-outcome law is undefined (0/0 weights).
 T0_FLOOR = 1e-12
+
+# Largest |E| - t0 taken as rounding; the scans verify t0 - |E| >= 0 with
+# the same slack.
+MEAN_SLACK = 1e-9
+
+# Eigenvalues closer than this form one degenerate cluster.
+CLUSTER_TOL = 1e-9
 
 
 class AsymmetricSpectrumError(RuntimeError):
@@ -147,10 +155,12 @@ def t_distribution(config: AngleConfig) -> TOutcomeDistribution:
     t0 = t0_closed_form(config)
     if t0 <= T0_FLOOR:
         raise DegenerateSpectrumError("t0 is zero; the outcome distribution is undefined")
-    ratio = t_mean(config) / t0
-    if abs(ratio) > 1.0 + 1e-6:
-        raise AsymmetricSpectrumError(f"|E| exceeds t0 by more than rounding: ratio {ratio}")
-    ratio = min(1.0, max(-1.0, ratio))
+    mean = t_mean(config)
+    # E carries absolute rounding of about 1e-15, so near t0 = 0 only an
+    # absolute slack tells rounding from a real |E| > t0.
+    if abs(mean) > t0 + MEAN_SLACK:
+        raise AsymmetricSpectrumError(f"|E| = {abs(mean)} exceeds t0 = {t0} by more than rounding")
+    ratio = min(1.0, max(-1.0, mean / t0))
     return TOutcomeDistribution(
         t0=t0, weight_plus=(1.0 + ratio) / 2.0, weight_minus=(1.0 - ratio) / 2.0
     )
@@ -184,6 +194,22 @@ def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> Correla
 
 
 def singlet_overlaps(summary: TSpectralSummary) -> np.ndarray:
-    """|<singlet | eigenvector_i>| for each eigenvector, in spectrum order."""
+    """Overlap of the singlet with each eigenvector, in spectrum order.
+
+    For a simple eigenvalue this is |<singlet | eigenvector_i>|. Inside a
+    degenerate cluster (consecutive eigenvalues within ``CLUSTER_TOL``) only
+    the eigenspace is defined, so the first row of the cluster carries the
+    norm of the singlet's projection onto it and the other rows 0: the
+    overlaps in the eigenbasis whose first vector lies along that
+    projection, whatever basis the eigensolver returned.
+    """
     psi = singlet_state()
-    return np.abs(psi.conj() @ summary.eigen.eigenvectors)
+    amplitudes = np.abs(psi.conj() @ summary.eigen.eigenvectors).tolist()
+    w = summary.eigen.eigenvalues
+    overlaps = np.zeros(len(amplitudes))
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > CLUSTER_TOL:
+            overlaps[start] = math.hypot(*amplitudes[start:i])
+            start = i
+    return overlaps

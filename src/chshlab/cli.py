@@ -32,6 +32,7 @@ import sys
 
 from . import __version__, kernels
 from .chsh_operator import (
+    AsymmetricSpectrumError,
     DegenerateSpectrumError,
     build_t,
     singlet_overlaps,
@@ -44,7 +45,6 @@ from .constrained import (
     CELL_ORDER,
     CorrelationQuad,
     DegenerateConditioningError,
-    build_constrained,
     build_constrained_from_quad,
     constrained_expectation_bruteforce,
     constrained_expectation_closed,
@@ -71,9 +71,27 @@ EXIT_NUMERICAL = 4
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
-
-class NonFiniteOutputError(ValueError):
-    """An output value is NaN or infinite, which strict JSON/CSV cannot carry."""
+# Output columns of each subcommand, in CSV header and JSON key order. A row
+# lists only the values it has; the other columns are empty (null in JSON).
+CORRELATE_COLUMNS = (
+    "alpha", "beta", "correlation_analytic", "correlation_matrix", "p_pp", "p_pm", "p_mp", "p_mm",
+)
+CHSH_COLUMNS = ("mode", "model", "estimate", "stderr", "trials", "bound_lo", "bound_hi", "within_bound")
+CONSTRAINED_COLUMNS = (
+    "kind", "k1", "l1", "k4", "l4", "probability", "q1", "q2", "q3", "q4",
+    "expectation_closed", "expectation_bruteforce", "eight_variable_sum", "normalizer",
+)
+SPECTRUM_COLUMNS = (
+    "kind", "index", "eigenvalue", "overlap_with_singlet", "t0", "t1",
+    "mean_formula", "mean_matrix", "mean_distribution", "weight_plus", "weight_minus",
+)
+SIMULATE_COLUMNS = (
+    "kind", "pair_index", "alpha", "beta", "empirical_mean", "analytic_mean", "stderr", "trials", "check",
+)
+SCAN_COLUMNS = (
+    "kind", "objective", "resolution", "restarts", "n_evaluated", "n_skipped", "n_refinements",
+    "bound", "max_value", "min_value", "n_violations", "alpha1", "alpha2", "beta1", "beta2", "value",
+)
 
 
 def _fmt(value):
@@ -88,66 +106,82 @@ def _fmt(value):
     return str(value)
 
 
-def _render(config: dict, rows: list[dict], status: str, fmt: str) -> str:
+def _render(config: dict, columns: tuple, rows: list[dict], status: str, fmt: str) -> str:
     if fmt == "json":
-        doc = {"config": config, "rows": rows, "status": status}
+        blank = dict.fromkeys(columns)
+        doc = {"config": config, "rows": [{**blank, **row} for row in rows], "status": status}
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, allow_nan=False) + "\n")
     buf.write("# status: " + status + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    if rows:
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row.get(k)) for k in header])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(k)) for k in columns])
     return buf.getvalue()
 
 
-def _emit(config: dict, rows: list[dict], status: str, fmt: str, out: str | None) -> None:
-    try:
-        text = _render(config, rows, status, fmt)
-    except ValueError as exc:
-        raise NonFiniteOutputError(str(exc)) from exc
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+def _emit(args, subcommand: str, echo: dict, columns: tuple, rows: list[dict], status: str) -> None:
+    """Write the rows under the run configuration: version, subcommand, echo, format, out."""
+    config = {"version": __version__, "subcommand": subcommand,
+              **echo, "format": args.format, "out": args.out}
+    text = _render(config, columns, rows, status, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _angles(parser, values, degrees: bool) -> list[float]:
-    if not all(math.isfinite(v) for v in values):
-        parser.error("angles must be finite")
-    return [math.radians(v) if degrees else v for v in values]
-
-
-def _trials(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be at least 2")
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
     return value
 
 
-def _base_config(args, subcommand: str, **extra) -> dict:
-    cfg = {"version": __version__, "subcommand": subcommand}
-    cfg.update(extra)
-    cfg["format"] = args.format
-    cfg["out"] = args.out
-    return cfg
+def _int_range(lo: int, hi: float = math.inf):
+    """Argparse type accepting an integer in [lo, hi]."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}]")
+        return value
+
+    return integer
+
+
+def _quad(text: str) -> CorrelationQuad:
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 4:
+        raise argparse.ArgumentTypeError("expects 4 comma-separated reals")
+    if not all(-1.0 <= q <= 1.0 for q in values):
+        raise argparse.ArgumentTypeError("entries must be finite and lie in [-1, 1]")
+    return CorrelationQuad(*values)
+
+
+def _angles(values, degrees: bool) -> list[float]:
+    return [math.radians(v) if degrees else v for v in values]
 
 
 def _full_angles(args, parser) -> AngleConfig:
     values = (args.alpha1, args.alpha2, args.beta1, args.beta2)
-    if any(v is None for v in values):
+    if None in values:
         parser.error("--alpha1, --alpha2, --beta1 and --beta2 are all required here")
-    return AngleConfig(*_angles(parser, values, args.degrees))
+    return AngleConfig(*_angles(values, args.degrees))
 
 
 def cmd_correlate(args, parser) -> int:
     if args.alpha is None or args.beta is None:
         parser.error("--alpha and --beta are required")
-    alpha, beta = _angles(parser, (args.alpha, args.beta), args.degrees)
+    alpha, beta = _angles((args.alpha, args.beta), args.degrees)
     dist = joint_distribution(alpha, beta)
     row = {
         "alpha": alpha,
@@ -159,8 +193,7 @@ def cmd_correlate(args, parser) -> int:
         "p_mp": dist.probability(-1, 1),
         "p_mm": dist.probability(-1, -1),
     }
-    cfg = _base_config(args, "correlate", alpha=alpha, beta=beta)
-    _emit(cfg, [row], "ok", args.format, args.out)
+    _emit(args, "correlate", {"alpha": alpha, "beta": beta}, CORRELATE_COLUMNS, [row], "ok")
     return EXIT_OK
 
 
@@ -200,110 +233,40 @@ def cmd_chsh(args, parser) -> int:
         "bound_hi": hi,
         "within_bound": within,
     }
-    cfg = _base_config(
-        args,
-        "chsh",
-        mode=mode,
-        model=model_name,
-        alpha1=config.alpha1,
-        alpha2=config.alpha2,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    _emit(cfg, [row], "ok" if within else "bound-violation", args.format, args.out)
+    echo = {"mode": mode, "model": model_name, **vars(config), "trials": args.trials, "seed": args.seed}
+    _emit(args, "chsh", echo, CHSH_COLUMNS, [row], "ok" if within else "bound-violation")
     return EXIT_OK if within else EXIT_BOUND_VIOLATION
 
 
 def _constrained_rows(quad: CorrelationQuad) -> tuple[list[dict], str]:
-    blank = {
-        "kind": None,
-        "k1": None,
-        "l1": None,
-        "k4": None,
-        "l4": None,
-        "probability": None,
-        "q1": None,
-        "q2": None,
-        "q3": None,
-        "q4": None,
-        "expectation_closed": None,
-        "expectation_bruteforce": None,
-        "eight_variable_sum": None,
-        "normalizer": None,
-    }
+    summary = {"kind": "summary", **vars(quad), "eight_variable_sum": quantum_eight_variable_sum(quad)}
     try:
         dist = build_constrained_from_quad(quad)
     except DegenerateConditioningError:
-        row = dict(blank)
-        row.update(
-            kind="summary",
-            q1=quad.q1,
-            q2=quad.q2,
-            q3=quad.q3,
-            q4=quad.q4,
-            eight_variable_sum=quantum_eight_variable_sum(quad),
-        )
-        return [row], "degenerate-conditioning"
-
-    rows = []
-    for cell in CELL_ORDER:
-        row = dict(blank)
-        row.update(
-            kind="cell",
-            k1=cell[0],
-            l1=cell[1],
-            k4=cell[2],
-            l4=cell[3],
-            probability=dist.probability(*cell),
-        )
-        rows.append(row)
-    summary = dict(blank)
+        return [summary], "degenerate-conditioning"
+    rows = [
+        {"kind": "cell", "k1": k1, "l1": l1, "k4": k4, "l4": l4,
+         "probability": dist.probability(k1, l1, k4, l4)}
+        for k1, l1, k4, l4 in CELL_ORDER
+    ]
     summary.update(
-        kind="summary",
-        q1=quad.q1,
-        q2=quad.q2,
-        q3=quad.q3,
-        q4=quad.q4,
         expectation_closed=constrained_expectation_closed(quad),
         expectation_bruteforce=constrained_expectation_bruteforce(dist),
-        eight_variable_sum=quantum_eight_variable_sum(quad),
         normalizer=dist.normalizer,
     )
-    rows.append(summary)
-    return rows, "ok"
+    return rows + [summary], "ok"
 
 
 def cmd_constrained(args, parser) -> int:
     if args.action == "scan":
-        return _run_scan(args, parser, objective="constrained_e4")
-
+        return _run_scan(args, parser)
     if args.q is not None:
-        parts = args.q.split(",")
-        if len(parts) != 4:
-            parser.error("--q expects 4 comma-separated reals")
-        try:
-            quad = CorrelationQuad(*(float(p) for p in parts))
-        except ValueError:
-            parser.error("--q expects 4 comma-separated reals")
-        if not all(-1.0 <= q <= 1.0 for q in quad.astuple()):
-            parser.error("--q entries must be finite and lie in [-1, 1]")
-        cfg = _base_config(args, "constrained", action="eval", q=list(quad.astuple()))
+        quad, echo = args.q, {"q": list(args.q.astuple())}
     else:
         config = _full_angles(args, parser)
-        quad = correlation_quad(config)
-        cfg = _base_config(
-            args,
-            "constrained",
-            action="eval",
-            alpha1=config.alpha1,
-            alpha2=config.alpha2,
-            beta1=config.beta1,
-            beta2=config.beta2,
-        )
+        quad, echo = correlation_quad(config), vars(config)
     rows, status = _constrained_rows(quad)
-    _emit(cfg, rows, status, args.format, args.out)
+    _emit(args, "constrained", {"action": "eval", **echo}, CONSTRAINED_COLUMNS, rows, status)
     return EXIT_OK
 
 
@@ -312,73 +275,42 @@ def cmd_spectrum(args, parser) -> int:
     op = build_t(config)
     summary = t_spectrum(op)
     overlaps = singlet_overlaps(summary)
-    psi_mean = summary.mean_value
-
-    rows = []
-    for i, (value, overlap) in enumerate(zip(summary.eigen.eigenvalues, overlaps)):
-        rows.append(
-            {
-                "kind": "eigenvalue",
-                "index": i,
-                "eigenvalue": float(value),
-                "overlap_with_singlet": float(overlap),
-                "t0": None,
-                "t1": None,
-                "mean_formula": None,
-                "mean_matrix": None,
-                "mean_distribution": None,
-                "weight_plus": None,
-                "weight_minus": None,
-            }
-        )
+    rows = [
+        {"kind": "eigenvalue", "index": i, "eigenvalue": float(value), "overlap_with_singlet": float(overlap)}
+        for i, (value, overlap) in enumerate(zip(summary.eigen.eigenvalues, overlaps))
+    ]
     psi = singlet_state()
-    mean_matrix = float((psi.conj() @ op.matrix @ psi).real)
+    summary_row = {
+        "kind": "summary",
+        "t0": summary.t0,
+        "t1": summary.t1,
+        "mean_formula": summary.mean_value,
+        "mean_matrix": float((psi.conj() @ op.matrix @ psi).real),
+    }
     status = "ok"
     try:
         dist = t_distribution(config)
-        weight_plus, weight_minus = dist.weight_plus, dist.weight_minus
-        mean_distribution = dist.t0 * dist.weight_plus - dist.t0 * dist.weight_minus
+        summary_row.update(
+            mean_distribution=dist.t0 * dist.weight_plus - dist.t0 * dist.weight_minus,
+            weight_plus=dist.weight_plus,
+            weight_minus=dist.weight_minus,
+        )
     except DegenerateSpectrumError:
-        weight_plus = weight_minus = mean_distribution = None
         status = "t0-zero"
-    summary_row = {
-        "kind": "summary",
-        "index": None,
-        "eigenvalue": None,
-        "overlap_with_singlet": None,
-        "t0": summary.t0,
-        "t1": summary.t1,
-        "mean_formula": psi_mean,
-        "mean_matrix": mean_matrix,
-        "mean_distribution": mean_distribution,
-        "weight_plus": weight_plus,
-        "weight_minus": weight_minus,
-    }
     rows.append(summary_row)
-    cfg = _base_config(
-        args,
-        "spectrum",
-        alpha1=config.alpha1,
-        alpha2=config.alpha2,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        seed=args.seed,
-    )
-    _emit(cfg, rows, status, args.format, args.out)
+    _emit(args, "spectrum", {**vars(config), "seed": args.seed}, SPECTRUM_COLUMNS, rows, status)
     return EXIT_OK
 
 
-def _simulate_row(kind: str, index, alpha, beta, est, analytic: float) -> dict:
+def _simulate_row(est, analytic: float, **fields) -> dict:
+    check = "PASS" if abs(est.mean - analytic) <= 4.0 * est.stderr + 1e-15 else "FAIL"
     return {
-        "kind": kind,
-        "pair_index": index,
-        "alpha": alpha,
-        "beta": beta,
+        **fields,
         "empirical_mean": est.mean,
         "analytic_mean": analytic,
         "stderr": est.stderr,
         "trials": est.n_samples,
-        "check": "PASS" if abs(est.mean - analytic) <= 4.0 * est.stderr + 1e-15 else "FAIL",
+        "check": check,
     }
 
 
@@ -392,39 +324,23 @@ def cmd_simulate(args, parser) -> int:
     for index, (alpha, beta) in enumerate(angle_pairs(config), start=1):
         dist = joint_distribution(alpha, beta)
         est = product_estimate(dist, n, rng_pairs)
-        rows.append(_simulate_row("pair", index, alpha, beta, est, dist.product_mean()))
+        fields = {"kind": "pair", "pair_index": index, "alpha": alpha, "beta": beta}
+        rows.append(_simulate_row(est, dist.product_mean(), **fields))
 
     rng_t = component_stream(args.seed, "simulate/t-observable")
     try:
         est = t_estimate(config, n, rng_t)
-        rows.append(_simulate_row("t-observable", None, None, None, est, t_mean(config)))
+        rows.append(_simulate_row(est, t_mean(config), kind="t-observable"))
     except DegenerateSpectrumError:
         status = "t0-zero"
 
-    cfg = _base_config(
-        args,
-        "simulate",
-        alpha1=config.alpha1,
-        alpha2=config.alpha2,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        trials=n,
-        seed=args.seed,
-    )
-    _emit(cfg, rows, status, args.format, args.out)
+    echo = {**vars(config), "trials": n, "seed": args.seed}
+    _emit(args, "simulate", echo, SIMULATE_COLUMNS, rows, status)
     return EXIT_OK
 
 
-def _run_scan(args, parser, objective: str | None = None) -> int:
-    name = objective or args.objective
-    if name not in OBJECTIVES:
-        parser.error(f"unknown objective {name!r}; expected one of {sorted(OBJECTIVES)}")
-    if not 2 <= args.resolution <= MAX_RESOLUTION:
-        parser.error(f"--resolution must lie in [2, {MAX_RESOLUTION}]")
-    if args.restarts < 0:
-        parser.error("--restarts must be nonnegative")
-    if args.bound is not None and not math.isfinite(args.bound):
-        parser.error("--bound must be finite")
+def _run_scan(args, parser) -> int:
+    name = args.objective
     bound = args.bound if args.bound is not None else OBJECTIVES[name].default_bound
     report = verify_bound(
         name,
@@ -433,97 +349,65 @@ def _run_scan(args, parser, objective: str | None = None) -> int:
         n_random_restarts=args.restarts,
         seed=args.seed,
     )
-    blank = {
-        "kind": None,
-        "objective": None,
-        "resolution": None,
-        "restarts": None,
-        "n_evaluated": None,
-        "n_skipped": None,
-        "n_refinements": None,
-        "bound": None,
-        "max_value": None,
-        "min_value": None,
-        "n_violations": None,
-        "alpha1": None,
-        "alpha2": None,
-        "beta1": None,
-        "beta2": None,
-        "value": None,
+    summary = {
+        "kind": "summary",
+        "objective": report.objective_name,
+        "resolution": report.grid_resolution,
+        "restarts": args.restarts,
+        "n_evaluated": report.n_evaluated,
+        "n_skipped": report.n_skipped,
+        "n_refinements": report.n_refinements,
+        "bound": report.bound,
+        "max_value": report.max_value,
+        "min_value": report.min_value,
+        "n_violations": report.n_violations,
+        **vars(report.argmax),
     }
-    summary = dict(blank)
-    summary.update(
-        kind="summary",
-        objective=report.objective_name,
-        resolution=report.grid_resolution,
-        restarts=args.restarts,
-        n_evaluated=report.n_evaluated,
-        n_skipped=report.n_skipped,
-        n_refinements=report.n_refinements,
-        bound=report.bound,
-        max_value=report.max_value,
-        min_value=report.min_value,
-        n_violations=report.n_violations,
-        alpha1=report.argmax.alpha1,
-        alpha2=report.argmax.alpha2,
-        beta1=report.argmax.beta1,
-        beta2=report.argmax.beta2,
-    )
-    rows = [summary]
-    for config, value in report.violations:
-        row = dict(blank)
-        row.update(
-            kind="violation",
-            alpha1=config.alpha1,
-            alpha2=config.alpha2,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            value=value,
-        )
-        rows.append(row)
+    violations = [
+        {"kind": "violation", **vars(config), "value": value} for config, value in report.violations
+    ]
     status = "ok" if report.n_violations == 0 else "violations"
-    cfg = _base_config(
-        args,
-        "scan",
-        objective=name,
-        bound=bound,
-        resolution=args.resolution,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-    _emit(cfg, rows, status, args.format, args.out)
+    echo = {"objective": name, "bound": bound, "resolution": args.resolution,
+            "restarts": args.restarts, "seed": args.seed}
+    _emit(args, "scan", echo, SCAN_COLUMNS, [summary, *violations], status)
     return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--degrees", action="store_true", help="interpret angle flags as degrees")
 
 
 def _add_four_angles(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha1", type=float, default=None)
-    parser.add_argument("--alpha2", type=float, default=None)
-    parser.add_argument("--beta1", type=float, default=None)
-    parser.add_argument("--beta2", type=float, default=None)
+    for flag in ("--alpha1", "--alpha2", "--beta1", "--beta2"):
+        parser.add_argument(flag, type=_finite)
+
+
+def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--resolution", type=_int_range(2, MAX_RESOLUTION), default=24)
+    parser.add_argument("--restarts", type=_int_range(0), default=20)
+    parser.add_argument("--bound", type=_finite)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chshlab", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    trials = _int_range(2)
 
     p = sub.add_parser("correlate", help="pair correlation and joint outcome law")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--alpha", type=_finite)
+    p.add_argument("--beta", type=_finite)
     _add_common(p)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("chsh", help="CHSH estimate in one of the three modes")
     p.add_argument("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
-    p.add_argument("--model", choices=["sign", "quantum-mimic"], default=None, help="LHV model name")
+    p.add_argument("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
     _add_four_angles(p)
-    p.add_argument("--trials", type=_trials, default=100_000)
+    p.add_argument("--trials", type=trials, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_chsh)
@@ -531,13 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constrained", help="conditioned four-variable table and expectations")
     p.add_argument("action", choices=["eval", "scan"])
     _add_four_angles(p)
-    p.add_argument("--q", default=None, help="4 comma-separated correlations, bypassing angles")
-    p.add_argument("--resolution", type=int, default=24)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--bound", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--q", type=_quad, help="4 comma-separated correlations, bypassing angles")
+    _add_scan_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_constrained)
+    p.set_defaults(func=cmd_constrained, objective="constrained_e4")
 
     p = sub.add_parser("spectrum", help="eigenstructure of the CHSH observable")
     _add_four_angles(p)
@@ -547,21 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling vs analytic values")
     _add_four_angles(p)
-    p.add_argument("--trials", type=_trials, default=100_000)
+    p.add_argument("--trials", type=trials, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scan", help="bound verification for a named objective")
-    p.add_argument(
-        "--objective",
-        choices=sorted(OBJECTIVES),
-        default="constrained_e4",
-    )
-    p.add_argument("--resolution", type=int, default=24)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--bound", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--objective", choices=sorted(OBJECTIVES), default="constrained_e4")
+    _add_scan_flags(p)
     _add_common(p)
     p.set_defaults(func=_run_scan)
 
@@ -581,7 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (EigenConvergenceError, ValueError) as exc:
+    except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
         # a library failure: degenerate conditioning or spectrum, a
         # non-Hermitian matrix, invalid model responses or a non-finite output.

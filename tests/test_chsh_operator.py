@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chshlab.chsh_operator import (
     AsymmetricSpectrumError,
@@ -16,7 +19,7 @@ from chshlab.chsh_operator import (
 )
 from chshlab.constrained import correlation_quad, quantum_eight_variable_sum
 from chshlab.lhv import AngleConfig, tsirelson_angles
-from chshlab.linalg import is_hermitian, tensor_product
+from chshlab.linalg import SpectralDecomposition, is_hermitian, tensor_product
 from chshlab.quantum import analyzer_operator, singlet_state
 
 from oracles import charpoly_eigenvalues, random_angle_tuple
@@ -29,6 +32,21 @@ COLLAPSED = AngleConfig(0.7, 0.7, 0.2, 0.2)
 ZERO_MEAN = AngleConfig(0.0, 0.0, math.pi / 4, 1.0)
 # vanishing t0: both angle gaps a quarter turn of the doubled angle
 ZERO_T0 = AngleConfig(math.pi / 4, 0.0, math.pi / 4, 0.0)
+# near t0 = 0, where |E|/t0 read 1.00007 from rounding alone
+ROUNDED_PAST_T0 = AngleConfig(
+    0.7853981633975285, -2.2552826080050498e-13, 0.7853981633975614, -1.97633124032897e-13
+)
+# the two t0 = 0 families (both angle gaps +pi/4 or both -pi/4), each gap
+# moved by 1e-16 to 1e-10
+_offset = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-16.0, -10.0), st.sampled_from((1.0, -1.0)))
+NEAR_ZERO_T0 = st.builds(
+    lambda a2, b2, quarter, da, db: AngleConfig(a2 + quarter + da, a2, b2 + quarter + db, b2),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, math.pi),
+    st.sampled_from((math.pi / 4, -math.pi / 4)),
+    _offset,
+    _offset,
+)
 
 
 def random_config(rng):
@@ -125,6 +143,26 @@ class TestSpectrum:
                 for i in companion:
                     assert abs(psi.conj() @ summary.eigen.eigenvectors[:, i]) <= 1e-10
 
+    def test_degenerate_overlaps_do_not_depend_on_the_eigenbasis(self):
+        summary = t_spectrum(build_t(AngleConfig(0.6, 0.6, 0.2, 0.2)))
+        w = summary.eigen.eigenvalues
+        clusters = ([0, 1], [2, 3])  # spectrum {-2, -2, 2, 2}
+        assert abs(w[1] - w[0]) <= 1e-9 and abs(w[3] - w[2]) <= 1e-9
+        expected = singlet_overlaps(summary)
+        psi = singlet_state()
+        for cluster in clusters:
+            norm = math.sqrt(float((psi.conj() @ summary.eigen.projector(cluster) @ psi).real))
+            assert expected[cluster[0]] == pytest.approx(norm, abs=1e-12)
+            assert expected[cluster[1]] == 0.0
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            v = summary.eigen.eigenvectors.copy()
+            for cluster in clusters:
+                u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                v[:, cluster] = v[:, cluster] @ u
+            rotated = dataclasses.replace(summary, eigen=SpectralDecomposition(w, v))
+            assert np.max(np.abs(singlet_overlaps(rotated) - expected)) <= 1e-12
+
     def test_rejects_asymmetric_matrix(self):
         op = build_t(tsirelson_angles())
         broken = op.matrix + np.diag([1.0, 0.0, 0.0, 0.0])
@@ -188,6 +226,24 @@ class TestOutcomeDistribution:
         assert t0_closed_form(ZERO_T0) <= 1e-12
         with pytest.raises(DegenerateSpectrumError):
             t_distribution(ZERO_T0)
+
+    @settings(max_examples=200)
+    @example(ROUNDED_PAST_T0)
+    @given(NEAR_ZERO_T0)
+    def test_rounding_near_zero_t0_never_raises(self, cfg):
+        try:
+            dist = t_distribution(cfg)
+        except DegenerateSpectrumError:
+            return
+        assert 0.0 <= dist.weight_plus <= 1.0 and 0.0 <= dist.weight_minus <= 1.0
+        assert abs(dist.weight_plus + dist.weight_minus - 1.0) <= 1e-15
+
+    def test_mean_beyond_t0_raises(self, monkeypatch):
+        from chshlab import chsh_operator
+
+        monkeypatch.setattr(chsh_operator, "t_mean", lambda cfg: t0_closed_form(cfg) + 1e-3)
+        with pytest.raises(AsymmetricSpectrumError):
+            t_distribution(tsirelson_angles())
 
     def test_mean_never_exceeds_t0(self):
         rng = np.random.default_rng(29)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -10,6 +11,11 @@ SQRT8 = 2.0 * SQRT2
 
 MAXV = ["--alpha1", str(math.pi / 4), "--alpha2", "0",
         "--beta1", str(math.pi / 8), "--beta2", str(3 * math.pi / 8)]
+
+ZERO_T0 = ["--alpha1", str(math.pi / 4), "--alpha2", "0", "--beta1", str(math.pi / 4), "--beta2", "0"]
+# |E| exceeds t0 ~ 1e-13 here by rounding alone
+NEAR_ZERO_T0 = ["--alpha1=0.7853981633975285", "--alpha2=-2.2552826080050498e-13",
+                "--beta1=0.7853981633975614", "--beta2=-1.97633124032897e-13"]
 
 
 def run(capsys, argv):
@@ -204,6 +210,16 @@ class TestConstrained:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("q", ["a,b,c,d", "1,2", "0,0,0,0,0", "2,0,0,0", "nan,0,0,0"])
+    def test_q_usage_errors_name_the_flag(self, capsys, q):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["constrained", "eval", f"--q={q}"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "argument --q:" in captured.err
+
     def test_scan_action(self, capsys):
         code, payload = run_json(
             capsys,
@@ -247,6 +263,13 @@ class TestSpectrum:
         assert payload["status"] == "t0-zero"
         assert summary_row(payload)["weight_plus"] is None
 
+    def test_rounding_near_zero_t0_is_not_a_failure(self, capsys):
+        code, payload = run_json(capsys, ["spectrum", *NEAR_ZERO_T0])
+        row = summary_row(payload)
+        assert code == 0
+        assert payload["status"] == "ok"
+        assert abs(row["weight_plus"] + row["weight_minus"] - 1.0) <= 1e-15
+
     def test_mean_routes_agree(self, capsys):
         _, payload = run_json(
             capsys, ["spectrum", "--alpha1", "1.1", "--alpha2", "0.2", "--beta1", "0.7", "--beta2", "2.0"]
@@ -275,6 +298,12 @@ class TestSimulate:
             if row["kind"] == "pair":
                 assert row["empirical_mean"] == -1.0
                 assert row["check"] == "PASS"
+
+    def test_rounding_near_zero_t0_is_not_a_failure(self, capsys):
+        code, payload = run_json(capsys, ["simulate", *NEAR_ZERO_T0, "--trials", "1000", "--seed", "5"])
+        assert code == 0
+        assert payload["status"] == "ok"
+        assert [r["kind"] for r in payload["rows"]] == ["pair"] * 4 + ["t-observable"]
 
     def test_statistical_checks_pass(self, capsys):
         code, payload = run_json(capsys, ["simulate", *MAXV, "--trials", "20000", "--seed", "9"])
@@ -324,6 +353,28 @@ class TestScanCommand:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("head", [["scan"], ["constrained", "scan"]])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--resolution", "x"),
+            ("--resolution", "1"),
+            ("--resolution", "129"),
+            ("--restarts", "1.5"),
+            ("--restarts", "-3"),
+            ("--bound", "x"),
+            ("--bound", "nan"),
+        ],
+    )
+    def test_usage_errors_name_the_flag(self, capsys, head, flag, value):
+        with pytest.raises(SystemExit) as err:
+            cli.main(head + [flag, value])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"argument {flag}:" in captured.err
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(
@@ -372,6 +423,19 @@ class TestReproducibility:
         assert code == 4
         assert "numerical failure" in captured.err
 
+    def test_asymmetric_spectrum_exits_4(self, capsys, monkeypatch):
+        from chshlab.chsh_operator import AsymmetricSpectrumError
+
+        def explode(*a, **k):
+            raise AsymmetricSpectrumError("forced")
+
+        monkeypatch.setattr(cli, "t_spectrum", explode)
+        code = cli.main(["spectrum", *MAXV])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("chshlab: numerical failure:")
+
     def test_config_echo_contains_version_and_seed(self, capsys):
         _, payload = run_json(
             capsys, ["chsh", "--mode", "quantum", *MAXV, "--trials", "2000", "--seed", "77"]
@@ -381,6 +445,67 @@ class TestReproducibility:
         from chshlab import __version__
 
         assert payload["config"]["version"] == __version__
+
+
+# Column order is part of the output contract: the CSV header and the key
+# order of every JSON row.
+COLUMNS = {
+    "correlate": ("alpha", "beta", "correlation_analytic", "correlation_matrix",
+                  "p_pp", "p_pm", "p_mp", "p_mm"),
+    "chsh": ("mode", "model", "estimate", "stderr", "trials", "bound_lo", "bound_hi", "within_bound"),
+    "constrained": ("kind", "k1", "l1", "k4", "l4", "probability", "q1", "q2", "q3", "q4",
+                    "expectation_closed", "expectation_bruteforce", "eight_variable_sum", "normalizer"),
+    "spectrum": ("kind", "index", "eigenvalue", "overlap_with_singlet", "t0", "t1", "mean_formula",
+                 "mean_matrix", "mean_distribution", "weight_plus", "weight_minus"),
+    "simulate": ("kind", "pair_index", "alpha", "beta", "empirical_mean", "analytic_mean",
+                 "stderr", "trials", "check"),
+    "scan": ("kind", "objective", "resolution", "restarts", "n_evaluated", "n_skipped",
+             "n_refinements", "bound", "max_value", "min_value", "n_violations",
+             "alpha1", "alpha2", "beta1", "beta2", "value"),
+}
+SCAN_FLAGS = ["--resolution", "6", "--restarts", "1"]
+
+
+class TestRowSchema:
+    @pytest.mark.parametrize(
+        "schema, argv, status",
+        [
+            ("correlate", ["correlate", "--alpha", "0.3", "--beta", "0.9"], "ok"),
+            ("chsh", ["chsh", "--mode", "quantum", *MAXV, "--trials", "200"], "ok"),
+            ("chsh", ["chsh", "--mode", "same-lambda", "--model", "sign", *MAXV, "--trials", "200"],
+             "bound-violation"),
+            ("constrained", ["constrained", "eval", *MAXV], "ok"),
+            ("constrained", ["constrained", "eval", "--q=-1,1,1,1"], "degenerate-conditioning"),
+            ("spectrum", ["spectrum", *MAXV], "ok"),
+            ("spectrum", ["spectrum", *ZERO_T0], "t0-zero"),
+            ("simulate", ["simulate", *MAXV, "--trials", "200"], "ok"),
+            ("simulate", ["simulate", *ZERO_T0, "--trials", "200"], "t0-zero"),
+            ("scan", ["scan", *SCAN_FLAGS], "ok"),
+            ("scan", ["scan", "--objective", "eight_variable_sum", "--bound", "2", *SCAN_FLAGS], "violations"),
+            ("scan", ["constrained", "scan", *SCAN_FLAGS], "ok"),
+            ("scan", ["constrained", "scan", "--bound", "0.5", *SCAN_FLAGS], "violations"),
+        ],
+    )
+    def test_csv_header_and_json_keys_follow_the_column_tuple(self, capsys, monkeypatch, schema, argv, status):
+        from chshlab.lhv import CorrelationEstimate
+
+        if status == "bound-violation":
+            monkeypatch.setattr(
+                cli, "chsh_same_lambda", lambda *a, **k: CorrelationEstimate(2.5, 0.001, 100)
+            )
+        columns = list(COLUMNS[schema])
+        assert list(getattr(cli, f"{schema.upper()}_COLUMNS")) == columns
+
+        _, out = run(capsys, argv)
+        lines = out.splitlines()
+        assert lines[1] == f"# status: {status}"
+        assert lines[2].split(",") == columns
+        assert all(len(fields) == len(columns) for fields in csv.reader(lines[3:]))
+
+        _, payload = run_json(capsys, argv)
+        assert payload["status"] == status
+        assert payload["rows"]
+        assert all(list(row) == columns for row in payload["rows"])
 
 
 class TestParserCache:
