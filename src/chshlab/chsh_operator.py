@@ -166,24 +166,12 @@ def t_distribution(config: AngleConfig) -> TOutcomeDistribution:
     )
 
 
-def sample_t(config: AngleConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n single-shot outcomes of the CHSH observable on the singlet.
-
-    One uniform per draw; u < weight_plus maps to +t0, the rest to -t0.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    dist = t_distribution(config)
-    u = rng.random(n)
-    return np.where(u < dist.weight_plus, dist.t0, -dist.t0)
-
-
 def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
-    """Monte Carlo mean of n single-shot outcomes, in bounded memory.
+    """Monte Carlo mean of n single-shot outcomes on the singlet, in bounded memory.
 
-    Consumes the same uniforms as :func:`sample_t` with the same ``n`` and
-    keeps only the count of +t0 outcomes; the mean is t0 times the exact
-    mean of the signs.
+    One uniform per draw; u < weight_plus gives +t0, the rest -t0. Only the
+    count of +t0 outcomes is kept, so the mean is t0 times the exact mean
+    of the signs. Raises ValueError for n < 2.
     """
     dist = t_distribution(config)
 

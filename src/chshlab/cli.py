@@ -9,15 +9,18 @@ Subcommands
     scan         bound verification by lattice scan plus refinement
 
 Angles are radians unless --degrees is given; output always echoes radians.
+Angle flags must be finite with |value| <= 1e6 in their own unit: a larger
+float angle keeps too little phase for the independent routes to agree.
 Every output embeds the package version and the fully resolved run
 configuration, so re-running the printed configuration reproduces the
 output byte for byte. CSV output carries the same envelope in '#' comment
 lines above the header row; numeric CSV fields use 17 significant digits.
 
 Exit codes: 0 success (including status rows such as degenerate
-conditioning), 2 usage error, 3 internal deterministic-bound violation,
-4 numerical failure (any library error once the flags are validated,
-including a NaN or infinite output value, which is never written).
+conditioning), 2 usage error (including an unwritable --out path), 3
+internal deterministic-bound violation, 4 numerical failure (any library
+error once the flags are validated, including a NaN or infinite output
+value, which is never written).
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ EXIT_BOUND_VIOLATION = 3
 EXIT_NUMERICAL = 4
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+# Largest |angle| accepted by the angle flags, in the flag's own unit.
+MAX_ANGLE = 1e6
 
 # Output columns of each subcommand, in CSV header and JSON key order. A row
 # lists only the values it has; the other columns are empty (null in JSON).
@@ -140,6 +146,13 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
+def _angle(text: str) -> float:
+    value = _finite(text)
+    if abs(value) > MAX_ANGLE:
+        raise argparse.ArgumentTypeError(f"|angle| must be at most {MAX_ANGLE:g}, got {text!r}")
     return value
 
 
@@ -298,7 +311,7 @@ def cmd_spectrum(args, parser) -> int:
     except DegenerateSpectrumError:
         status = "t0-zero"
     rows.append(summary_row)
-    _emit(args, "spectrum", {**vars(config), "seed": args.seed}, SPECTRUM_COLUMNS, rows, status)
+    _emit(args, "spectrum", vars(config), SPECTRUM_COLUMNS, rows, status)
     return EXIT_OK
 
 
@@ -381,25 +394,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_four_angles(parser: argparse.ArgumentParser) -> None:
     for flag in ("--alpha1", "--alpha2", "--beta1", "--beta2"):
-        parser.add_argument(flag, type=_finite)
+        parser.add_argument(flag, type=_angle)
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resolution", type=_int_range(2, MAX_RESOLUTION), default=24)
     parser.add_argument("--restarts", type=_int_range(0), default=20)
     parser.add_argument("--bound", type=_finite)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_range(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chshlab", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    trials = _int_range(2)
+    trials, seed = _int_range(2), _int_range(0)
 
     p = sub.add_parser("correlate", help="pair correlation and joint outcome law")
-    p.add_argument("--alpha", type=_finite)
-    p.add_argument("--beta", type=_finite)
+    p.add_argument("--alpha", type=_angle)
+    p.add_argument("--beta", type=_angle)
     _add_common(p)
     p.set_defaults(func=cmd_correlate)
 
@@ -408,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
     _add_four_angles(p)
     p.add_argument("--trials", type=trials, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_chsh)
 
@@ -422,14 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenstructure of the CHSH observable")
     _add_four_angles(p)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling vs analytic values")
     _add_four_angles(p)
     p.add_argument("--trials", type=trials, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -461,6 +473,12 @@ def main(argv=None) -> int:
         # non-Hermitian matrix, invalid model responses or a non-finite output.
         print(f"chshlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # Only the --out write touches the file system.
+        if not args.out:
+            raise
+        print(f"chshlab: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

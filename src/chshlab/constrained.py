@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import kernels
-from .lhv import AngleConfig, angle_pairs
-from .quantum import PairOutcomeDistribution, joint_distribution
+from .lhv import AngleConfig
 
 # The sixteen (k1, l1, k4, l4) cells in fixed enumeration order.
 CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(product((1, -1), repeat=4))
@@ -60,25 +59,10 @@ class CorrelationQuad:
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.q1, self.q2, self.q3, self.q4)
 
-    def product(self) -> float:
-        return self.q1 * self.q2 * self.q3 * self.q4
-
 
 def correlation_quad(config: AngleConfig) -> CorrelationQuad:
     """The four pair correlations for a given analyzer configuration."""
     return CorrelationQuad(*(float(q) for q in kernels.q_quad(*config.astuple())))
-
-
-def pair_probabilities(config: AngleConfig, n: int) -> PairOutcomeDistribution:
-    """Outcome distribution of pair n (1-based) in the independent protocol.
-
-    Identical to the singlet joint law at the n-th setting of
-    :func:`chshlab.lhv.angle_pairs`, i.e. P(k, l) = (1 + k l q_n)/4.
-    """
-    if n not in (1, 2, 3, 4):
-        raise ValueError(f"pair index must be in 1..4, got {n}")
-    alpha, beta = angle_pairs(config)[n - 1]
-    return joint_distribution(alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -86,7 +70,9 @@ class ConstrainedDistribution:
     """The 16-cell conditioned table P over (k1, l1, k4, l4).
 
     ``normalizer`` is the conditioning mass (the sum of the sixteen
-    unnormalized products) before division; probabilities sum to one.
+    unnormalized products) before division; probabilities sum to one. The
+    means of X1, Y1, X4 and Y4 are exactly zero: no monomial of the expanded
+    product has an odd power of a single sign.
     """
 
     probs: dict[tuple[int, int, int, int], float]
@@ -94,19 +80,6 @@ class ConstrainedDistribution:
 
     def probability(self, k1: int, l1: int, k4: int, l4: int) -> float:
         return self.probs[(k1, l1, k4, l4)]
-
-    def marginal_means(self) -> tuple[float, float, float, float]:
-        """(E[X1], E[Y1], E[X4], E[Y4]) by direct summation over the table.
-
-        Conditioning could in principle bias single-variable marginals, but
-        for this constraint pattern they come out exactly zero: no monomial
-        of the expanded product has an odd total power of a single sign.
-        """
-        ex1 = sum(k1 * p for (k1, _, _, _), p in self.probs.items())
-        ey1 = sum(l1 * p for (_, l1, _, _), p in self.probs.items())
-        ex4 = sum(k4 * p for (_, _, k4, _), p in self.probs.items())
-        ey4 = sum(l4 * p for (_, _, _, l4), p in self.probs.items())
-        return (ex1, ey1, ex4, ey4)
 
 
 def build_constrained_from_quad(quad: CorrelationQuad) -> ConstrainedDistribution:

@@ -88,7 +88,6 @@ class HiddenVariableModel:
     respond_a: Callable
     respond_b: Callable
     support: tuple[float, float]
-    is_lhv: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,6 @@ class QuantumMimicModel:
     """
 
     name: str = "quantum-mimic"
-    is_lhv: bool = False
 
 
 Model = Union[HiddenVariableModel, QuantumMimicModel]
@@ -188,7 +186,7 @@ def get_model(name: str) -> Model:
 
 
 def _require_lhv(model: Model, what: str) -> HiddenVariableModel:
-    if not isinstance(model, HiddenVariableModel) or not model.is_lhv:
+    if not isinstance(model, HiddenVariableModel):
         raise ValueError(f"{what} requires a local-hidden-variable model, got {model.name!r}")
     return model
 

@@ -64,11 +64,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projectors; reproduces the input."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def projector(self, indices) -> np.ndarray:
         """Orthogonal projector onto the span of the selected eigenvectors."""
         v = self.eigenvectors[:, list(indices)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,9 +73,9 @@ def singlet_correlation(alpha: float, beta: float) -> float:
 class PairOutcomeDistribution:
     """Probabilities over the four joint outcomes (x, y) of one photon pair.
 
-    ``probs`` maps each (k, l) in OUTCOME_ORDER to its probability. The
-    distribution of a singlet pair has both marginals equal to (1/2, 1/2)
-    regardless of analyzer settings.
+    ``probs`` maps each (k, l) in OUTCOME_ORDER to its probability. For a
+    singlet pair, summing ``probs`` over either outcome gives the marginal
+    (1/2, 1/2) regardless of analyzer settings.
     """
 
     probs: dict[tuple[int, int], float]
@@ -92,22 +91,6 @@ class PairOutcomeDistribution:
         """Exact E[X Y] by summation over the four outcomes."""
         return sum(k * l * p for (k, l), p in self.probs.items())
 
-    def marginal_x(self) -> tuple[float, float]:
-        """(P[X=+1], P[X=-1])."""
-        plus = self.probs[(1, 1)] + self.probs[(1, -1)]
-        return plus, 1.0 - plus
-
-    def marginal_y(self) -> tuple[float, float]:
-        plus = self.probs[(1, 1)] + self.probs[(-1, 1)]
-        return plus, 1.0 - plus
-
-
-class OutcomeRecord(NamedTuple):
-    """One sampled analyzer-pair outcome; both entries are -1 or +1."""
-
-    x: int
-    y: int
-
 
 def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
     """Singlet joint outcome law: P(k, l) = (1 + k l q)/4, q = -cos(2(alpha - beta))."""
@@ -117,16 +100,8 @@ def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
     )
 
 
-def _outcomes_from_uniforms(dist: PairOutcomeDistribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Inverse CDF over OUTCOME_ORDER; one uniform per sample.
-    cum = np.cumsum(dist.as_array())
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), 3)
-    table = np.array(OUTCOME_ORDER)
-    return table[idx, 0], table[idx, 1]
-
-
 def _product_cuts(dist: PairOutcomeDistribution) -> tuple[float, float]:
-    # The inverse CDF of _outcomes_from_uniforms gives x*y = +1 exactly when
+    # The inverse CDF of sample_pairs gives x*y = +1 exactly when
     # u < cum[0] (outcome (1, 1)) or u >= cum[2] (outcome (-1, -1)).
     cum = np.cumsum(dist.as_array())
     if not np.all(np.isfinite(cum)):
@@ -140,24 +115,21 @@ def _product_is_plus(u: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:
     return (u < lo) | (u >= hi)
 
 
-def sample_pair(dist: PairOutcomeDistribution, rng: np.random.Generator) -> OutcomeRecord:
-    """Draw one joint outcome, consuming exactly one uniform from ``rng``."""
-    x, y = _outcomes_from_uniforms(dist, np.array([rng.random()]))
-    return OutcomeRecord(int(x[0]), int(y[0]))
-
-
 def sample_pairs(
     dist: PairOutcomeDistribution, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of ``n`` joint outcomes (one uniform per sample).
 
-    Returns (x, y) integer arrays with entries in {-1, +1}; the empirical
-    mean of x*y converges to :func:`singlet_correlation` at the usual
-    1/sqrt(n) rate.
+    Inverse CDF over OUTCOME_ORDER. Returns (x, y) integer arrays with
+    entries in {-1, +1}; the empirical mean of x*y converges to
+    :func:`singlet_correlation` at the usual 1/sqrt(n) rate.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _outcomes_from_uniforms(dist, rng.random(n))
+    cum = np.cumsum(dist.as_array())
+    idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), 3)
+    table = np.array(OUTCOME_ORDER)
+    return table[idx, 0], table[idx, 1]
 
 
 def product_estimate(

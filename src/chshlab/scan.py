@@ -33,7 +33,6 @@ from typing import Callable, Union
 import numpy as np
 
 from . import kernels
-from .constrained import DegenerateConditioningError
 from .lhv import AngleConfig
 from .seeding import component_stream
 
@@ -178,13 +177,6 @@ def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float |
     return _scan_slab(obj, resolution, bound)[0]
 
 
-def _safe_eval(fn: Callable[[AngleConfig], float], config: AngleConfig) -> float:
-    try:
-        return fn(config)
-    except DegenerateConditioningError:
-        return math.nan
-
-
 def _descend(values: Callable, starts, maximize, step0: float, tol: float):
     """Coordinate descent with step halving, every row of ``starts`` in lockstep.
 
@@ -217,7 +209,7 @@ def _descend(values: Callable, starts, maximize, step0: float, tol: float):
 
 
 def refine(
-    objective: Union[str, _Objective, Callable[[AngleConfig], float]],
+    objective: Union[str, _Objective],
     start: AngleConfig,
     step0: float = DEFAULT_STEP0,
     tol: float = DEFAULT_TOL,
@@ -228,17 +220,12 @@ def refine(
     Cycles the four angles, moving by +-step whenever that strictly improves
     the objective; halves the step once no coordinate improves; stops when
     the step drops below ``tol``. The returned value is never worse than at
-    the start. ``objective`` may be an objective name or any scalar callable
-    of an AngleConfig (degenerate evaluations count as non-improving).
+    the start. ``objective`` is a name in OBJECTIVES or an ``_Objective``;
+    degenerate (NaN) evaluations count as non-improving.
     """
     if not (step0 > tol > 0.0):
         raise ValueError("need step0 > tol > 0")
-    if callable(objective):
-        def values(*angles):
-            return [_safe_eval(objective, AngleConfig(*row)) for row in zip(*(a.tolist() for a in angles))]
-    else:
-        values = _lookup(objective).values
-    angles, best = _descend(values, [start.astuple()], [maximize], step0, tol)
+    angles, best = _descend(_lookup(objective).values, [start.astuple()], [maximize], step0, tol)
     return AngleConfig(*angles[0].tolist()), float(best[0])
 
 

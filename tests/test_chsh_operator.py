@@ -10,10 +10,10 @@ from chshlab.chsh_operator import (
     AsymmetricSpectrumError,
     DegenerateSpectrumError,
     build_t,
-    sample_t,
     singlet_overlaps,
     t0_closed_form,
     t_distribution,
+    t_estimate,
     t_mean,
     t_spectrum,
 )
@@ -22,7 +22,7 @@ from chshlab.lhv import AngleConfig, tsirelson_angles
 from chshlab.linalg import SpectralDecomposition, is_hermitian, tensor_product
 from chshlab.quantum import analyzer_operator, singlet_state
 
-from oracles import charpoly_eigenvalues, random_angle_tuple
+from oracles import charpoly_eigenvalues, dense_two_point, random_angle_tuple
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -254,27 +254,34 @@ class TestOutcomeDistribution:
 
 class TestSampling:
     def test_max_violation_samples_are_constant(self):
-        outcomes = sample_t(tsirelson_angles(), 1000, np.random.default_rng(30))
-        assert np.all(outcomes == -SQRT8)
+        est = t_estimate(tsirelson_angles(), 1000, np.random.default_rng(30))
+        assert est.mean == -SQRT8
+        assert est.stderr == 0.0
 
     def test_zero_mean_config(self):
         n = 100_000
-        outcomes = sample_t(ZERO_MEAN, n, np.random.default_rng(31))
         dist = t_distribution(ZERO_MEAN)
-        assert set(np.unique(outcomes)) <= {dist.t0, -dist.t0}
-        assert abs(float(outcomes.mean())) <= 4.0 * dist.t0 / math.sqrt(n)
+        est = t_estimate(ZERO_MEAN, n, np.random.default_rng(31))
+        mean, _, _ = dense_two_point(dist.t0, dist.weight_plus, n, np.random.default_rng(31))
+        assert est.n_samples == n
+        assert est.mean == mean
+        assert abs(est.mean) <= 4.0 * dist.t0 / math.sqrt(n)
 
     def test_random_config_statistics(self):
         n = 200_000
         cfg = AngleConfig(1.0, 0.3, 2.1, 0.9)
-        outcomes = sample_t(cfg, n, np.random.default_rng(32))
-        stderr = float(outcomes.std(ddof=1)) / math.sqrt(n)
-        assert abs(float(outcomes.mean()) - t_mean(cfg)) <= 4.0 * stderr + 1e-12
+        dist = t_distribution(cfg)
+        est = t_estimate(cfg, n, np.random.default_rng(32))
+        mean, stderr, _ = dense_two_point(dist.t0, dist.weight_plus, n, np.random.default_rng(32))
+        assert est.mean == mean
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        assert abs(est.mean - t_mean(cfg)) <= 4.0 * est.stderr + 1e-12
 
     def test_zero_t0_propagates(self):
         with pytest.raises(DegenerateSpectrumError):
-            sample_t(ZERO_T0, 10, np.random.default_rng(0))
+            t_estimate(ZERO_T0, 10, np.random.default_rng(0))
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            sample_t(ZERO_MEAN, 0, np.random.default_rng(0))
+        for n in (1, 0):  # an estimate needs at least 2 draws
+            with pytest.raises(ValueError):
+                t_estimate(ZERO_MEAN, n, np.random.default_rng(0))

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshlab import cli
 
@@ -596,3 +601,186 @@ class TestInputBoundary:
 
         _, payload = run_json(capsys, ["correlate", "--alpha", "0.123", "--beta", "1.7"])
         assert payload["rows"][0]["correlation_analytic"] == float(kernels.pair_correlation(0.123, 1.7))
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            ["chsh", "--mode", "quantum", *MAXV, "--trials", "2"],
+            ["simulate", *MAXV, "--trials", "2"],
+            ["scan", "--resolution", "2", "--restarts", "0"],
+            ["constrained", "scan", "--resolution", "2", "--restarts", "0"],
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, head):
+        with pytest.raises(SystemExit) as err:
+            cli.main(head + ["--seed", "-5"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "argument --seed" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["correlate", "--alpha=-1e308", "--beta=1e308"],
+            ["spectrum", "--alpha1", "1e300", "--alpha2=-1e300", "--beta1", "3", "--beta2", "1e-300"],
+            ["correlate", "--alpha", "1000000.0000001", "--beta", "0"],
+            ["chsh", "--mode", "quantum", "--alpha1", "0", "--alpha2", "0", "--beta1", "0", "--beta2=-1e7"],
+            ["constrained", "eval", "--alpha1", "0", "--alpha2", "2e6", "--beta1", "0", "--beta2", "0", "--degrees"],
+            ["simulate", "--alpha1", "0", "--alpha2", "0", "--beta1", "1e16", "--beta2", "0"],
+        ],
+    )
+    def test_huge_angles_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "|angle| must be at most 1e+06" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["correlate", "--alpha=-1e6", "--beta=1e6"],
+            ["correlate", "--alpha=1e6", "--beta=-1e6", "--degrees"],
+            ["spectrum", "--alpha1=1e6", "--alpha2=-1e6", "--beta1", "3", "--beta2", "1e-300"],
+            ["chsh", "--mode", "quantum", "--alpha1=-1e6", "--alpha2=1e6", "--beta1=1e6", "--beta2=0",
+             "--trials", "100"],
+            ["simulate", "--alpha1=1e6", "--alpha2=-1e6", "--beta1=1e6", "--beta2=-0.5", "--trials", "100"],
+            ["constrained", "eval", "--alpha1=1e6", "--alpha2=-1e6", "--beta1=1e6", "--beta2=-1e6"],
+        ],
+    )
+    def test_largest_accepted_angles(self, capsys, argv):
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload["status"] == "ok"
+
+    def test_spectrum_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["spectrum", *MAXV, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        _, payload = run_json(capsys, ["spectrum", *MAXV])
+        assert "seed" not in payload["config"]
+        _, out = run(capsys, ["spectrum", *MAXV])
+        assert "seed" not in json.loads(out.splitlines()[0].removeprefix("# config: "))
+
+    @pytest.mark.parametrize("target", ["missing/dir/report.csv", ""], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
+        code = cli.main(["correlate", "--alpha", "0", "--beta", "0", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("chshlab: cannot write --out: ")
+        assert captured.err.count("\n") == 1
+
+
+# Fuzz values per flag, (valid, invalid): NaN, inf, huge, negative and
+# non-numeric values are invalid. Valid counts (trials, resolution, restarts)
+# stay small, so every drawn run finishes in milliseconds.
+ANGLE_VALUES = (["0", "0.3", "-2.5", "45", "1e-300", "1e6", "-1e6"],
+                ["nan", "inf", "-inf", "1e308", "-1e308", "1000001", "x", ""])
+FUZZ_VALUES = {
+    **dict.fromkeys(["--alpha", "--beta", "--alpha1", "--alpha2", "--beta1", "--beta2"], ANGLE_VALUES),
+    "--bound": (["0", "2", "-5", "1e308", "-1e308", "1e-300"], ["nan", "inf", "x", ""]),
+    "--trials": (["2", "37"], ["1", "0", "-5", "2.5", "nan", "x"]),
+    "--seed": (["0", "7", "99999999999999999999"], ["-1", "-5", "1.5", "x"]),
+    "--resolution": (["2", "3"], ["1", "129", "-1", "1e6", "x"]),
+    "--restarts": (["0", "1"], ["-1", "1.5", "x"]),
+    "--q": (["0,0,0,0", "-1,1,1,1", "0.5,-0.2,0.9,1"], ["2,0,0,0", "0,nan,0,0", "1e308,0,0,0", "a,b,c,d", "0,0,0"]),
+    "--mode": (["quantum", "same-lambda", "independent"], ["bogus"]),
+    "--model": (["sign", "quantum-mimic"], ["bogus"]),
+    "--objective": (["constrained_e4", "eight_variable_sum", "t_validity_margin"], ["bogus"]),
+    "--format": (["csv", "json"], ["xml"]),
+}
+# Flags of each subcommand and their kind: "required" (a run without it is
+# a usage error), "optional", "pinned" (always given, because its default
+# makes a slow run) or "foreign" (the subcommand does not take it).
+ANGLES = [(flag, "required") for flag in ("--alpha1", "--alpha2", "--beta1", "--beta2")]
+SCAN = [("--resolution", "pinned"), ("--restarts", "pinned"), ("--bound", "optional"), ("--seed", "optional")]
+SUBCOMMAND_FLAGS = {
+    ("correlate",): [("--alpha", "required"), ("--beta", "required")],
+    ("chsh",): [("--mode", "required"), ("--model", "optional"), *ANGLES,
+                ("--trials", "pinned"), ("--seed", "optional")],
+    ("constrained", "eval"): [*ANGLES, ("--q", "optional"), *SCAN],
+    ("constrained", "scan"): SCAN,
+    ("spectrum",): [*ANGLES, ("--seed", "foreign")],
+    ("simulate",): [*ANGLES, ("--trials", "pinned"), ("--seed", "optional")],
+    ("scan",): [("--objective", "optional"), *SCAN],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(argv, bad): a subcommand with valid flags, then up to two flags broken.
+
+    ``bad`` is true when a flag ends with an invalid value or the subcommand
+    does not take it, which must be a usage error.
+    """
+    head = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    flags = SUBCOMMAND_FLAGS[head] + [("--format", "optional")]
+    values, bad = {}, set()
+    for flag, kind in flags:
+        if kind in ("required", "pinned") or (kind == "optional" and draw(st.booleans())):
+            values[flag] = draw(st.sampled_from(FUZZ_VALUES[flag][0]))
+    # Broken: an invalid value, a required flag left out, or any value of a
+    # flag the subcommand does not take.
+    n_broken = draw(st.integers(0, 2))
+    for flag, kind in draw(st.lists(st.sampled_from(flags), min_size=n_broken, max_size=n_broken)):
+        valid, invalid = FUZZ_VALUES[flag]
+        value = st.sampled_from(valid if kind == "foreign" else invalid)
+        values[flag] = draw(st.one_of(st.none(), value) if kind == "required" else value)
+        if values[flag] is None:
+            bad.discard(flag)
+        else:
+            bad.add(flag)
+    argv = list(head) + [f"{flag}={value}" for flag, value in values.items() if value is not None]
+    if draw(st.booleans()):
+        argv.append("--degrees")
+    return argv, bool(bad)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def _run_isolated(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # the only exception allowed out of main
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz_argv())
+    def test_exit_codes_streams_and_schema(self, case):
+        argv, bad = case
+        code, out, err = _run_isolated(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert code == 2 or not bad, (argv, code, err)
+        assert "Traceback" not in err
+        if code in (2, 4):
+            assert out == ""
+        else:
+            fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "csv")
+            name = "scan" if "scan" in argv else argv[0]
+            columns = list(getattr(cli, f"{name.upper()}_COLUMNS"))
+            if fmt == "json":
+                payload = json.loads(out, parse_constant=_reject_constant)
+                assert all(list(row) == columns for row in payload["rows"])
+            else:
+                lines = out.splitlines()
+                json.loads(lines[0].removeprefix("# config: "), parse_constant=_reject_constant)
+                assert lines[1].startswith("# status: ")
+                assert lines[2].split(",") == columns
+                fields = [f.lower() for row in csv.reader(lines[3:]) for f in row]
+                assert not {"nan", "inf", "-inf"} & set(fields)
+        assert _run_isolated(argv) == (code, out, err)

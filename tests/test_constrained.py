@@ -15,7 +15,6 @@ from chshlab.constrained import (
     constrained_expectation_bruteforce,
     constrained_expectation_closed,
     correlation_quad,
-    pair_probabilities,
     quantum_eight_variable_sum,
 )
 from chshlab.lhv import AngleConfig, angle_pairs, tsirelson_angles
@@ -56,32 +55,34 @@ class TestCorrelationQuad:
                 assert qn == pytest.approx(-math.cos(2.0 * (alpha - beta)), abs=0)
 
 
+def pair_law(cfg, n):
+    """Outcome law of pair n (1-based) in the independent protocol."""
+    return joint_distribution(*angle_pairs(cfg)[n - 1])
+
+
 class TestPairProbabilities:
     def test_anticorrelated_pair(self):
         cfg = AngleConfig(0.5, 0.5, 0.5, 0.5)  # every q is -1
-        d = pair_probabilities(cfg, 1)
+        d = pair_law(cfg, 1)
         assert d.probability(1, 1) == pytest.approx(0.0, abs=1e-15)
         assert d.probability(1, -1) == pytest.approx(0.5, abs=1e-15)
 
     def test_max_violation_first_pair(self):
-        d = pair_probabilities(tsirelson_angles(), 1)
+        d = pair_law(tsirelson_angles(), 1)
         assert d.probability(1, 1) == pytest.approx((1.0 - SQRT2 / 2.0) / 4.0, abs=1e-15)
 
     def test_matches_joint_distribution(self):
+        # P(k, l) = (1 + k l q_n)/4 with q_n the n-th entry of the correlation quad
         rng = np.random.default_rng(1)
         for _ in range(10):
             cfg = random_config(rng)
-            for n, (alpha, beta) in enumerate(angle_pairs(cfg), start=1):
-                assert pair_probabilities(cfg, n).probs == joint_distribution(alpha, beta).probs
+            for n, qn in enumerate(correlation_quad(cfg).astuple(), start=1):
+                expected = {(k, l): (1.0 + k * l * qn) / 4.0 for k in (1, -1) for l in (1, -1)}
+                assert pair_law(cfg, n).probs == expected
 
     def test_normalized(self):
         for n in (1, 2, 3, 4):
-            assert pair_probabilities(tsirelson_angles(), n).as_array().sum() == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("bad", [0, 5, -1])
-    def test_index_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            pair_probabilities(tsirelson_angles(), bad)
+            assert pair_law(tsirelson_angles(), n).as_array().sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBuildConstrained:
@@ -102,7 +103,7 @@ class TestBuildConstrained:
             cfg = random_config(rng)
             quad = correlation_quad(cfg)
             dist = build_constrained(cfg)
-            assert abs(dist.normalizer - (1.0 + quad.product()) / 16.0) <= 1e-14
+            assert abs(dist.normalizer - (1.0 + math.prod(quad.astuple())) / 16.0) <= 1e-14
 
     def test_angle_quads_never_degenerate(self):
         # the four angle differences obey one linear relation, which keeps
@@ -124,18 +125,19 @@ class TestBuildConstrained:
         assert set(CELL_ORDER) == set(product((1, -1), repeat=4))
 
     def test_marginal_means_match_direct_summation(self):
+        signs = np.array(CELL_ORDER, dtype=float).T  # rows: k1, l1, k4, l4
         rng = np.random.default_rng(5)
         for _ in range(20):
             dist = build_constrained(random_config(rng))
-            got = dist.marginal_means()
+            got = signs @ np.array([dist.probs[cell] for cell in CELL_ORDER])
             expected = [0.0, 0.0, 0.0, 0.0]
             for (k1, l1, k4, l4), p in dist.probs.items():
                 expected[0] += k1 * p
                 expected[1] += l1 * p
                 expected[2] += k4 * p
                 expected[3] += l4 * p
-            assert np.max(np.abs(np.array(got) - np.array(expected))) == 0.0
-            # observed: this constraint pattern leaves all marginals unbiased
+            assert np.max(np.abs(got - np.array(expected))) <= 1e-15
+            # this constraint pattern leaves all marginals unbiased
             assert np.max(np.abs(got)) <= 1e-14
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chshlab.lhv import (
     AngleConfig,
+    HiddenVariableModel,
     QuantumMimicModel,
     angle_pairs,
     chsh_independent,
@@ -219,9 +220,8 @@ class TestQuantumIndependent:
 
 class TestModelRegistry:
     def test_known_models(self):
-        assert get_model("sign").is_lhv
-        mimic = get_model("quantum-mimic")
-        assert not mimic.is_lhv
+        assert isinstance(get_model("sign"), HiddenVariableModel)
+        assert isinstance(get_model("quantum-mimic"), QuantumMimicModel)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):

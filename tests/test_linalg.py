@@ -208,7 +208,7 @@ class TestHermitianEigen:
             dec = hermitian_eigen(h)
             v = dec.eigenvectors
             assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10
-            assert np.max(np.abs(dec.reconstruct() - h)) <= 1e-10
+            assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - h)) <= 1e-10
 
     def test_degenerate_cluster_projector(self):
         # I4 is maximally degenerate: only the projector is well defined.

@@ -11,7 +11,6 @@ from chshlab.quantum import (
     analyzer_state,
     commutator,
     joint_distribution,
-    sample_pair,
     sample_pairs,
     singlet_correlation,
     singlet_state,
@@ -139,9 +138,10 @@ class TestJointDistribution:
         p = d.as_array()
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
         assert abs(p.sum() - 1.0) <= 1e-14
-        for marginal in (d.marginal_x(), d.marginal_y()):
-            assert abs(marginal[0] - 0.5) <= 1e-14
-            assert abs(marginal[1] - 0.5) <= 1e-14
+        for axis in (0, 1):  # X, then Y
+            for sign in (1, -1):
+                marginal = sum(prob for outcome, prob in d.probs.items() if outcome[axis] == sign)
+                assert abs(marginal - 0.5) <= 1e-14
 
     @given(angles, angles)
     def test_exact_product_mean_matches_correlation(self, alpha, beta):
@@ -155,8 +155,6 @@ class TestSampling:
         rng = np.random.default_rng(0)
         x, y = sample_pairs(d, 500, rng)
         assert np.all(x * y == -1)
-        rec = sample_pair(d, rng)
-        assert rec.x * rec.y == -1
 
     def test_outcomes_in_domain(self):
         d = joint_distribution(0.9, 0.1)
@@ -164,14 +162,6 @@ class TestSampling:
         x, y = sample_pairs(d, 2000, rng)
         assert set(np.unique(x)) <= {-1, 1}
         assert set(np.unique(y)) <= {-1, 1}
-
-    def test_scalar_and_vector_paths_share_stream(self):
-        d = joint_distribution(0.9, 0.1)
-        xs, ys = sample_pairs(d, 10, np.random.default_rng(42))
-        rng = np.random.default_rng(42)
-        records = [sample_pair(d, rng) for _ in range(10)]
-        assert [r.x for r in records] == xs.tolist()
-        assert [r.y for r in records] == ys.tolist()
 
     def test_mean_converges_at_eighth_pi(self):
         n = 1_000_000

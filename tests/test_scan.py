@@ -105,9 +105,9 @@ class TestGridScan:
 
 class TestRefine:
     def test_absolute_eight_sum_from_max_violation_angles(self):
-        objective = lambda cfg: abs(OBJECTIVES["eight_variable_sum"].evaluate(cfg))
-        cfg, value = refine(objective, tsirelson_angles())
-        assert abs(value - SQRT8) <= 1e-9
+        # the Tsirelson angles sit at the minimum -2 sqrt(2), where |sum| peaks
+        cfg, value = refine("eight_variable_sum", tsirelson_angles(), maximize=False)
+        assert abs(value + SQRT8) <= 1e-9
 
     def test_never_worse_than_start(self):
         start = AngleConfig(0.3, 1.2, 0.8, 2.1)
@@ -126,16 +126,23 @@ class TestRefine:
         assert value <= OBJECTIVES["eight_variable_sum"].evaluate(AngleConfig(0.7, 0.1, 0.4, 1.2))
 
     def test_plateau_terminates(self):
-        flat = lambda cfg: 1.5
-        cfg, value = refine(flat, AngleConfig(0.1, 0.2, 0.3, 0.4))
-        assert value == 1.5
-        assert cfg == AngleConfig(0.1, 0.2, 0.3, 0.4)
+        flat = lambda a1, a2, b1, b2: np.full_like(a1, 1.5)
+        start = (0.1, 0.2, 0.3, 0.4)
+        angles, values = _descend(flat, [start], [True], DEFAULT_STEP0, DEFAULT_TOL)
+        assert values.tolist() == [1.5]
+        assert angles.tolist() == [list(start)]
+        assert coordinate_descent(lambda t: 1.5, start, DEFAULT_STEP0, DEFAULT_TOL, True) == (start, 1.5)
 
     def test_collapsed_family_plateau(self):
-        # objective constant along one coordinate still terminates cleanly
-        objective = lambda cfg: -math.cos(2.0 * (cfg.alpha1 - cfg.beta1))
-        _, value = refine(objective, AngleConfig(0.2, 0.9, 0.2, 1.4))
-        assert value == pytest.approx(1.0, abs=1e-9)
+        # objective constant along two coordinates still terminates cleanly
+        objective = lambda a1, a2, b1, b2: -np.cos(2.0 * (a1 - b1))
+        start = (0.2, 0.9, 0.2, 1.4)
+        angles, values = _descend(objective, [start], [True], DEFAULT_STEP0, DEFAULT_TOL)
+        assert values[0] == pytest.approx(1.0, abs=1e-9)
+        scalar = lambda t: -math.cos(2.0 * (t[0] - t[2]))
+        ref_angles, ref_value = coordinate_descent(scalar, start, DEFAULT_STEP0, DEFAULT_TOL, True)
+        assert np.max(np.abs(angles[0] - ref_angles)) <= 1e-12
+        assert abs(values[0] - ref_value) <= 1e-12
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
