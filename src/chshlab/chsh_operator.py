@@ -122,14 +122,14 @@ def t_mean(config: AngleConfig) -> float:
     return float(kernels.eight_variable_sum(*kernels.q_quad(*config.astuple())))
 
 
-def t_spectrum(op: ChshOperator, tol: float = 1e-12) -> TSpectralSummary:
+def t_spectrum(op: ChshOperator) -> TSpectralSummary:
     """Eigendecompose the observable and identify the two magnitudes.
 
     The eigenvalue pair matching the closed-form t0 within 1e-9 is labeled
     t0; the remaining pair is t1. Raises AsymmetricSpectrumError when the
     spectrum is not symmetric about zero within tolerance.
     """
-    eigen = hermitian_eigen(op.matrix, tol)
+    eigen = hermitian_eigen(op.matrix)
     w = eigen.eigenvalues
     if abs(w[0] + w[3]) > SYMMETRY_TOL or abs(w[1] + w[2]) > SYMMETRY_TOL:
         raise AsymmetricSpectrumError(f"eigenvalues not symmetric about zero: {w}")

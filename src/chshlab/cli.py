@@ -8,9 +8,13 @@ Subcommands
     simulate     Monte Carlo pair and observable sampling vs analytic values
     scan         bound verification by lattice scan plus refinement
 
-Angles are radians unless --degrees is given; output always echoes radians.
-Angle flags must be finite with |value| <= 1e6 in their own unit: a larger
-float angle keeps too little phase for the independent routes to agree.
+Angles are radians unless --degrees (taken only beside angle flags) is
+given; output always echoes radians. Angle flags must be finite with
+|value| <= 1e6 in their own unit: a larger float angle keeps too little
+phase for the independent routes to agree. chsh --model quantum-mimic
+(independent mode) samples the pairs from the singlet law under the +-4
+bound; no model class is behind it. constrained eval takes the four angles
+or --q; constrained scan is scan --objective constrained_e4.
 Every output embeds the package version and the fully resolved run
 configuration, so re-running the printed configuration reproduces the
 output byte for byte. CSV output carries the same envelope in '#' comment
@@ -20,7 +24,8 @@ Exit codes: 0 success (including status rows such as degenerate
 conditioning), 2 usage error (including an unwritable --out path), 3
 internal deterministic-bound violation, 4 numerical failure (any library
 error once the flags are validated, including a NaN or infinite output
-value, which is never written).
+value, which is never written). Run as a program, a closed stdout pipe
+ends the process by SIGPIPE with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import functools
 import io
 import json
 import math
+import signal
 import sys
 
 from . import __version__, kernels
@@ -59,8 +65,8 @@ from .lhv import (
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
-    get_model,
     quantum_chsh_independent,
+    reference_sign_model,
 )
 from .linalg import EigenConvergenceError
 from .quantum import joint_distribution, product_estimate, singlet_correlation, singlet_state
@@ -76,6 +82,15 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 
 # Largest |angle| accepted by the angle flags, in the flag's own unit.
 MAX_ANGLE = 1e6
+
+FOUR_ANGLES = ("alpha1", "alpha2", "beta1", "beta2")
+
+# (lower, upper, deterministic) bound on the estimate of each chsh mode.
+CHSH_BOUNDS = {
+    "same-lambda": (-2.0, 2.0, True),
+    "independent": (-4.0, 4.0, True),
+    "quantum": (-SQRT8, SQRT8, False),
+}
 
 # Output columns of each subcommand, in CSV header and JSON key order. A row
 # lists only the values it has; the other columns are empty (null in JSON).
@@ -184,16 +199,11 @@ def _angles(values, degrees: bool) -> list[float]:
     return [math.radians(v) if degrees else v for v in values]
 
 
-def _full_angles(args, parser) -> AngleConfig:
-    values = (args.alpha1, args.alpha2, args.beta1, args.beta2)
-    if None in values:
-        parser.error("--alpha1, --alpha2, --beta1 and --beta2 are all required here")
-    return AngleConfig(*_angles(values, args.degrees))
+def _full_angles(args) -> AngleConfig:
+    return AngleConfig(*_angles([getattr(args, k) for k in FOUR_ANGLES], args.degrees))
 
 
 def cmd_correlate(args, parser) -> int:
-    if args.alpha is None or args.beta is None:
-        parser.error("--alpha and --beta are required")
     alpha, beta = _angles((args.alpha, args.beta), args.degrees)
     dist = joint_distribution(alpha, beta)
     row = {
@@ -211,7 +221,7 @@ def cmd_correlate(args, parser) -> int:
 
 
 def cmd_chsh(args, parser) -> int:
-    config = _full_angles(args, parser)
+    config = _full_angles(args)
     mode = args.mode
     model_name = args.model
     if mode in ("same-lambda", "independent") and model_name is None:
@@ -222,15 +232,12 @@ def cmd_chsh(args, parser) -> int:
         parser.error("same-lambda mode requires a local-hidden-variable model, not quantum-mimic")
 
     rng = component_stream(args.seed, f"chsh/{mode}")
-    if mode == "same-lambda":
-        est = chsh_same_lambda(get_model(model_name), config, args.trials, rng)
-        lo, hi, deterministic = -2.0, 2.0, True
-    elif mode == "independent":
-        est = chsh_independent(get_model(model_name), config, args.trials, rng)
-        lo, hi, deterministic = -4.0, 4.0, True
-    else:
+    if model_name == "sign":
+        estimator = chsh_same_lambda if mode == "same-lambda" else chsh_independent
+        est = estimator(reference_sign_model(), config, args.trials, rng)
+    else:  # quantum mode, or independent pairs drawn from the singlet law
         est = quantum_chsh_independent(config, args.trials, rng)
-        lo, hi, deterministic = -SQRT8, SQRT8, False
+    lo, hi, deterministic = CHSH_BOUNDS[mode]
 
     # Statistical allowance for the quantum bound: it constrains the
     # expectation, not the finite-sample mean.
@@ -271,12 +278,17 @@ def _constrained_rows(quad: CorrelationQuad) -> tuple[list[dict], str]:
 
 
 def cmd_constrained(args, parser) -> int:
-    if args.action == "scan":
-        return _run_scan(args, parser)
+    given = [f"--{k}" for k in FOUR_ANGLES if getattr(args, k) is not None]
     if args.q is not None:
+        extra = given + (["--degrees"] if args.degrees else [])
+        if extra:
+            parser.error(f"argument --q: not allowed with {', '.join(extra)}")
         quad, echo = args.q, {"q": list(args.q.astuple())}
+    elif len(given) < 4:
+        missing = [f"--{k}" for k in FOUR_ANGLES if getattr(args, k) is None]
+        parser.error(f"the following arguments are required without --q: {', '.join(missing)}")
     else:
-        config = _full_angles(args, parser)
+        config = _full_angles(args)
         quad, echo = correlation_quad(config), vars(config)
     rows, status = _constrained_rows(quad)
     _emit(args, "constrained", {"action": "eval", **echo}, CONSTRAINED_COLUMNS, rows, status)
@@ -284,7 +296,7 @@ def cmd_constrained(args, parser) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
-    config = _full_angles(args, parser)
+    config = _full_angles(args)
     op = build_t(config)
     summary = t_spectrum(op)
     overlaps = singlet_overlaps(summary)
@@ -328,7 +340,7 @@ def _simulate_row(est, analytic: float, **fields) -> dict:
 
 
 def cmd_simulate(args, parser) -> int:
-    config = _full_angles(args, parser)
+    config = _full_angles(args)
     n = args.trials
     rows = []
     status = "ok"
@@ -386,15 +398,10 @@ def _run_scan(args, parser) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
+def _add_angles(parser: argparse.ArgumentParser, names=FOUR_ANGLES, required: bool = True) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", type=_angle, required=required)
     parser.add_argument("--degrees", action="store_true", help="interpret angle flags as degrees")
-
-
-def _add_four_angles(parser: argparse.ArgumentParser) -> None:
-    for flag in ("--alpha1", "--alpha2", "--beta1", "--beta2"):
-        parser.add_argument(flag, type=_angle)
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
@@ -410,46 +417,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     trials, seed = _int_range(2), _int_range(0)
 
-    p = sub.add_parser("correlate", help="pair correlation and joint outcome law")
-    p.add_argument("--alpha", type=_angle)
-    p.add_argument("--beta", type=_angle)
-    _add_common(p)
-    p.set_defaults(func=cmd_correlate)
+    def command(group, name: str, func, help: str, **defaults) -> argparse.ArgumentParser:
+        # Every command takes --format and --out, and reports usage errors
+        # under its own usage line.
+        p = group.add_parser(name, help=help)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.set_defaults(func=func, parser=p, **defaults)
+        return p
 
-    p = sub.add_parser("chsh", help="CHSH estimate in one of the three modes")
+    p = command(sub, "correlate", cmd_correlate, "pair correlation and joint outcome law")
+    _add_angles(p, ("alpha", "beta"))
+
+    p = command(sub, "chsh", cmd_chsh, "CHSH estimate in one of the three modes")
     p.add_argument("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
     p.add_argument("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
-    _add_four_angles(p)
+    _add_angles(p)
     p.add_argument("--trials", type=trials, default=100_000)
     p.add_argument("--seed", type=seed, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("constrained", help="conditioned four-variable table and expectations")
-    p.add_argument("action", choices=["eval", "scan"])
-    _add_four_angles(p)
-    p.add_argument("--q", type=_quad, help="4 comma-separated correlations, bypassing angles")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = command(actions, "eval", cmd_constrained, "the 16-cell table at four angles or at --q")
+    _add_angles(p, required=False)
+    p.add_argument("--q", type=_quad, help="4 comma-separated correlations, instead of the angles")
+    p = command(actions, "scan", _run_scan, "scan --objective constrained_e4", objective="constrained_e4")
     _add_scan_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_constrained, objective="constrained_e4")
 
-    p = sub.add_parser("spectrum", help="eigenstructure of the CHSH observable")
-    _add_four_angles(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
+    p = command(sub, "spectrum", cmd_spectrum, "eigenstructure of the CHSH observable")
+    _add_angles(p)
 
-    p = sub.add_parser("simulate", help="Monte Carlo sampling vs analytic values")
-    _add_four_angles(p)
+    p = command(sub, "simulate", cmd_simulate, "Monte Carlo sampling vs analytic values")
+    _add_angles(p)
     p.add_argument("--trials", type=trials, default=100_000)
     p.add_argument("--seed", type=seed, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("scan", help="bound verification for a named objective")
+    p = command(sub, "scan", _run_scan, "bound verification for a named objective")
     p.add_argument("--objective", choices=sorted(OBJECTIVES), default="constrained_e4")
     _add_scan_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_run_scan)
 
     return parser
 
@@ -463,10 +468,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
         # a library failure: degenerate conditioning or spectrum, a
@@ -482,6 +486,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # A reader that closes the pipe early ends the process quietly, as it
+    # would end a Unix filter, instead of raising BrokenPipeError.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

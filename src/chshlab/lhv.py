@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -88,24 +88,6 @@ class HiddenVariableModel:
     respond_a: Callable
     respond_b: Callable
     support: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class QuantumMimicModel:
-    """Marker model whose pair outcomes follow the singlet law directly.
-
-    Deliberately NOT a local-hidden-variable model: there is no shared
-    latent variable and no per-station response function, so it is rejected
-    by the same-lambda estimator and by the quadrature oracle. It carries no
-    sampler of its own: :func:`chsh_independent` routes it to the quantum
-    independent-pairs estimator, so it cross-checks that estimator through
-    the model interface.
-    """
-
-    name: str = "quantum-mimic"
-
-
-Model = Union[HiddenVariableModel, QuantumMimicModel]
 
 
 # Draws closer than _ARC_GUARD to an arc endpoint take the cosine rule.
@@ -176,21 +158,6 @@ def reference_sign_model() -> HiddenVariableModel:
     )
 
 
-def get_model(name: str) -> Model:
-    """Look up a shipped model by name ('sign' or 'quantum-mimic')."""
-    if name == "sign":
-        return reference_sign_model()
-    if name == "quantum-mimic":
-        return QuantumMimicModel()
-    raise ValueError(f"unknown model name: {name!r}")
-
-
-def _require_lhv(model: Model, what: str) -> HiddenVariableModel:
-    if not isinstance(model, HiddenVariableModel):
-        raise ValueError(f"{what} requires a local-hidden-variable model, got {model.name!r}")
-    return model
-
-
 def _responses(model: HiddenVariableModel, angle: float, lam: np.ndarray, station: str) -> np.ndarray:
     out = np.asarray(model.respond_a(angle, lam) if station == "a" else model.respond_b(angle, lam))
     if not np.all(np.abs(out) == 1):
@@ -199,20 +166,19 @@ def _responses(model: HiddenVariableModel, angle: float, lam: np.ndarray, statio
 
 
 def correlation_mc(
-    model: Model, alpha: float, beta: float, n: int, rng: np.random.Generator
+    model: HiddenVariableModel, alpha: float, beta: float, n: int, rng: np.random.Generator
 ) -> CorrelationEstimate:
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n lambda draws."""
-    m = _require_lhv(model, "correlation_mc")
 
     def draw_chunk(size):
-        lam = m.sample(rng, size)
-        return _responses(m, alpha, lam, "a") * _responses(m, beta, lam, "b")
+        lam = model.sample(rng, size)
+        return _responses(model, alpha, lam, "a") * _responses(model, beta, lam, "b")
 
     return stream_estimate(n, draw_chunk, (-1, 1))
 
 
 def correlation_quadrature(
-    model: Model, alpha: float, beta: float, grid_points: int = 100_000
+    model: HiddenVariableModel, alpha: float, beta: float, grid_points: int = 100_000
 ) -> float:
     """Deterministic midpoint-rule average of A*B over the lambda support.
 
@@ -221,15 +187,14 @@ def correlation_quadrature(
     be at least 1000 to keep the midpoint error well under 1e-3 for the
     piecewise-constant sign responses.
     """
-    m = _require_lhv(model, "correlation_quadrature")
-    if m.support is None or len(m.support) != 2:
-        raise ValueError(f"model {m.name!r} does not declare a one-dimensional lambda support")
+    if model.support is None or len(model.support) != 2:
+        raise ValueError(f"model {model.name!r} does not declare a one-dimensional lambda support")
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
-    lo, hi = m.support
+    lo, hi = model.support
     lam = lo + (np.arange(grid_points) + 0.5) * ((hi - lo) / grid_points)
-    a = _responses(m, alpha, lam, "a")
-    b = _responses(m, beta, lam, "b")
+    a = _responses(model, alpha, lam, "a")
+    b = _responses(model, beta, lam, "b")
     return float(np.mean(a * b))
 
 
@@ -242,21 +207,20 @@ def parity_identity(a1: int, a2: int, b1: int, b2: int) -> int:
 
 
 def chsh_same_lambda(
-    model: Model, config: AngleConfig, n: int, rng: np.random.Generator
+    model: HiddenVariableModel, config: AngleConfig, n: int, rng: np.random.Generator
 ) -> CorrelationEstimate:
     """Same-lambda protocol: one lambda per trial drives all four responses.
 
     Every per-trial value of (a1 + a2) b1 + (a1 - a2) b2 is +-2, so the
     returned mean is deterministically inside [-2, 2].
     """
-    m = _require_lhv(model, "chsh_same_lambda")
 
     def draw_chunk(size):
-        lam = m.sample(rng, size)
-        a1 = _responses(m, config.alpha1, lam, "a")
-        a2 = _responses(m, config.alpha2, lam, "a")
-        b1 = _responses(m, config.beta1, lam, "b")
-        b2 = _responses(m, config.beta2, lam, "b")
+        lam = model.sample(rng, size)
+        a1 = _responses(model, config.alpha1, lam, "a")
+        a2 = _responses(model, config.alpha2, lam, "a")
+        b1 = _responses(model, config.beta1, lam, "b")
+        b2 = _responses(model, config.beta2, lam, "b")
         return (a1 + a2) * b1 + (a1 - a2) * b2
 
     return stream_estimate(n, draw_chunk, _SAME_LAMBDA_VALUES)
@@ -276,43 +240,26 @@ def _pair_major(n: int):
 
 
 def chsh_independent(
-    model: Model, config: AngleConfig, n: int, rng: np.random.Generator
+    model: HiddenVariableModel, config: AngleConfig, n: int, rng: np.random.Generator
 ) -> CorrelationEstimate:
     """Independent-pairs protocol: four fresh lambdas per trial.
 
     Trial t draws lambda_1..lambda_4 (trial-major stream order) and
     accumulates a1 b1 + a2 b2 + a3 b3 - a4 b4 with the station settings of
     :func:`angle_pairs`. Per-trial values lie in {-4, -2, 0, 2, 4}; the mean
-    is deterministically inside [-4, 4]. A QuantumMimicModel is accepted
-    here (and only here) and reproduces :func:`quantum_chsh_independent`.
+    is deterministically inside [-4, 4]. The same protocol with the four
+    pairs drawn from the singlet law is :func:`quantum_chsh_independent`.
     """
-    if isinstance(model, QuantumMimicModel):
-        return _quantum_independent(config, n, rng)
-    m = _require_lhv(model, "chsh_independent")
     pairs = angle_pairs(config)
     pair_major = _pair_major(n)
 
     def draw_chunk(size):
-        lam = pair_major(m.sample(rng, (size, 4)))
+        lam = pair_major(model.sample(rng, (size, 4)))
         p = [
-            _responses(m, alpha, lam[j], "a") * _responses(m, beta, lam[j], "b")
+            _responses(model, alpha, lam[j], "a") * _responses(model, beta, lam[j], "b")
             for j, (alpha, beta) in enumerate(pairs)
         ]
         return p[0] + p[1] + p[2] - p[3]
-
-    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
-
-
-def _quantum_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
-    cuts = [_product_cuts(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
-    pair_major = _pair_major(n)
-
-    def draw_chunk(size):
-        # One uniform per pair, trial-major: draw [t, j] drives pair j+1 of
-        # trial t, so after the copy u[j] holds pair j+1's uniforms.
-        u = pair_major(rng.random((size, 4)))
-        plus = [_product_is_plus(u[j], cuts[j]).view(np.int8) for j in range(4)]
-        return (plus[0] + plus[1] + plus[2] - plus[3]) * np.int8(2) - np.int8(2)
 
     return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
 
@@ -327,4 +274,14 @@ def quantum_chsh_independent(
     """
     if n < 2:
         raise ValueError("need at least 2 trials")
-    return _quantum_independent(config, n, rng)
+    cuts = [_product_cuts(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
+    pair_major = _pair_major(n)
+
+    def draw_chunk(size):
+        # One uniform per pair, trial-major: draw [t, j] drives pair j+1 of
+        # trial t, so after the copy u[j] holds pair j+1's uniforms.
+        u = pair_major(rng.random((size, 4)))
+        plus = [_product_is_plus(u[j], cuts[j]).view(np.int8) for j in range(4)]
+        return (plus[0] + plus[1] + plus[2] - plus[3]) * np.int8(2) - np.int8(2)
+
+    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)

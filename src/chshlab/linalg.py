@@ -70,18 +70,18 @@ class SpectralDecomposition:
         return v @ v.conj().T
 
 
-def hermitian_eigen(m, tol: float = 1e-12) -> SpectralDecomposition:
+def hermitian_eigen(m) -> SpectralDecomposition:
     """Full spectral decomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Decomposes the symmetrised input (m + m^dagger)/2. Eigenvalues come back
     ascending and both arrays are read-only; inside a degenerate cluster
     the eigenvectors are an orthonormal basis of the cluster's subspace.
-    Raises NonHermitianError if the input fails the Hermiticity check at
-    ``tol``, and EigenConvergenceError if LAPACK does not converge.
+    Raises NonHermitianError if the input fails :func:`is_hermitian` at its
+    default 1e-12, and EigenConvergenceError if LAPACK does not converge.
     """
     a = _as_square(m, max_dim=4)
-    if not is_hermitian(a, tol):
-        raise NonHermitianError(f"matrix is not Hermitian within {tol}")
+    if not is_hermitian(a):
+        raise NonHermitianError("matrix is not Hermitian within 1e-12")
     try:
         w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:

@@ -38,9 +38,11 @@ from .seeding import component_stream
 
 BOUND_SLACK = 1e-9
 
-# Default refinement schedule; step0 matches the resolution-24 lattice pitch.
+# Refinement schedule: first step (the resolution-24 lattice pitch), stopping
+# step, and the best lattice points per direction verify_bound refines from.
 DEFAULT_STEP0 = math.pi / 24
 DEFAULT_TOL = 1e-10
+N_GRID_STARTS = 5
 
 # Violations stored per report are capped; n_violations counts all of them.
 MAX_STORED_VIOLATIONS = 1000
@@ -177,22 +179,23 @@ def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float |
     return _scan_slab(obj, resolution, bound)[0]
 
 
-def _descend(values: Callable, starts, maximize, step0: float, tol: float):
+def _descend(values: Callable, starts, maximize):
     """Coordinate descent with step halving, every row of ``starts`` in lockstep.
 
     Each row of the (n, 4) ``starts`` follows its own schedule: per sweep it
     tries coordinates 0..3, +step then -step, and accepts a strict
     improvement in its own sense (``maximize`` per row) at once; NaN never
-    improves; the row's step halves after a sweep without improvement, and
-    the row stops once its step drops below ``tol``. Rows share only the
-    array calls to ``values``. Returns the final (n, 4) angles and values.
+    improves; the row's step starts at DEFAULT_STEP0, halves after a sweep
+    without improvement, and the row stops once it drops below DEFAULT_TOL.
+    Rows share only the array calls to ``values``. Returns the final (n, 4)
+    angles and values.
     """
     cols = list(np.array(starts, dtype=float).T.copy())
     best = np.asarray(values(*cols), dtype=float)
     sense = np.where(maximize, 1.0, -1.0)
     best_s = np.where(np.isnan(best), -np.inf, sense * best)  # any real value improves on NaN
-    step = np.full(best.size, step0)
-    while (active := step >= tol).any():
+    step = np.full(best.size, DEFAULT_STEP0)
+    while (active := step >= DEFAULT_TOL).any():
         improved = np.zeros(best.size, dtype=bool)
         for i in range(4):
             for delta in (step, -step):
@@ -211,21 +214,18 @@ def _descend(values: Callable, starts, maximize, step0: float, tol: float):
 def refine(
     objective: Union[str, _Objective],
     start: AngleConfig,
-    step0: float = DEFAULT_STEP0,
-    tol: float = DEFAULT_TOL,
     maximize: bool = True,
 ) -> tuple[AngleConfig, float]:
     """Coordinate descent with step halving from ``start``.
 
     Cycles the four angles, moving by +-step whenever that strictly improves
-    the objective; halves the step once no coordinate improves; stops when
-    the step drops below ``tol``. The returned value is never worse than at
-    the start. ``objective`` is a name in OBJECTIVES or an ``_Objective``;
-    degenerate (NaN) evaluations count as non-improving.
+    the objective; starts at step DEFAULT_STEP0, halves the step once no
+    coordinate improves and stops when it drops below DEFAULT_TOL. The
+    returned value is never worse than at the start. ``objective`` is a name
+    in OBJECTIVES or an ``_Objective``; degenerate (NaN) evaluations count
+    as non-improving.
     """
-    if not (step0 > tol > 0.0):
-        raise ValueError("need step0 > tol > 0")
-    angles, best = _descend(_lookup(objective).values, [start.astuple()], [maximize], step0, tol)
+    angles, best = _descend(_lookup(objective).values, [start.astuple()], [maximize])
     return AngleConfig(*angles[0].tolist()), float(best[0])
 
 
@@ -235,13 +235,12 @@ def verify_bound(
     resolution: int,
     n_random_restarts: int,
     seed: int = 0,
-    n_grid_starts: int = 5,
 ) -> ScanReport:
     """Grid scan plus local refinement hunting for bound violations.
 
     Scans the alpha2 = 0 slab once, as :func:`grid_scan` does (counts are
     over the full resolution^4 lattice). Then refines from the
-    ``n_grid_starts`` best slab points in each relevant direction and from
+    N_GRID_STARTS best slab points in each relevant direction and from
     ``n_random_restarts`` uniform random configurations, all starts of both
     directions in lockstep under the rule of :func:`refine`, and reports
     every refined or lattice value beyond the bound (with a 1e-9 slack).
@@ -254,10 +253,10 @@ def verify_bound(
 
     starts, senses = [], []
     for maximize in ([True, False] if obj.two_sided else [False]):
-        grid = order[max(0, order.size - n_grid_starts) :] if maximize else order[:n_grid_starts]
+        grid = order[max(0, order.size - N_GRID_STARTS) :] if maximize else order[:N_GRID_STARTS]
         starts += [_slab_angles(ax, grid), restarts]
         senses += [maximize] * (grid.size + n_random_restarts)
-    angles, values = _descend(obj.values, np.concatenate(starts), senses, DEFAULT_STEP0, DEFAULT_TOL)
+    angles, values = _descend(obj.values, np.concatenate(starts), senses)
 
     # Refined points in refinement order; the first strict improvement on
     # the lattice extremum wins, as with a running max/min.

@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -138,6 +142,22 @@ class TestChsh:
             cli.main(["chsh", "--mode", "quantum", "--model", "sign", *MAXV])
         assert err.value.code == 2
 
+    def test_mimic_row_is_the_quantum_estimator_on_the_independent_stream(self, capsys):
+        from chshlab.lhv import AngleConfig, quantum_chsh_independent
+        from chshlab.seeding import component_stream
+
+        code, payload = run_json(
+            capsys,
+            ["chsh", "--mode", "independent", "--model", "quantum-mimic", *MAXV,
+             "--trials", "20000", "--seed", "9"],
+        )
+        cfg = AngleConfig(*(float(v) for v in MAXV[1::2]))
+        est = quantum_chsh_independent(cfg, 20000, component_stream(9, "chsh/independent"))
+        row = payload["rows"][0]
+        assert code == 0
+        assert (row["estimate"], row["stderr"]) == (est.mean, est.stderr)
+        assert (row["bound_lo"], row["bound_hi"]) == (-4.0, 4.0)
+
     def test_mimic_model_rejected_in_same_lambda_mode(self, capsys, monkeypatch):
         def unreachable(*a, **k):
             raise AssertionError("estimator ran before the flags were settled")
@@ -224,6 +244,16 @@ class TestConstrained:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert "argument --q:" in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--bound", "0.5"]])
+    def test_scan_action_is_scan_of_constrained_e4(self, capsys, extra):
+        flags = ["--resolution", "6", "--restarts", "2", "--seed", "3", *extra]
+        code, out = run(capsys, ["constrained", "scan", *flags])
+        assert (code, out) == run(capsys, ["scan", "--objective", "constrained_e4", *flags])
+        assert code == 0
+        status = "violations" if "--bound" in extra else "ok"
+        expected = f'"status": "{status}"' if "json" in extra else f"# status: {status}\n"
+        assert expected in out
 
     def test_scan_action(self, capsys):
         code, payload = run_json(
@@ -668,6 +698,68 @@ class TestInputBoundary:
         _, out = run(capsys, ["spectrum", *MAXV])
         assert "seed" not in json.loads(out.splitlines()[0].removeprefix("# config: "))
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["constrained", "eval", *MAXV, "--resolution", "8"], "--resolution"),
+            (["constrained", "eval", *MAXV, "--restarts", "2"], "--restarts"),
+            (["constrained", "eval", *MAXV, "--bound", "0.5"], "--bound"),
+            (["constrained", "eval", *MAXV, "--seed", "1"], "--seed"),
+            (["constrained", "eval", *MAXV, "--q=0,0,0,0"], "--q"),
+            (["constrained", "eval", "--alpha1", "1", "--q=0,0,0,0"], "--alpha1"),
+            (["constrained", "eval", "--q=0,0,0,0", "--degrees"], "--degrees"),
+            (["constrained", "scan", "--resolution", "8", "--restarts", "2", "--alpha1", "1"], "--alpha1"),
+            (["constrained", "scan", "--resolution", "8", "--restarts", "2", "--q=0,0,0,0"], "--q"),
+            (["constrained", "scan", "--resolution", "8", "--restarts", "2", "--degrees"], "--degrees"),
+            (["scan", "--resolution", "8", "--restarts", "2", "--degrees"], "--degrees"),
+            (["constrained", "--format", "json", "eval", *MAXV], "'json'"),
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["correlate", "--alpha", "0.1"], "--beta"),
+            (["chsh", "--mode", "quantum", *MAXV[:6]], "--beta2"),
+            (["spectrum", *MAXV[2:]], "--alpha1"),
+            (["simulate", *MAXV[:2], *MAXV[4:]], "--alpha2"),
+            (["constrained", "eval", *MAXV[:6]], "--beta2"),
+            (["constrained", "eval", "--degrees"], "--alpha1"),
+        ],
+    )
+    def test_missing_flags_are_named_under_the_subcommand_usage(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        head = argv[:2] if argv[0] == "constrained" else argv[:1]
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: chshlab " + " ".join(head) + " ")
+        assert "required" in captured.err and missing in captured.err
+
+    def test_closed_stdout_pipe_ends_the_program_quietly(self):
+        # Run as a program, as a shell pipeline would; the read end is
+        # closed before the child starts, so its first write hits EPIPE.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "chshlab.cli", "spectrum", *MAXV],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == -signal.SIGPIPE
+        assert proc.stderr == b""
+
     @pytest.mark.parametrize("target", ["missing/dir/report.csv", ""], ids=["missing-dir", "directory"])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
         code = cli.main(["correlate", "--alpha", "0", "--beta", "0", "--out", str(tmp_path / target)])
@@ -698,19 +790,25 @@ FUZZ_VALUES = {
 }
 # Flags of each subcommand and their kind: "required" (a run without it is
 # a usage error), "optional", "pinned" (always given, because its default
-# makes a slow run) or "foreign" (the subcommand does not take it).
-ANGLES = [(flag, "required") for flag in ("--alpha1", "--alpha2", "--beta1", "--beta2")]
+# makes a slow run) or "foreign" (the subcommand does not take it). A
+# subcommand takes --degrees exactly when it takes an angle flag.
+# `constrained eval` appears twice: it takes the four angles or --q.
+ANGLE_FLAGS = ("--alpha1", "--alpha2", "--beta1", "--beta2")
+ANGLES = [(flag, "required") for flag in ANGLE_FLAGS]
+NO_ANGLES = [(flag, "foreign") for flag in (*ANGLE_FLAGS, "--q")]
 SCAN = [("--resolution", "pinned"), ("--restarts", "pinned"), ("--bound", "optional"), ("--seed", "optional")]
-SUBCOMMAND_FLAGS = {
-    ("correlate",): [("--alpha", "required"), ("--beta", "required")],
-    ("chsh",): [("--mode", "required"), ("--model", "optional"), *ANGLES,
-                ("--trials", "pinned"), ("--seed", "optional")],
-    ("constrained", "eval"): [*ANGLES, ("--q", "optional"), *SCAN],
-    ("constrained", "scan"): SCAN,
-    ("spectrum",): [*ANGLES, ("--seed", "foreign")],
-    ("simulate",): [*ANGLES, ("--trials", "pinned"), ("--seed", "optional")],
-    ("scan",): [("--objective", "optional"), *SCAN],
-}
+NO_SCAN = [(flag, "foreign") for flag, _ in SCAN]
+SUBCOMMAND_FLAGS = [
+    (("correlate",), [("--alpha", "required"), ("--beta", "required")]),
+    (("chsh",), [("--mode", "required"), ("--model", "optional"), *ANGLES,
+                 ("--trials", "pinned"), ("--seed", "optional")]),
+    (("constrained", "eval"), [*ANGLES, ("--q", "foreign"), *NO_SCAN]),
+    (("constrained", "eval"), [("--q", "required"), *NO_ANGLES[:4], *NO_SCAN]),
+    (("constrained", "scan"), [*SCAN, *NO_ANGLES]),
+    (("spectrum",), [*ANGLES, ("--seed", "foreign")]),
+    (("simulate",), [*ANGLES, ("--trials", "pinned"), ("--seed", "optional")]),
+    (("scan",), [("--objective", "optional"), *SCAN, *NO_ANGLES]),
+]
 
 
 @st.composite
@@ -720,8 +818,8 @@ def fuzz_argv(draw):
     ``bad`` is true when a flag ends with an invalid value or the subcommand
     does not take it, which must be a usage error.
     """
-    head = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
-    flags = SUBCOMMAND_FLAGS[head] + [("--format", "optional")]
+    head, flags = draw(st.sampled_from(SUBCOMMAND_FLAGS))
+    flags = flags + [("--format", "optional")]
     values, bad = {}, set()
     for flag, kind in flags:
         if kind in ("required", "pinned") or (kind == "optional" and draw(st.booleans())):
@@ -740,6 +838,8 @@ def fuzz_argv(draw):
     argv = list(head) + [f"{flag}={value}" for flag, value in values.items() if value is not None]
     if draw(st.booleans()):
         argv.append("--degrees")
+        if not any(flag.startswith("--alpha") and kind != "foreign" for flag, kind in flags):
+            bad.add("--degrees")
     return argv, bool(bad)
 
 

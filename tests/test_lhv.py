@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from chshlab.lhv import (
     AngleConfig,
     HiddenVariableModel,
-    QuantumMimicModel,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,
     correlation_quadrature,
-    get_model,
     parity_identity,
     quantum_chsh_independent,
     reference_sign_model,
@@ -155,10 +153,6 @@ class TestSameLambda:
         target = 2.0 * correlation_quadrature(model, 0.6, 0.1, 100_000)
         assert abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
 
-    def test_rejects_mimic(self):
-        with pytest.raises(ValueError, match="local-hidden-variable"):
-            chsh_same_lambda(QuantumMimicModel(), tsirelson_angles(), 100, np.random.default_rng(0))
-
 
 class TestIndependent:
     def test_per_trial_values_in_even_range(self):
@@ -207,36 +201,13 @@ class TestQuantumIndependent:
         target = qs[0] + qs[1] + qs[2] - qs[3]
         assert abs(est.mean - target) <= 4.0 * est.stderr
 
-    def test_mimic_model_reproduces_quantum_estimator(self):
-        cfg = tsirelson_angles()
-        via_model = chsh_independent(QuantumMimicModel(), cfg, 50_000, np.random.default_rng(13))
-        direct = quantum_chsh_independent(cfg, 50_000, np.random.default_rng(13))
-        assert via_model == direct
-
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             quantum_chsh_independent(tsirelson_angles(), 1, np.random.default_rng(0))
 
 
 class TestModelRegistry:
-    def test_known_models(self):
-        assert isinstance(get_model("sign"), HiddenVariableModel)
-        assert isinstance(get_model("quantum-mimic"), QuantumMimicModel)
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            get_model("telepathy")
-
-    def test_mimic_rejected_by_quadrature_and_mc(self):
-        mimic = QuantumMimicModel()
-        with pytest.raises(ValueError):
-            correlation_quadrature(mimic, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            correlation_mc(mimic, 0.0, 0.1, 100, np.random.default_rng(0))
-
     def test_broken_model_responses_detected(self):
-        from chshlab.lhv import HiddenVariableModel
-
         broken = HiddenVariableModel(
             name="broken",
             sample=lambda rng, size=None: rng.uniform(0.0, math.pi, size),

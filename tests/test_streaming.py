@@ -14,7 +14,6 @@ from chshlab.chsh_operator import t_distribution, t_estimate
 from chshlab.lhv import (
     AngleConfig,
     HiddenVariableModel,
-    QuantumMimicModel,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,
@@ -115,11 +114,6 @@ class TestChunkBoundaries:
     def test_independent_sign(self, n):
         est = chsh_independent(reference_sign_model(), CFG, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_independent(CFG.astuple(), n, np.random.default_rng(n)))
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_independent_quantum_mimic(self, n):
-        est = chsh_independent(QuantumMimicModel(), CFG, n, np.random.default_rng(n))
-        _assert_matches(est, n, dense_quantum_independent(CFG.astuple(), n, np.random.default_rng(n)))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_quantum(self, n):
