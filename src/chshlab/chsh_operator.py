@@ -7,16 +7,22 @@ Throughout this module T denotes the 4x4 operator
       + A(alpha2) x B(beta1) - A(alpha2) x B(beta2),
 
 built from the analyzer operators of :mod:`chshlab.quantum`. T is Hermitian
-and traceless, with spectrum {+t0, -t0, +t1, -t1} where
+and traceless. Landau's identity (L. J. Landau, Phys. Lett. A 120, 54
+(1987); B. S. Cirel'son, Lett. Math. Phys. 4, 93 (1980))
 
-    t0 = 2 sqrt(1 - sin(2(alpha1 - alpha2)) sin(2(beta1 - beta2))).
+    T^2 = 4 I - [A(alpha1), A(alpha2)] x [B(beta1), B(beta2)]
 
-The singlet state lies entirely inside the +-t0 eigenspaces, so measuring T
-on it yields only the two outcomes +-t0, with weights fixed by the mean
-value E = q1 + q2 + q3 - q4. The companion magnitude t1 is computed
-numerically from the spectrum; empirically it obeys the mirror formula
-2 sqrt(1 + sin sin) (equivalently t0^2 + t1^2 = 8), an observation of this
-package's numerics that the exposed contract does not rely on.
+gives its spectrum in closed form, {+t0, -t0, +t1, -t1} with
+
+    t0 = 2 sqrt(1 - sin(2(alpha1 - alpha2)) sin(2(beta1 - beta2))),
+    t1 = 2 sqrt(1 + sin(2(alpha1 - alpha2)) sin(2(beta1 - beta2))),
+
+so t0^2 + t1^2 = 8: each commutator is -2 sin(2(theta - theta')) J with
+J = [[0, 1], [-1, 0]], and J x J has eigenvalues +-1. J x J fixes the
+singlet, so the singlet lies entirely inside the +-t0 eigenspaces:
+measuring T on it yields only the two outcomes +-t0, with weights fixed by
+the mean value E = q1 + q2 + q3 - q4. By Cauchy-Schwarz,
+|E| <= ||T singlet|| = t0 <= 2 sqrt(2).
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .quantum import analyzer_operator, singlet_state
 # Spectra whose +- pairing is broken beyond this signal a construction bug.
 SYMMETRY_TOL = 1e-10
 
+# Largest gap between an eigenvalue and its closed form taken as rounding.
+CLOSED_FORM_TOL = 1e-9
+
 # Below this t0 the two-outcome law is undefined (0/0 weights).
 T0_FLOOR = 1e-12
 
@@ -47,7 +56,7 @@ CLUSTER_TOL = 1e-9
 
 
 class AsymmetricSpectrumError(RuntimeError):
-    """Eigenvalues failed to pair up as {+m, -m, +m', -m'}."""
+    """Eigenvalues are not symmetric about zero or miss the closed form {+-t0, +-t1}."""
 
 
 class DegenerateSpectrumError(ValueError):
@@ -66,9 +75,9 @@ class ChshOperator:
 class TSpectralSummary:
     """Spectral data of one CHSH observable.
 
-    ``t0`` is the closed-form outcome magnitude, ``t1`` the numerically
-    identified companion magnitude, ``mean_value`` the singlet mean E, and
-    ``eigen`` the full decomposition (ascending eigenvalues).
+    ``t0`` and ``t1`` are the closed-form outcome and companion magnitudes,
+    ``mean_value`` the singlet mean E, and ``eigen`` the full decomposition
+    (ascending eigenvalues, within 1e-9 of -t0, -t1, t1, t0 sorted).
     """
 
     t0: float
@@ -123,27 +132,24 @@ def t_mean(config: AngleConfig) -> float:
 
 
 def t_spectrum(op: ChshOperator) -> TSpectralSummary:
-    """Eigendecompose the observable and identify the two magnitudes.
+    """Eigendecompose the observable and check it against the closed form.
 
-    The eigenvalue pair matching the closed-form t0 within 1e-9 is labeled
-    t0; the remaining pair is t1. Raises AsymmetricSpectrumError when the
-    spectrum is not symmetric about zero within tolerance.
+    Raises AsymmetricSpectrumError when the ascending eigenvalues are not
+    symmetric about zero within SYMMETRY_TOL, or when any of them is more
+    than CLOSED_FORM_TOL from the sorted closed form (-t0, -t1, t1, t0).
     """
     eigen = hermitian_eigen(op.matrix)
     w = eigen.eigenvalues
     if abs(w[0] + w[3]) > SYMMETRY_TOL or abs(w[1] + w[2]) > SYMMETRY_TOL:
         raise AsymmetricSpectrumError(f"eigenvalues not symmetric about zero: {w}")
     t0 = t0_closed_form(op.config)
-    outer, inner = w[3], w[2]
-    if abs(outer - t0) <= abs(inner - t0):
-        matched, t1 = outer, inner
-    else:
-        matched, t1 = inner, outer
-    if abs(matched - t0) > 1e-9:
+    t1 = float(kernels.t1(*op.config.astuple()))
+    closed = sorted((-t0, -t1, t1, t0))
+    if max(abs(a - b) for a, b in zip(w.tolist(), closed)) > CLOSED_FORM_TOL:
         raise AsymmetricSpectrumError(
-            f"no eigenvalue pair matches the closed-form magnitude {t0}: {w}"
+            f"eigenvalues do not match the closed form +-{t0}, +-{t1}: {w}"
         )
-    return TSpectralSummary(t0=t0, t1=float(t1), mean_value=t_mean(op.config), eigen=eigen)
+    return TSpectralSummary(t0=t0, t1=t1, mean_value=t_mean(op.config), eigen=eigen)
 
 
 def t_distribution(config: AngleConfig) -> TOutcomeDistribution:

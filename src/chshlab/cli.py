@@ -21,7 +21,8 @@ output byte for byte. CSV output carries the same envelope in '#' comment
 lines above the header row; numeric CSV fields use 17 significant digits.
 
 Exit codes: 0 success (including status rows such as degenerate
-conditioning), 2 usage error (including an unwritable --out path), 3
+conditioning), 2 usage error (including an unwritable --out path, which
+is created or truncated before the run, as a shell's > would), 3
 internal deterministic-bound violation, 4 numerical failure (any library
 error once the flags are validated, including a NaN or infinite output
 value, which is never written). Run as a program, a closed stdout pipe
@@ -31,6 +32,7 @@ ends the process by SIGPIPE with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -146,12 +148,7 @@ def _emit(args, subcommand: str, echo: dict, columns: tuple, rows: list[dict], s
     """Write the rows under the run configuration: version, subcommand, echo, format, out."""
     config = {"version": __version__, "subcommand": subcommand,
               **echo, "format": args.format, "out": args.out}
-    text = _render(config, columns, rows, status, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.stream.write(_render(config, columns, rows, status, args.format))
 
 
 def _finite(text: str) -> float:
@@ -470,7 +467,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        # Like a shell's `>`, --out is created or truncated before the run,
+        # so an unwritable path fails before any work.
+        stdout = contextlib.nullcontext(sys.stdout)
+        with open(args.out, "w", encoding="utf-8", newline="") if args.out else stdout as args.stream:
+            return args.func(args, args.parser)
     except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
         # a library failure: degenerate conditioning or spectrum, a
@@ -478,7 +479,7 @@ def main(argv=None) -> int:
         print(f"chshlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
-        # Only the --out write touches the file system.
+        # Only --out (its open, write or close) touches the file system.
         if not args.out:
             raise
         print(f"chshlab: cannot write --out: {exc}", file=sys.stderr)

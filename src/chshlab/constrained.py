@@ -94,10 +94,7 @@ def build_constrained_from_quad(quad: CorrelationQuad) -> ConstrainedDistributio
     for q in quad.astuple():
         if abs(q) > 1.0 + 1e-12:
             raise ValueError(f"correlations must lie in [-1, 1], got {q}")
-
-    def p(q: float, k: int, l: int) -> float:
-        return (1.0 + k * l * q) / 4.0
-
+    p = kernels.pair_probability
     raw = {
         (k1, l1, k4, l4): p(q1, k1, l1) * p(q2, k4, l1) * p(q3, k1, l4) * p(q4, k4, l4)
         for (k1, l1, k4, l4) in CELL_ORDER

@@ -19,6 +19,11 @@ def pair_correlation(alpha, beta):
     return -np.cos(2.0 * (alpha - beta))
 
 
+def pair_probability(q, k, l):
+    """Singlet joint outcome probability (1 + k l q)/4 of outcomes k, l = +-1."""
+    return (1.0 + k * l * q) / 4.0
+
+
 def q_quad(a1, a2, b1, b2):
     """Singlet correlations (q1, q2, q3, q4) of the four analyzer pairs.
 
@@ -57,3 +62,15 @@ def t0(a1, a2, b1, b2):
     x = 2.0 * (a1 - a2)
     y = 2.0 * (b1 - b2)
     return 2.0 * np.hypot(np.sin((x - y) / 2.0), np.cos((x + y) / 2.0))
+
+
+def t1(a1, a2, b1, b2):
+    """Companion magnitude 2 sqrt(1 + sin(2(a1 - a2)) sin(2(b1 - b2))).
+
+    The mirror of :func:`t0`, so t0^2 + t1^2 = 8, evaluated through
+    1 + sin x sin y = cos((x - y)/2)^2 + sin((x + y)/2)^2 for the same
+    accuracy near t1 = 0.
+    """
+    x = 2.0 * (a1 - a2)
+    y = 2.0 * (b1 - b2)
+    return 2.0 * np.hypot(np.cos((x - y) / 2.0), np.sin((x + y) / 2.0))

@@ -96,16 +96,22 @@ def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
     """Singlet joint outcome law: P(k, l) = (1 + k l q)/4, q = -cos(2(alpha - beta))."""
     q = float(kernels.pair_correlation(alpha, beta))
     return PairOutcomeDistribution(
-        probs={(k, l): (1.0 + k * l * q) / 4.0 for (k, l) in OUTCOME_ORDER}
+        probs={(k, l): kernels.pair_probability(q, k, l) for (k, l) in OUTCOME_ORDER}
     )
+
+
+def _cumulative(dist: PairOutcomeDistribution) -> np.ndarray:
+    """Cumulative law in OUTCOME_ORDER: the table of the inverse CDF."""
+    cum = np.cumsum(dist.as_array())
+    if not np.all(np.isfinite(cum)):
+        raise ValueError("outcome probabilities must be finite")
+    return cum
 
 
 def _product_cuts(dist: PairOutcomeDistribution) -> tuple[float, float]:
     # The inverse CDF of sample_pairs gives x*y = +1 exactly when
     # u < cum[0] (outcome (1, 1)) or u >= cum[2] (outcome (-1, -1)).
-    cum = np.cumsum(dist.as_array())
-    if not np.all(np.isfinite(cum)):
-        raise ValueError("outcome probabilities must be finite")
+    cum = _cumulative(dist)
     return float(cum[0]), float(cum[2])
 
 
@@ -120,13 +126,14 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of ``n`` joint outcomes (one uniform per sample).
 
-    Inverse CDF over OUTCOME_ORDER. Returns (x, y) integer arrays with
-    entries in {-1, +1}; the empirical mean of x*y converges to
-    :func:`singlet_correlation` at the usual 1/sqrt(n) rate.
+    Inverse CDF over OUTCOME_ORDER; raises ValueError for n < 1 or a
+    non-finite law. Returns (x, y) integer arrays with entries in {-1, +1};
+    the empirical mean of x*y converges to :func:`singlet_correlation` at
+    the usual 1/sqrt(n) rate.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cum = np.cumsum(dist.as_array())
+    cum = _cumulative(dist)
     idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), 3)
     table = np.array(OUTCOME_ORDER)
     return table[idx, 0], table[idx, 1]

@@ -91,6 +91,31 @@ def charpoly_eigenvalues(m: np.ndarray) -> list[float]:
     raise ValueError(f"unsupported shape {m.shape}")
 
 
+def chsh_square(comm_a: np.ndarray, comm_b: np.ndarray) -> np.ndarray:
+    """Right side 4I - [A1, A2] x [B1, B2] of Landau's identity for T^2.
+
+    Takes the two 2x2 analyzer commutators; the Kronecker product puts the
+    first factor on the slow index, the package's 4x4 basis order.
+    """
+    return 4.0 * np.eye(4) - np.kron(comm_a, comm_b)
+
+
+def chsh_matrices(angles: np.ndarray) -> np.ndarray:
+    """CHSH observables for an (n, 4) array of (a1, a2, b1, b2) rows, shape (n, 4, 4).
+
+    Written from the definition T = A1 x B1 + A1 x B2 + A2 x B1 - A2 x B2
+    with A(t) = 2|t><t| - I and |t> = (cos t, sin t), all n at once.
+    """
+    s = np.stack([np.cos(angles), np.sin(angles)], axis=-1).astype(complex)
+    f = 2.0 * (s[..., :, None] * s.conj()[..., None, :]) - np.eye(2)
+    a1, a2, b1, b2 = (f[:, j] for j in range(4))
+
+    def kron(a, b):
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4)
+
+    return kron(a1, b1) + kron(a1, b2) + kron(a2, b1) - kron(a2, b2)
+
+
 def conditioned_expectation_eight_variable(q: tuple[float, float, float, float]) -> tuple[float, float]:
     """(expectation, conditioning mass) by enumerating the full product law.
 

@@ -33,9 +33,11 @@ from chshlab.lhv import (
     tsirelson_angles,
 )
 from chshlab.linalg import is_hermitian
-from chshlab.quantum import joint_distribution, sample_pairs, singlet_state
+from chshlab.quantum import commutator, joint_distribution, sample_pairs, singlet_state
 from chshlab.scan import grid_scan, verify_bound
 from chshlab import cli
+
+from oracles import chsh_square
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = 2.0 * SQRT2
@@ -192,6 +194,17 @@ def test_criterion_9_spectral_suite():
         f"orthogonality<=1e-10 (got {worst_orth:.2e}), mean chain<=1e-12 (got {worst_mean:.2e})",
         ok,
     )
+
+
+def test_square_identity_on_the_spectral_suite():
+    # Landau's identity T^2 = 4I - [A1, A2] x [B1, B2] on the criterion-9 configs
+    worst = 0.0
+    for config in _random_configs(seed=109, count=1000):
+        t = build_t(config).matrix
+        a1, a2, b1, b2 = config.astuple()
+        rhs = chsh_square(commutator(a1, a2), commutator(b1, b2))
+        worst = max(worst, float(np.max(np.abs(t @ t - rhs))))
+    assert worst <= 1e-12, worst
 
 
 def test_criterion_10_outcome_law_validity():

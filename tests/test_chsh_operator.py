@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chshlab import kernels
 from chshlab.chsh_operator import (
+    MEAN_SLACK,
     AsymmetricSpectrumError,
+    ChshOperator,
     DegenerateSpectrumError,
     build_t,
     singlet_overlaps,
@@ -22,7 +25,7 @@ from chshlab.lhv import AngleConfig, tsirelson_angles
 from chshlab.linalg import SpectralDecomposition, is_hermitian, tensor_product
 from chshlab.quantum import analyzer_operator, singlet_state
 
-from oracles import charpoly_eigenvalues, dense_two_point, random_angle_tuple
+from oracles import charpoly_eigenvalues, chsh_matrices, dense_two_point, random_angle_tuple
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -103,22 +106,17 @@ class TestSpectrum:
             assert np.max(np.abs(summary.eigen.eigenvalues - np.array(roots))) <= 1e-9
 
     def test_companion_magnitude_mirror_form(self):
-        # numerically observed closed form for the companion pair:
-        # t1 = 2 sqrt(1 + sin(2(a1-a2)) sin(2(b1-b2))), i.e. t0^2 + t1^2 = 8
+        # the closed-form spectrum {+-t0, +-t1}, written out by hand:
+        # t0, t1 = 2 sqrt(1 -+ sin(2(a1-a2)) sin(2(b1-b2))), so t0^2 + t1^2 = 8
         rng = np.random.default_rng(23)
         for _ in range(100):
             cfg = random_config(rng)
-            summary = t_spectrum(build_t(cfg))
-            mirror = 2.0 * math.sqrt(
-                max(
-                    0.0,
-                    1.0
-                    + math.sin(2.0 * (cfg.alpha1 - cfg.alpha2))
-                    * math.sin(2.0 * (cfg.beta1 - cfg.beta2)),
-                )
-            )
-            assert abs(summary.t1 - mirror) <= 1e-9
-            assert summary.t0**2 + summary.t1**2 == pytest.approx(8.0, abs=1e-9)
+            w = t_spectrum(build_t(cfg)).eigen.eigenvalues
+            sin_sin = math.sin(2.0 * (cfg.alpha1 - cfg.alpha2)) * math.sin(2.0 * (cfg.beta1 - cfg.beta2))
+            t0 = 2.0 * math.sqrt(max(0.0, 1.0 - sin_sin))
+            mirror = 2.0 * math.sqrt(max(0.0, 1.0 + sin_sin))
+            assert np.max(np.abs(w - np.sort([-t0, -mirror, mirror, t0]))) <= 1e-9
+            assert w[2] ** 2 + w[3] ** 2 == pytest.approx(8.0, abs=1e-9)
 
     def test_companion_eigenvectors_orthogonal_to_singlet(self):
         psi = singlet_state()
@@ -168,6 +166,52 @@ class TestSpectrum:
         broken = op.matrix + np.diag([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(AsymmetricSpectrumError):
             t_spectrum(type(op)(config=op.config, matrix=broken))
+
+    def test_reports_the_closed_form_companion(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            cfg = random_config(rng)
+            assert t_spectrum(build_t(cfg)).t1 == float(kernels.t1(*cfg.astuple()))
+
+    def test_rejects_eigenvalues_off_the_closed_form(self, monkeypatch):
+        # symmetric about zero, but t1 = 1 where the closed form says 0
+        from chshlab import chsh_operator
+
+        op = build_t(tsirelson_angles())
+        fake = SpectralDecomposition(np.array([-SQRT8, -1.0, 1.0, SQRT8]), np.eye(4, dtype=complex))
+        monkeypatch.setattr(chsh_operator, "hermitian_eigen", lambda m: fake)
+        with pytest.raises(AsymmetricSpectrumError, match="closed form"):
+            t_spectrum(op)
+
+    @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
+    def test_never_raises_up_to_the_angle_limit(self, degrees):
+        # 10^5 configs with |angle| <= 1e6 in the flag's unit, the CLI limit
+        angles = np.random.default_rng(41 + degrees).uniform(-1e6, 1e6, (100_000, 4))
+        if degrees:
+            angles = np.vectorize(math.radians)(angles)
+        matrices = chsh_matrices(angles)
+        for row, matrix in zip(angles.tolist()[:100], matrices):
+            assert np.array_equal(build_t(AngleConfig(*row)).matrix, matrix)
+        for row, matrix in zip(angles.tolist(), matrices):
+            t_spectrum(ChshOperator(AngleConfig(*row), matrix))
+
+
+class TestClosedForm:
+    def test_magnitude_chain_on_the_scan_slab(self):
+        # |E| <= t0 <= 2 sqrt 2 at every point of the res-24 alpha2 = 0 slab
+        ax = np.arange(24) / 24 * math.pi
+        a1, b1, b2 = np.meshgrid(ax, ax, ax, indexing="ij")
+        self.check_chain(a1, np.zeros_like(a1), b1, b2)
+
+    def test_magnitude_chain_random(self):
+        self.check_chain(*np.random.default_rng(42).uniform(0.0, math.pi, (4, 100_000)))
+
+    @staticmethod
+    def check_chain(*angles):
+        t0 = kernels.t0(*angles)
+        mean = kernels.eight_variable_sum(*kernels.q_quad(*angles))
+        assert np.all(np.abs(mean) <= t0 + MEAN_SLACK)
+        assert np.all(t0 <= SQRT8)
 
 
 class TestMeanValue:

@@ -769,6 +769,26 @@ class TestInputBoundary:
         assert captured.err.startswith("chshlab: cannot write --out: ")
         assert captured.err.count("\n") == 1
 
+    def test_unwritable_out_fails_before_the_run(self, capsys, monkeypatch, tmp_path):
+        def unreachable(*a, **k):
+            raise AssertionError("estimator ran before --out was opened")
+
+        monkeypatch.setattr(cli, "product_estimate", unreachable)
+        argv = ["simulate", *MAXV, "--trials", "20000000", "--out", str(tmp_path / "missing" / "x.csv")]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("chshlab: cannot write --out: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails every write")
+    def test_failed_out_write_is_usage_error(self, capsys):
+        code = cli.main(["correlate", "--alpha", "0", "--beta", "0", "--out", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("chshlab: cannot write --out: ")
+
 
 # Fuzz values per flag, (valid, invalid): NaN, inf, huge, negative and
 # non-numeric values are invalid. Valid counts (trials, resolution, restarts)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from chshlab.quantum import (
     OUTCOME_ORDER,
+    PairOutcomeDistribution,
     analyzer_operator,
     analyzer_state,
     commutator,
     joint_distribution,
+    product_estimate,
     sample_pairs,
     singlet_correlation,
     singlet_state,
@@ -184,6 +186,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_pairs(joint_distribution(0.0, 0.0), 0, np.random.default_rng(0))
 
+    def test_non_finite_law_rejected_by_both_samplers(self):
+        # built by hand: joint_distribution(inf, ...) would warn in cos first
+        law = PairOutcomeDistribution(probs={o: math.nan for o in OUTCOME_ORDER})
+        for sampler in (sample_pairs, product_estimate):
+            with pytest.raises(ValueError, match="must be finite"):
+                sampler(law, 5, np.random.default_rng(0))
+
 
 class TestPairCorrelationKernel:
     @given(angles, angles)
@@ -195,3 +204,5 @@ class TestPairCorrelationKernel:
         d = joint_distribution(alpha, beta)
         assert d.probability(1, 1) == (1.0 + q) / 4.0
         assert d.probability(1, -1) == (1.0 - q) / 4.0
+        for k, l in OUTCOME_ORDER:
+            assert d.probability(k, l) == kernels.pair_probability(q, k, l)
