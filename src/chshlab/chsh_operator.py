@@ -96,17 +96,10 @@ class TOutcomeDistribution:
 
 
 def build_t(config: AngleConfig) -> ChshOperator:
-    """Assemble the signed sum of the four tensor-product observables."""
-    a1 = analyzer_operator(config.alpha1)
-    a2 = analyzer_operator(config.alpha2)
-    b1 = analyzer_operator(config.beta1)
-    b2 = analyzer_operator(config.beta2)
-    matrix = (
-        tensor_product(a1, b1)
-        + tensor_product(a1, b2)
-        + tensor_product(a2, b1)
-        - tensor_product(a2, b2)
-    )
+    """Assemble the signed sum of the four tensor-product observables in one broadcast."""
+    f = analyzer_operator(config.astuple())
+    t = tensor_product(f[[0, 0, 1, 1]], f[[2, 3, 2, 3]])
+    matrix = t[0] + t[1] + t[2] - t[3]
     matrix.setflags(write=False)
     return ChshOperator(config=config, matrix=matrix)
 

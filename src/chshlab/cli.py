@@ -468,9 +468,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # Like a shell's `>`, --out is created or truncated before the run,
-        # so an unwritable path fails before any work.
+        # so a path that cannot be opened (even "") fails before any work.
         stdout = contextlib.nullcontext(sys.stdout)
-        with open(args.out, "w", encoding="utf-8", newline="") if args.out else stdout as args.stream:
+        try:
+            out = stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
+        except ValueError as exc:  # a NUL byte in the path
+            raise OSError(exc) from exc
+        with out as args.stream:
             return args.func(args, args.parser)
     except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
@@ -480,7 +484,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         # Only --out (its open, write or close) touches the file system.
-        if not args.out:
+        if args.out is None:
             raise
         print(f"chshlab: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,5 @@
-"""Small complex linear algebra: Kronecker products, a Hermiticity check,
-and the spectral decomposition of Hermitian matrices by LAPACK ``eigh``.
+"""Small complex linear algebra: Kronecker products of broadcasting 2x2 stacks,
+a Hermiticity check, and the spectral decomposition by LAPACK ``eigh``.
 
 Everything in this package lives in dimension 2 or 4, so no attempt is made
 at generality beyond that; plain matrix products and adjoints are written
@@ -34,16 +34,18 @@ def _as_square(m, max_dim: int | None = None) -> np.ndarray:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, first factor on the slow index.
+    """Kronecker product of 2x2 matrices, first factor on the slow index.
 
     The resulting 4x4 basis order is |x x>, |x y>, |y x>, |y y> with the
     first factor's label leading; every 4x4 object in this package uses it.
+    Factors of shape (..., 2, 2) broadcast together to products (..., 4, 4).
     """
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("tensor_product expects two 2x2 matrices")
-    return np.kron(a, b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        raise ValueError(f"tensor_product expects 2x2 factors, got shapes {a.shape} and {b.shape}")
+    t = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return t.reshape(t.shape[:-4] + (4, 4))
 
 
 def is_hermitian(m, tol: float = 1e-12) -> bool:

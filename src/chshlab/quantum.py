@@ -1,9 +1,10 @@
 """Two-photon singlet model: analyzer operators, correlations, and the
 joint outcome distribution of one polarization-analyzer pair.
 
-Angles are plain floats in radians. Every formula here is pi-periodic in
-each analyzer angle (only doubled angles appear), and angles are accepted
-as arbitrary reals without normalization.
+Angles are floats in radians; analyzer states and operators also take an
+angle array and return one per angle. Every formula here is pi-periodic
+in each analyzer angle (only doubled angles appear), and angles are
+accepted as arbitrary reals without normalization.
 """
 
 from __future__ import annotations
@@ -31,19 +32,20 @@ def singlet_state() -> np.ndarray:
     return np.array([0.0, r, -r, 0.0], dtype=complex)
 
 
-def analyzer_state(theta: float) -> np.ndarray:
-    """Unit vector (cos theta, sin theta) of a linear analyzer at angle theta."""
-    return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+def analyzer_state(theta) -> np.ndarray:
+    """Unit vector (cos theta, sin theta) of an analyzer: shape (..., 2) for angles (...)."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
 
 
-def analyzer_operator(theta: float) -> np.ndarray:
+def analyzer_operator(theta) -> np.ndarray:
     """The +-1 valued polarization observable 2|theta><theta| - I.
 
     Equals [[cos 2t, sin 2t], [sin 2t, -cos 2t]]: Hermitian, traceless, and
     squaring to the identity, so its eigenvalues are exactly +1 and -1.
+    An angle array of shape (...) gives operators of shape (..., 2, 2).
     """
     s = analyzer_state(theta)
-    return 2.0 * np.outer(s, s.conj()) - np.eye(2, dtype=complex)
+    return 2.0 * (s[..., :, None] * s.conj()[..., None, :]) - np.eye(2, dtype=complex)
 
 
 def commutator(theta: float, theta_prime: float) -> np.ndarray:
@@ -53,8 +55,7 @@ def commutator(theta: float, theta_prime: float) -> np.ndarray:
     [[0, 1], [-1, 0]], so it is anti-Hermitian and vanishes whenever the
     angle difference is a multiple of pi/2.
     """
-    f = analyzer_operator(theta)
-    g = analyzer_operator(theta_prime)
+    f, g = analyzer_operator([theta, theta_prime])
     return f @ g - g @ f
 
 
@@ -65,7 +66,7 @@ def singlet_correlation(alpha: float, beta: float) -> float:
     -cos(2(alpha - beta)) to floating-point accuracy.
     """
     psi = singlet_state()
-    op = tensor_product(analyzer_operator(alpha), analyzer_operator(beta))
+    op = tensor_product(*analyzer_operator([alpha, beta]))
     return float((psi.conj() @ op @ psi).real)
 
 

@@ -760,9 +760,19 @@ class TestInputBoundary:
         assert proc.returncode == -signal.SIGPIPE
         assert proc.stderr == b""
 
-    @pytest.mark.parametrize("target", ["missing/dir/report.csv", ""], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("target", ["missing/dir/report.csv", "", "nul\0byte"],
+                             ids=["missing-dir", "directory", "nul-byte"])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, target):
         code = cli.main(["correlate", "--alpha", "0", "--beta", "0", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("chshlab: cannot write --out: ")
+        assert captured.err.count("\n") == 1
+
+    def test_empty_out_is_usage_error(self, capsys):
+        # As a shell's `> ""` fails, an empty --out path does not mean stdout.
+        code = cli.main(["correlate", "--alpha", "0", "--beta", "0", "--out", ""])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -146,6 +146,25 @@ class TestTensorProduct:
         with pytest.raises(ValueError):
             tensor_product(np.eye(4), np.eye(2))
 
+    def test_stacks_equal_kron_per_element(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+        b = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+        stack = tensor_product(a, b)
+        assert stack.shape == (1000, 4, 4)
+        for x, y, t in zip(a, b, stack):
+            assert np.array_equal(np.kron(x, y), t)
+        broadcast = tensor_product(a[:, None], b[:3])
+        assert broadcast.shape == (1000, 3, 4, 4)
+        assert np.array_equal(broadcast[7, 2], np.kron(a[7], b[2]))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2,), (2, 4)], ids=["3x2x3", "vector", "2x4"])
+    def test_rejects_stacks_of_wrong_trailing_shape(self, shape):
+        with pytest.raises(ValueError):
+            tensor_product(np.ones(shape), np.eye(2))
+        with pytest.raises(ValueError):
+            tensor_product(np.eye(2), np.ones(shape))
+
 
 class TestIsHermitian:
     def test_identity(self):

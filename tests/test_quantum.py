@@ -76,6 +76,21 @@ class TestAnalyzerOperator:
             dec = hermitian_eigen(analyzer_operator(theta))
             assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-13)
 
+    def test_stack_equals_scalar_calls_bitwise(self):
+        # 10^4 angles, half in [-4, 4] and half up to the CLI limit |theta| = 1e6.
+        # Each operator also equals 2|t><t| - I written from math.cos/math.sin,
+        # so the stacked route keeps the scalar route's output bytes.
+        rng = np.random.default_rng(9)
+        thetas = np.concatenate([rng.uniform(-4.0, 4.0, 5000), rng.uniform(-1e6, 1e6, 5000)])
+        stack = analyzer_operator(thetas)
+        assert stack.shape == (10_000, 2, 2)
+        for theta, op in zip(thetas.tolist(), stack):
+            assert np.array_equal(analyzer_operator(theta), op)
+            c, s = math.cos(theta), math.sin(theta)
+            assert np.array_equal(op, [[2.0 * c * c - 1.0, 2.0 * c * s], [2.0 * s * c, 2.0 * s * s - 1.0]])
+        assert analyzer_state(thetas).shape == (10_000, 2)
+        assert analyzer_operator(thetas.reshape(100, 25, 4)).shape == (100, 25, 4, 2, 2)
+
 
 class TestCommutator:
     def test_equal_angles(self):
