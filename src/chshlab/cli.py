@@ -72,7 +72,7 @@ from .lhv import (
 )
 from .linalg import EigenConvergenceError
 from .quantum import joint_distribution, product_estimate, singlet_correlation, singlet_state
-from .scan import MAX_RESOLUTION, OBJECTIVES, verify_bound
+from .scan import MAX_RESOLUTION, MAX_RESTARTS, OBJECTIVES, verify_bound
 from .seeding import component_stream
 
 EXIT_OK = 0
@@ -403,7 +403,7 @@ def _add_angles(parser: argparse.ArgumentParser, names=FOUR_ANGLES, required: bo
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resolution", type=_int_range(2, MAX_RESOLUTION), default=24)
-    parser.add_argument("--restarts", type=_int_range(0), default=20)
+    parser.add_argument("--restarts", type=_int_range(0, MAX_RESTARTS), default=20)
     parser.add_argument("--bound", type=_finite)
     parser.add_argument("--seed", type=_int_range(0), default=0)
 

@@ -51,6 +51,11 @@ MAX_STORED_VIOLATIONS = 1000
 # temporaries of res^3 entries each; this cap keeps a scan near 100 MB.
 MAX_RESOLUTION = 128
 
+# verify_bound draws (restarts, 4) angles and descends from 2 x restarts rows
+# in lockstep, with temporaries of 4 x restarts entries; this cap keeps a
+# scan to tens of MB.
+MAX_RESTARTS = 10_000
+
 
 @dataclass(frozen=True)
 class _Objective:
@@ -183,32 +188,41 @@ def _descend(values: Callable, starts, maximize):
     """Coordinate descent with step halving, every row of ``starts`` in lockstep.
 
     Each row of the (n, 4) ``starts`` follows its own schedule: per sweep it
-    tries coordinates 0..3, +step then -step, and accepts a strict
-    improvement in its own sense (``maximize`` per row) at once; NaN never
-    improves; the row's step starts at DEFAULT_STEP0, halves after a sweep
-    without improvement, and the row stops once it drops below DEFAULT_TOL.
-    Rows share only the array calls to ``values``. Returns the final (n, 4)
+    visits coordinates 0..3, with +step and -step from the same point in one
+    call; -step only where +step did not improve. A move is taken if it
+    strictly improves in the row's own sense (``maximize`` per row); NaN
+    never improves; the row's step starts at DEFAULT_STEP0, halves after a
+    sweep without improvement, and the row stops once it drops below
+    DEFAULT_TOL. Rows share only the array calls to ``values``: one on the
+    n starts, then one per coordinate per sweep on 2n rows, the n +step
+    candidates followed by the n -step candidates. Returns the final (n, 4)
     angles and values.
     """
-    cols = list(np.array(starts, dtype=float).T.copy())
-    best = np.asarray(values(*cols), dtype=float)
+    x = np.array(starts, dtype=float).T
+    n = x.shape[1]
+    start_values = np.asarray(values(*x), dtype=float)
     sense = np.where(maximize, 1.0, -1.0)
-    best_s = np.where(np.isnan(best), -np.inf, sense * best)  # any real value improves on NaN
-    step = np.full(best.size, DEFAULT_STEP0)
+    sense2 = np.concatenate([sense, sense])
+    best_s = np.where(np.isnan(start_values), -np.inf, sense * start_values)  # any real value improves on NaN
+    step = np.full(n, DEFAULT_STEP0)
+    pair = np.concatenate([x, x], axis=1)  # (4, 2n): both halves hold the current angles
+    angles = list(pair)
+    halves = [a.reshape(2, n) for a in angles]  # the same rows as (2, n) views
     while (active := step >= DEFAULT_TOL).any():
-        improved = np.zeros(best.size, dtype=bool)
+        sweep_start = best_s  # a row improved in this sweep iff its best_s rose
+        signed = np.concatenate([step, -step])
         for i in range(4):
-            for delta in (step, -step):
-                cand = cols.copy()
-                cand[i] = cols[i] + delta
-                val = np.asarray(values(*cand), dtype=float)
-                better = active & (sense * val > best_s)  # False wherever val is NaN
-                cols[i] = np.where(better, cand[i], cols[i])
-                best = np.where(better, val, best)
-                best_s = np.where(better, sense * val, best_s)
-                improved |= better
-        step = np.where(improved, step, step / 2.0)
-    return np.column_stack(cols), best
+            cand = angles.copy()
+            cand[i] = angles[i] + signed  # the first n entries take +step, the last n -step
+            val_s = (sense2 * values(*cand)).reshape(2, n)
+            gain = val_s > best_s  # False wherever the value is NaN
+            gain &= active
+            best_s = np.where(gain[0], val_s[0], np.where(gain[1], val_s[1], best_s))
+            moved = cand[i].reshape(2, n)
+            halves[i][...] = np.where(gain[0], moved[0], np.where(gain[1], moved[1], halves[i][0]))
+        step = np.where(best_s > sweep_start, step, step / 2.0)
+    # best_s is exactly sense * value; it stays -inf only in rows that never improved
+    return pair[:, :n].T.copy(), np.where(np.isneginf(best_s), start_values, sense * best_s)
 
 
 def refine(
@@ -218,12 +232,13 @@ def refine(
 ) -> tuple[AngleConfig, float]:
     """Coordinate descent with step halving from ``start``.
 
-    Cycles the four angles, moving by +-step whenever that strictly improves
-    the objective; starts at step DEFAULT_STEP0, halves the step once no
-    coordinate improves and stops when it drops below DEFAULT_TOL. The
-    returned value is never worse than at the start. ``objective`` is a name
-    in OBJECTIVES or an ``_Objective``; degenerate (NaN) evaluations count
-    as non-improving.
+    Cycles the four angles with +step and -step from the same point in one
+    call; -step only where +step did not improve. A move is taken if it
+    strictly improves the objective; starts at step DEFAULT_STEP0, halves
+    the step once no coordinate improves and stops when it drops below
+    DEFAULT_TOL. The returned value is never worse than at the start.
+    ``objective`` is a name in OBJECTIVES or an ``_Objective``; degenerate
+    (NaN) evaluations count as non-improving.
     """
     angles, best = _descend(_lookup(objective).values, [start.astuple()], [maximize])
     return AngleConfig(*angles[0].tolist()), float(best[0])
@@ -245,7 +260,10 @@ def verify_bound(
     directions in lockstep under the rule of :func:`refine`, and reports
     every refined or lattice value beyond the bound (with a 1e-9 slack).
     Deterministic in (objective, bound, resolution, n_random_restarts, seed).
+    ``n_random_restarts`` must lie in [0, MAX_RESTARTS]; ValueError otherwise.
     """
+    if not 0 <= n_random_restarts <= MAX_RESTARTS:
+        raise ValueError(f"n_random_restarts must lie in [0, {MAX_RESTARTS}]")
     obj = _lookup(objective)
     report, flat, ax = _scan_slab(obj, resolution, bound)
     order = np.argsort(flat, kind="stable")[: np.count_nonzero(~np.isnan(flat))]  # NaN sorts last

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshlab import cli
+from chshlab.scan import MAX_RESTARTS
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = 2.0 * SQRT2
@@ -378,6 +379,7 @@ class TestScanCommand:
             ["--restarts", "-3"],
             ["--bound", "nan"],
             ["--bound", "inf"],
+            ["--restarts", "10001"],
         ],
     )
     def test_invalid_arguments_are_usage_errors(self, capsys, head, flags):
@@ -399,6 +401,7 @@ class TestScanCommand:
             ("--restarts", "-3"),
             ("--bound", "x"),
             ("--bound", "nan"),
+            ("--restarts", "10001"),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, head, flag, value):
@@ -409,6 +412,15 @@ class TestScanCommand:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert f"argument {flag}:" in captured.err
+
+    @pytest.mark.parametrize("head", [["scan"], ["constrained", "scan"]])
+    def test_restarts_cap_is_max_restarts(self, head):
+        # parse only: a scan at the cap itself takes tens of seconds
+        parser = cli.build_parser()
+        assert parser.parse_args(head + ["--restarts", str(MAX_RESTARTS)]).restarts == MAX_RESTARTS
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(head + ["--restarts", str(MAX_RESTARTS + 1)])
+        assert err.value.code == 2
 
 
 class TestReproducibility:

@@ -10,6 +10,7 @@ from chshlab.scan import (
     DEFAULT_STEP0,
     DEFAULT_TOL,
     MAX_RESOLUTION,
+    MAX_RESTARTS,
     _descend,
     grid_scan,
     refine,
@@ -72,6 +73,15 @@ class TestGridScan:
             grid_scan(obj, MAX_RESOLUTION + 1)
         with pytest.raises(ValueError, match="resolution"):
             verify_bound(obj, 2.0, resolution=MAX_RESOLUTION + 1, n_random_restarts=0)
+
+    @pytest.mark.parametrize("restarts", [-1, MAX_RESTARTS + 1, 10**9])
+    def test_rejects_restarts_outside_cap_before_evaluating(self, restarts):
+        def unreachable(*angles):
+            raise AssertionError("objective evaluated with restarts outside [0, MAX_RESTARTS]")
+
+        obj = replace(OBJECTIVES["constrained_e4"], values=unreachable)
+        with pytest.raises(ValueError, match="n_random_restarts"):
+            verify_bound(obj, 2.0, resolution=8, n_random_restarts=restarts)
 
     @pytest.mark.parametrize("resolution", [6, 8, 25])
     @pytest.mark.parametrize(
@@ -164,6 +174,47 @@ class TestRefine:
             assert abs(value - ref_value) <= 1e-12
             sense = 1.0 if mx else -1.0
             assert sense * value >= sense * scalar(start_cfg.astuple())
+
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_one_stacked_call_per_coordinate(self, name):
+        # +step and -step share one call of 2n rows, so after the initial
+        # call there are half as many calls as the scalar rule's evaluations.
+        obj = OBJECTIVES[name]
+        scalar = lambda t: obj.evaluate(AngleConfig(*t))
+        rng = np.random.default_rng(31)
+        for start, maximize in zip(rng.uniform(0.0, math.pi, (4, 4)), [True, False, True, False]):
+            rows = []
+
+            def counted(*angles):
+                rows.append(np.broadcast(*angles).size)
+                return obj.values(*angles)
+
+            oracle_calls = [0]
+
+            def counted_scalar(t):
+                oracle_calls[0] += 1
+                return scalar(t)
+
+            _descend(counted, [start], [maximize])
+            coordinate_descent(counted_scalar, tuple(start), DEFAULT_STEP0, DEFAULT_TOL, maximize)
+            assert len(rows) - 1 == (oracle_calls[0] - 1) / 2
+            assert rows[0] == 1
+            assert rows[1:] == [2] * (len(rows) - 1)
+
+    def test_plus_step_wins_ties(self):
+        # From a1 = pi/2, +step and -step raise cos(2 a1) by the same amount;
+        # +step is taken, so the row climbs to pi, as in the scalar rule.
+        objective = lambda a1, a2, b1, b2: np.cos(2.0 * a1)
+        start = (math.pi / 2, 0.3, 0.6, 0.9)
+        angles, values = _descend(objective, [start], [True])
+        ref_angles, ref_value = coordinate_descent(
+            lambda t: math.cos(2.0 * t[0]), start, DEFAULT_STEP0, DEFAULT_TOL, True
+        )
+        assert abs(angles[0][0] - math.pi) <= 1e-6
+        assert abs(ref_angles[0] - math.pi) <= 1e-6
+        assert np.max(np.abs(angles[0] - ref_angles)) <= 1e-12
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVerifyBound:
