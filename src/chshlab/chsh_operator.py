@@ -73,16 +73,16 @@ class ChshOperator:
 
 @dataclass(frozen=True)
 class TSpectralSummary:
-    """Spectral data of one CHSH observable.
+    """Spectral data of one CHSH observable, or of a stack of shape (...).
 
-    ``t0`` and ``t1`` are the closed-form outcome and companion magnitudes,
-    ``mean_value`` the singlet mean E, and ``eigen`` the full decomposition
+    ``t0``, ``t1`` (closed-form outcome and companion magnitudes) and ``mean_value``
+    (the singlet mean E) have the stack's shape; ``eigen`` is the full decomposition
     (ascending eigenvalues, within 1e-9 of -t0, -t1, t1, t0 sorted).
     """
 
-    t0: float
-    t1: float
-    mean_value: float
+    t0: float | np.ndarray
+    t1: float | np.ndarray
+    mean_value: float | np.ndarray
     eigen: SpectralDecomposition
 
 
@@ -96,9 +96,9 @@ class TOutcomeDistribution:
 
 
 def build_t(config: AngleConfig) -> ChshOperator:
-    """Assemble the signed sum of the four tensor-product observables in one broadcast."""
-    f = analyzer_operator(config.astuple())
-    t = tensor_product(f[[0, 0, 1, 1]], f[[2, 3, 2, 3]])
+    """Assemble T in one broadcast; a config of angle arrays (...) gives a stack (..., 4, 4)."""
+    f = analyzer_operator(config.astuple())[np.array(kernels.PAIRS)]
+    t = tensor_product(f[:, 0], f[:, 1])
     matrix = t[0] + t[1] + t[2] - t[3]
     matrix.setflags(write=False)
     return ChshOperator(config=config, matrix=matrix)
@@ -127,22 +127,26 @@ def t_mean(config: AngleConfig) -> float:
 def t_spectrum(op: ChshOperator) -> TSpectralSummary:
     """Eigendecompose the observable and check it against the closed form.
 
-    Raises AsymmetricSpectrumError when the ascending eigenvalues are not
-    symmetric about zero within SYMMETRY_TOL, or when any of them is more
-    than CLOSED_FORM_TOL from the sorted closed form (-t0, -t1, t1, t0).
+    Takes one observable or a stack (..., 4, 4). Raises AsymmetricSpectrumError,
+    naming the worst matrix, when the ascending eigenvalues are not symmetric
+    about zero within SYMMETRY_TOL, or when any of them is more than
+    CLOSED_FORM_TOL from the sorted closed form (-t0, -t1, t1, t0).
     """
     eigen = hermitian_eigen(op.matrix)
-    w = eigen.eigenvalues
-    if abs(w[0] + w[3]) > SYMMETRY_TOL or abs(w[1] + w[2]) > SYMMETRY_TOL:
-        raise AsymmetricSpectrumError(f"eigenvalues not symmetric about zero: {w}")
-    t0 = t0_closed_form(op.config)
-    t1 = float(kernels.t1(*op.config.astuple()))
-    closed = sorted((-t0, -t1, t1, t0))
-    if max(abs(a - b) for a, b in zip(w.tolist(), closed)) > CLOSED_FORM_TOL:
+    w = eigen.eigenvalues.reshape(-1, 4)
+    gap = np.abs(w + w[:, ::-1])
+    if gap.max(initial=0.0) > SYMMETRY_TOL:
+        raise AsymmetricSpectrumError(f"eigenvalues not symmetric about zero: {w[gap.argmax() // 4]}")
+    angles = op.config.astuple()
+    t0, t1 = kernels.t0(*angles), kernels.t1(*angles)
+    gap = np.abs(w - np.sort(np.array([-t0, -t1, t1, t0]).reshape(4, -1).T))
+    if gap.max(initial=0.0) > CLOSED_FORM_TOL:
+        i = gap.argmax() // 4
         raise AsymmetricSpectrumError(
-            f"eigenvalues do not match the closed form +-{t0}, +-{t1}: {w}"
+            f"eigenvalues do not match the closed form +-{np.ravel(t0)[i]}, +-{np.ravel(t1)[i]}: {w[i]}"
         )
-    return TSpectralSummary(t0=t0, t1=t1, mean_value=t_mean(op.config), eigen=eigen)
+    mean = kernels.eight_variable_sum(*kernels.q_quad(*angles))
+    return TSpectralSummary(t0=t0, t1=t1, mean_value=mean, eigen=eigen)
 
 
 def t_distribution(config: AngleConfig) -> TOutcomeDistribution:

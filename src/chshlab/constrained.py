@@ -34,13 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from . import kernels
+from .kernels import CELL_ORDER
 from .lhv import AngleConfig
-
-# The sixteen (k1, l1, k4, l4) cells in fixed enumeration order.
-CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(product((1, -1), repeat=4))
 
 
 class DegenerateConditioningError(ValueError):
@@ -83,29 +80,22 @@ class ConstrainedDistribution:
 
 
 def build_constrained_from_quad(quad: CorrelationQuad) -> ConstrainedDistribution:
-    """Build the conditioned table directly from a correlation quad.
+    """Normalize :func:`chshlab.kernels.conditioned_table` for one correlation quad.
 
     Provided for tests and for the CLI's explicit-q mode: not every q in
     [-1, 1]^4 is realizable by angles (the four angle differences obey one
     linear relation), and only non-realizable quads can make the
     conditioning mass vanish.
     """
-    q1, q2, q3, q4 = quad.astuple()
     for q in quad.astuple():
         if abs(q) > 1.0 + 1e-12:
             raise ValueError(f"correlations must lie in [-1, 1], got {q}")
-    p = kernels.pair_probability
-    raw = {
-        (k1, l1, k4, l4): p(q1, k1, l1) * p(q2, k4, l1) * p(q3, k1, l4) * p(q4, k4, l4)
-        for (k1, l1, k4, l4) in CELL_ORDER
-    }
-    mass = sum(raw.values())
+    raw = kernels.conditioned_table(*quad.astuple())
+    mass = float(raw.cumsum()[-1])
     if mass <= kernels.DEGENERACY_THRESHOLD:
         raise DegenerateConditioningError("constraint event has zero probability")
-    return ConstrainedDistribution(
-        probs={cell: w / mass for cell, w in raw.items()},
-        normalizer=mass,
-    )
+    probs = dict(zip(CELL_ORDER, (raw / mass).tolist()))
+    return ConstrainedDistribution(probs=probs, normalizer=mass)
 
 
 def build_constrained(config: AngleConfig) -> ConstrainedDistribution:

@@ -7,11 +7,20 @@ and the scans and refinement of :mod:`chshlab.scan` all call these.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 # Minimum admissible conditioning mass 1 + q1 q2 q3 q4; at or below it the
 # conditioned four-variable expectation is undefined.
 DEGENERACY_THRESHOLD = 1e-12
+
+# Pair n's (i, j) into (a1, a2, b1, b2): (a1, b1), (a1, b2), (a2, b1), (a2, b2).
+PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+# The sixteen (k1, l1, k4, l4) cells of the conditioned table, in fixed order.
+CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(product((1, -1), repeat=4))
+_CELL_SIGNS = np.array(list(zip(*CELL_ORDER)), dtype=float)
 
 
 def pair_correlation(alpha, beta):
@@ -25,12 +34,21 @@ def pair_probability(q, k, l):
 
 
 def q_quad(a1, a2, b1, b2):
-    """Singlet correlations (q1, q2, q3, q4) of the four analyzer pairs.
+    """Singlet correlations (q1, q2, q3, q4) of the four analyzer pairs of PAIRS."""
+    angles = (a1, a2, b1, b2)
+    return tuple(pair_correlation(angles[i], angles[j]) for i, j in PAIRS)
 
-    Pair n uses the settings of :func:`chshlab.lhv.angle_pairs`:
-    (a1, b1), (a1, b2), (a2, b1), (a2, b2).
+
+def conditioned_table(q1, q2, q3, q4):
+    """Unnormalized conditioned table p1[k1,l1] p2[k4,l1] p3[k1,l4] p4[k4,l4].
+
+    Shape (..., 16) for correlations of shape (...), cells in CELL_ORDER.
+    Its sum, taken left to right, is the conditioning mass (1 + q1 q2 q3 q4)/16.
     """
-    return tuple(pair_correlation(a, b) for a, b in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)))
+    k1, l1, k4, l4 = _CELL_SIGNS
+    q1, q2, q3, q4 = (np.asarray(q)[..., None] for q in (q1, q2, q3, q4))
+    p = pair_probability
+    return p(q1, k1, l1) * p(q2, k4, l1) * p(q3, k1, l4) * p(q4, k4, l4)
 
 
 def eight_variable_sum(q1, q2, q3, q4):

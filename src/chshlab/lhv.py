@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .montecarlo import MC_CHUNK, CorrelationEstimate, signs, stream_estimate
 from .quantum import _product_cuts, _product_is_plus, joint_distribution
 
@@ -58,15 +59,11 @@ def tsirelson_angles() -> AngleConfig:
 def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
     """Analyzer settings of the four pairs in the independent-pairs protocol.
 
-    Pair n gets (alpha, beta) from the fixed assignment
+    Pair n gets (alpha, beta) from the fixed assignment :data:`chshlab.kernels.PAIRS`:
     ((alpha1, beta1), (alpha1, beta2), (alpha2, beta1), (alpha2, beta2)).
     """
-    return (
-        (config.alpha1, config.beta1),
-        (config.alpha1, config.beta2),
-        (config.alpha2, config.beta1),
-        (config.alpha2, config.beta2),
-    )
+    angles = config.astuple()
+    return tuple((angles[i], angles[j]) for i, j in kernels.PAIRS)
 
 
 @dataclass(frozen=True)

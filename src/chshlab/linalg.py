@@ -2,10 +2,10 @@
 a Hermiticity check, and the spectral decomposition by LAPACK ``eigh``.
 
 Everything in this package lives in dimension 2 or 4, so no attempt is made
-at generality beyond that; plain matrix products and adjoints are written
-with numpy's ``@`` and ``.conj().T``. All functions are pure; returned
-arrays are freshly allocated and safe to share between threads. The
-independent check of the eigensolver is the characteristic-polynomial
+at generality beyond that; products and adjoints are numpy's ``@`` and
+``.conj().swapaxes(-1, -2)``, which take stacks (..., n, n). Functions are
+pure; returned arrays are freshly allocated and safe to share between
+threads. The eigensolver's independent check is the characteristic-polynomial
 route in the test oracles (Faddeev-LeVerrier, roots by Ferrari).
 """
 
@@ -26,10 +26,10 @@ class EigenConvergenceError(RuntimeError):
 
 def _as_square(m, max_dim: int | None = None) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if max_dim is not None and a.shape[0] > max_dim:
-        raise ValueError(f"matrix dimension {a.shape[0]} exceeds supported maximum {max_dim}")
+    if max_dim is not None and a.shape[-1] > max_dim:
+        raise ValueError(f"matrix dimension {a.shape[-1]} exceeds supported maximum {max_dim}")
     return a
 
 
@@ -49,16 +49,16 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = 1e-12) -> bool:
-    """True iff the largest entry of |m - m^dagger| is at most tol."""
+    """True iff every entry of |m - m^dagger| is at most tol, for every matrix of a stack."""
     a = _as_square(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.all(np.abs(a - a.conj().swapaxes(-1, -2)) <= tol))
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (real, ascending) with paired orthonormal eigenvectors.
 
-    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``. For degenerate
+    ``eigenvectors[..., :, i]`` belongs to ``eigenvalues[..., i]``. For degenerate
     eigenvalues only the spanned subspace is well defined, so tests on
     near-degenerate clusters should compare projectors, not vectors.
     """
@@ -68,14 +68,15 @@ class SpectralDecomposition:
 
     def projector(self, indices) -> np.ndarray:
         """Orthogonal projector onto the span of the selected eigenvectors."""
-        v = self.eigenvectors[:, list(indices)]
-        return v @ v.conj().T
+        v = self.eigenvectors[..., :, list(indices)]
+        return v @ v.conj().swapaxes(-1, -2)
 
 
 def hermitian_eigen(m) -> SpectralDecomposition:
     """Full spectral decomposition of a Hermitian matrix by LAPACK ``eigh``.
 
-    Decomposes the symmetrised input (m + m^dagger)/2. Eigenvalues come back
+    Takes one matrix or a stack of shape (..., n, n), n <= 4, and decomposes
+    the symmetrised input (m + m^dagger)/2. Eigenvalues come back
     ascending and both arrays are read-only; inside a degenerate cluster
     the eigenvectors are an orthonormal basis of the cluster's subspace.
     Raises NonHermitianError if the input fails :func:`is_hermitian` at its
@@ -85,7 +86,7 @@ def hermitian_eigen(m) -> SpectralDecomposition:
     if not is_hermitian(a):
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
     try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+        w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     w.setflags(write=False)

@@ -167,6 +167,27 @@ class TestSpectrum:
         with pytest.raises(AsymmetricSpectrumError):
             t_spectrum(type(op)(config=op.config, matrix=broken))
 
+    def test_stack_equals_scalar_calls_bitwise(self):
+        angles = np.random.default_rng(43).uniform(0.0, math.pi, (200, 4))
+        op = build_t(AngleConfig(*angles.T))
+        stack = t_spectrum(op)
+        for i, row in enumerate(angles.tolist()):
+            one_op = build_t(AngleConfig(*row))
+            one = t_spectrum(one_op)
+            assert np.array_equal(op.matrix[i], one_op.matrix)
+            for field in ("t0", "t1", "mean_value"):
+                assert np.array_equal(getattr(stack, field)[i], getattr(one, field))
+            assert np.array_equal(stack.eigen.eigenvalues[i], one.eigen.eigenvalues)
+            assert np.array_equal(stack.eigen.eigenvectors[i], one.eigen.eigenvectors)
+
+    def test_stack_with_one_broken_row_raises(self):
+        angles = np.random.default_rng(44).uniform(0.0, math.pi, (50, 4))
+        op = build_t(AngleConfig(*angles.T))
+        broken = op.matrix.copy()
+        broken[17] += np.diag([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(AsymmetricSpectrumError, match="symmetric"):
+            t_spectrum(ChshOperator(op.config, broken))
+
     def test_reports_the_closed_form_companion(self):
         rng = np.random.default_rng(40)
         for _ in range(200):
@@ -190,10 +211,9 @@ class TestSpectrum:
         if degrees:
             angles = np.vectorize(math.radians)(angles)
         matrices = chsh_matrices(angles)
-        for row, matrix in zip(angles.tolist()[:100], matrices):
-            assert np.array_equal(build_t(AngleConfig(*row)).matrix, matrix)
-        for row, matrix in zip(angles.tolist(), matrices):
-            t_spectrum(ChshOperator(AngleConfig(*row), matrix))
+        config = AngleConfig(*angles.T)
+        assert np.array_equal(build_t(config).matrix, matrices)
+        t_spectrum(ChshOperator(config, matrices))
 
 
 class TestClosedForm:

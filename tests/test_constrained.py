@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from chshlab import kernels
 from chshlab.constrained import (
     CELL_ORDER,
     CorrelationQuad,
@@ -120,6 +121,17 @@ class TestBuildConstrained:
         with pytest.raises(ValueError):
             build_constrained_from_quad(CorrelationQuad(1.5, 0.0, 0.0, 0.0))
 
+    def test_table_kernel_rows_equal_scalar_tables(self):
+        rng = np.random.default_rng(8)
+        angle_quads = np.array(kernels.q_quad(*rng.uniform(0.0, math.pi, (4, 200)))).T
+        quads = np.concatenate([rng.uniform(-1.0, 1.0, (200, 4)), angle_quads])
+        table = kernels.conditioned_table(*quads.T)
+        mass = np.cumsum(table, axis=-1)[:, -1]
+        for q, row, normalizer in zip(quads.tolist(), table / mass[:, None], mass.tolist()):
+            dist = build_constrained_from_quad(CorrelationQuad(*q))
+            assert row.tolist() == [dist.probs[cell] for cell in CELL_ORDER]
+            assert normalizer == dist.normalizer
+
     def test_cell_order_complete(self):
         assert len(CELL_ORDER) == 16
         assert set(CELL_ORDER) == set(product((1, -1), repeat=4))
@@ -183,6 +195,17 @@ class TestExpectations:
             dist = build_constrained_from_quad(quad)
             assert constrained_expectation_bruteforce(dist) == pytest.approx(expected, abs=1e-12)
             assert dist.normalizer == pytest.approx(mass, abs=1e-14)
+
+    def test_table_kernel_on_the_scan_slab(self):
+        # all 13,824 points of the res-24 alpha2 = 0 slab in one call
+        ax = np.arange(24) / 24 * math.pi
+        q = kernels.q_quad(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :])
+        table = kernels.conditioned_table(*q)
+        assert table.shape == (24, 24, 24, 16)
+        mass = np.cumsum(table, axis=-1)[..., -1]
+        summand = np.array([k1 * l1 + k1 * l4 + k4 * l1 - k4 * l4 for k1, l1, k4, l4 in CELL_ORDER])
+        assert np.max(np.abs(table @ summand / mass - kernels.e4(*q))) <= 1e-12
+        assert np.max(np.abs(mass - (1.0 + q[0] * q[1] * q[2] * q[3]) / 16.0)) <= 1e-14
 
     def test_degenerate_denominator_raises(self):
         with pytest.raises(DegenerateConditioningError):

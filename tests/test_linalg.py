@@ -80,8 +80,9 @@ class TestMatMul:
 
     def test_rejects_non_square(self):
         for fn in (hermitian_eigen, is_hermitian):
-            with pytest.raises(ValueError, match="square"):
-                fn(np.ones((2, 3)))
+            for shape in ((2, 3), (4,), (3, 4, 5)):
+                with pytest.raises(ValueError, match="square"):
+                    fn(np.ones(shape))
 
 
 class TestAdjoint:
@@ -244,6 +245,27 @@ class TestHermitianEigen:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             hermitian_eigen(np.eye(5))
+        with pytest.raises(ValueError):
+            hermitian_eigen(np.zeros((3, 5, 5)))
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(30)]).reshape(5, 6, 4, 4)
+        dec = hermitian_eigen(stack)
+        assert dec.eigenvalues.shape == (5, 6, 4) and dec.eigenvectors.shape == (5, 6, 4, 4)
+        for index in np.ndindex(5, 6):
+            one = hermitian_eigen(stack[index])
+            assert np.array_equal(dec.eigenvalues[index], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[index], one.eigenvectors)
+        assert np.max(np.abs(dec.projector(range(4)) - np.eye(4))) <= 1e-12
+
+    def test_stack_with_one_non_hermitian_matrix_raises(self):
+        stack = np.array([random_hermitian(np.random.default_rng(14), 4)] * 10)
+        assert is_hermitian(stack)
+        stack[6, 0, 1] += 1e-9
+        assert not is_hermitian(stack)
+        with pytest.raises(NonHermitianError):
+            hermitian_eigen(stack)
 
     def test_ascending_order(self):
         rng = np.random.default_rng(10)
