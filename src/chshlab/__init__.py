@@ -9,7 +9,7 @@ structure of the single CHSH observable.
 
 __version__ = "0.1.0"
 
-from .lhv import AngleConfig, CorrelationEstimate, HiddenVariableModel, tsirelson_angles
+from .lhv import AngleConfig, CorrelationEstimate, tsirelson_angles
 from .quantum import PairOutcomeDistribution, joint_distribution, singlet_correlation
 from .constrained import (
     ConstrainedDistribution,
@@ -31,7 +31,6 @@ __all__ = [
     "ConstrainedDistribution",
     "CorrelationEstimate",
     "CorrelationQuad",
-    "HiddenVariableModel",
     "PairOutcomeDistribution",
     "ScanReport",
     "SpectralDecomposition",

@@ -96,10 +96,18 @@ class TOutcomeDistribution:
 
 
 def build_t(config: AngleConfig) -> ChshOperator:
-    """Assemble T in one broadcast; a config of angle arrays (...) gives a stack (..., 4, 4)."""
-    f = analyzer_operator(config.astuple())[np.array(kernels.PAIRS)]
-    t = tensor_product(f[:, 0], f[:, 1])
-    matrix = t[0] + t[1] + t[2] - t[3]
+    """Assemble T; a config of angle arrays (...) gives a stack (..., 4, 4).
+
+    The four tensor terms are summed in :data:`chshlab.kernels.PAIRS` order
+    as they are formed, so a stack never holds more than one term beside
+    the sum.
+    """
+    f = analyzer_operator(config.astuple())
+    (i0, j0), (i1, j1), (i2, j2), (i3, j3) = kernels.PAIRS
+    matrix = tensor_product(f[i0], f[j0])
+    matrix += tensor_product(f[i1], f[j1])
+    matrix += tensor_product(f[i2], f[j2])
+    matrix -= tensor_product(f[i3], f[j3])
     matrix.setflags(write=False)
     return ChshOperator(config=config, matrix=matrix)
 

@@ -68,7 +68,6 @@ from .lhv import (
     chsh_independent,
     chsh_same_lambda,
     quantum_chsh_independent,
-    reference_sign_model,
 )
 from .linalg import EigenConvergenceError
 from .quantum import joint_distribution, product_estimate, singlet_correlation, singlet_state
@@ -231,7 +230,7 @@ def cmd_chsh(args, parser) -> int:
     rng = component_stream(args.seed, f"chsh/{mode}")
     if model_name == "sign":
         estimator = chsh_same_lambda if mode == "same-lambda" else chsh_independent
-        est = estimator(reference_sign_model(), config, args.trials, rng)
+        est = estimator(config, args.trials, rng)
     else:  # quantum mode, or independent pairs drawn from the singlet law
         est = quantum_chsh_independent(config, args.trials, rng)
     lo, hi, deterministic = CHSH_BOUNDS[mode]
@@ -479,7 +478,8 @@ def main(argv=None) -> int:
     except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
         # a library failure: degenerate conditioning or spectrum, a
-        # non-Hermitian matrix, invalid model responses or a non-finite output.
+        # non-Hermitian matrix, per-trial values outside the protocol's value
+        # set or a non-finite output.
         print(f"chshlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -1,8 +1,11 @@
-"""Local-hidden-variable models and the two CHSH experiment protocols.
+"""The sign model, a local hidden-variable model, and the two CHSH protocols.
 
-A hidden-variable model draws a latent value lambda per emitted photon pair
-and answers each station's analyzer deterministically from (angle, lambda).
-Two protocols are implemented:
+The sign model draws a latent value lambda ~ U[0, pi) per emitted photon
+pair and answers each analyzer deterministically:
+A(alpha, lambda) = sign(cos 2(alpha - lambda)) and B(beta, lambda) =
+-A(beta, lambda). That gives perfect anticorrelation at equal settings and
+the sawtooth correlation -1 + 4 d / pi, where d folds |alpha - beta| into
+[0, pi/2]. Two protocols are implemented:
 
 * same-lambda: all four analyzer combinations are evaluated on a single
   lambda draw per trial. The per-trial combination
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -64,27 +66,6 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
     """
     angles = config.astuple()
     return tuple((angles[i], angles[j]) for i, j in kernels.PAIRS)
-
-
-@dataclass(frozen=True)
-class HiddenVariableModel:
-    """A latent-variable sampler plus deterministic +-1 response functions.
-
-    ``sample(rng, size)`` draws lambda values (scalar when size is None,
-    ndarray otherwise). Draws must be chunk-consistent: sizes c1 then c2
-    (or (c1, 4) then (c2, 4)) must give the same values as one draw of
-    c1 + c2, because the estimators draw MC_CHUNK trials at a time; numpy's
-    ``rng.uniform`` and ``rng.random`` are. ``respond_a(angle, lam)`` and
-    ``respond_b`` accept scalar or array lambda and must return only -1 or
-    +1, deterministically in (angle, lambda). ``support`` is the lambda interval used by the
-    quadrature estimator; only one-dimensional lambdas are supported there.
-    """
-
-    name: str
-    sample: Callable
-    respond_a: Callable
-    respond_b: Callable
-    support: tuple[float, float]
 
 
 # Draws closer than _ARC_GUARD to an arc endpoint take the cosine rule.
@@ -139,60 +120,27 @@ def _sign_response(angle: float, lam) -> np.ndarray:
     return out.reshape(lam.shape)
 
 
-def reference_sign_model() -> HiddenVariableModel:
-    """The classic sign model: lambda uniform on [0, pi).
+def _product(alpha: float, beta: float, lam: np.ndarray) -> np.ndarray:
+    # A(alpha, lam) B(beta, lam), with B = -A.
+    return _sign_response(alpha, lam) * -_sign_response(beta, lam)
 
-    A(alpha, lambda) = sign(cos 2(alpha - lambda)) and B = -A(beta, lambda),
-    giving perfect anticorrelation at equal settings and the sawtooth
-    correlation -1 + 4 d / pi, where d folds |alpha - beta| into [0, pi/2].
+
+def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) -> CorrelationEstimate:
+    """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n draws lambda ~ U[0, pi)."""
+    return stream_estimate(n, lambda size: _product(alpha, beta, rng.uniform(0.0, math.pi, size)), (-1, 1))
+
+
+def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000) -> float:
+    """Deterministic midpoint-rule average of A*B over lambda in [0, pi).
+
+    Serves as the analytic oracle for :func:`correlation_mc`. grid_points
+    must be at least 1000 to keep the midpoint error well under 1e-3 for
+    the piecewise-constant sign responses.
     """
-    return HiddenVariableModel(
-        name="sign",
-        sample=lambda rng, size=None: rng.uniform(0.0, math.pi, size),
-        respond_a=_sign_response,
-        respond_b=lambda angle, lam: -_sign_response(angle, lam),
-        support=(0.0, math.pi),
-    )
-
-
-def _responses(model: HiddenVariableModel, angle: float, lam: np.ndarray, station: str) -> np.ndarray:
-    out = np.asarray(model.respond_a(angle, lam) if station == "a" else model.respond_b(angle, lam))
-    if not np.all(np.abs(out) == 1):
-        raise ValueError(f"model {model.name!r} respond_{station} returned values outside {{-1, +1}}")
-    return out
-
-
-def correlation_mc(
-    model: HiddenVariableModel, alpha: float, beta: float, n: int, rng: np.random.Generator
-) -> CorrelationEstimate:
-    """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n lambda draws."""
-
-    def draw_chunk(size):
-        lam = model.sample(rng, size)
-        return _responses(model, alpha, lam, "a") * _responses(model, beta, lam, "b")
-
-    return stream_estimate(n, draw_chunk, (-1, 1))
-
-
-def correlation_quadrature(
-    model: HiddenVariableModel, alpha: float, beta: float, grid_points: int = 100_000
-) -> float:
-    """Deterministic midpoint-rule average of A*B over the lambda support.
-
-    Serves as the analytic oracle for :func:`correlation_mc`. Only models
-    with a declared one-dimensional support are accepted; grid_points must
-    be at least 1000 to keep the midpoint error well under 1e-3 for the
-    piecewise-constant sign responses.
-    """
-    if model.support is None or len(model.support) != 2:
-        raise ValueError(f"model {model.name!r} does not declare a one-dimensional lambda support")
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
-    lo, hi = model.support
-    lam = lo + (np.arange(grid_points) + 0.5) * ((hi - lo) / grid_points)
-    a = _responses(model, alpha, lam, "a")
-    b = _responses(model, beta, lam, "b")
-    return float(np.mean(a * b))
+    lam = (np.arange(grid_points) + 0.5) * (math.pi / grid_points)
+    return float(np.mean(_product(alpha, beta, lam)))
 
 
 def parity_identity(a1: int, a2: int, b1: int, b2: int) -> int:
@@ -203,9 +151,7 @@ def parity_identity(a1: int, a2: int, b1: int, b2: int) -> int:
     return (a1 + a2) * b1 + (a1 - a2) * b2
 
 
-def chsh_same_lambda(
-    model: HiddenVariableModel, config: AngleConfig, n: int, rng: np.random.Generator
-) -> CorrelationEstimate:
+def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Same-lambda protocol: one lambda per trial drives all four responses.
 
     Every per-trial value of (a1 + a2) b1 + (a1 - a2) b2 is +-2, so the
@@ -213,11 +159,11 @@ def chsh_same_lambda(
     """
 
     def draw_chunk(size):
-        lam = model.sample(rng, size)
-        a1 = _responses(model, config.alpha1, lam, "a")
-        a2 = _responses(model, config.alpha2, lam, "a")
-        b1 = _responses(model, config.beta1, lam, "b")
-        b2 = _responses(model, config.beta2, lam, "b")
+        lam = rng.uniform(0.0, math.pi, size)
+        a1 = _sign_response(config.alpha1, lam)
+        a2 = _sign_response(config.alpha2, lam)
+        b1 = -_sign_response(config.beta1, lam)
+        b2 = -_sign_response(config.beta2, lam)
         return (a1 + a2) * b1 + (a1 - a2) * b2
 
     return stream_estimate(n, draw_chunk, _SAME_LAMBDA_VALUES)
@@ -236,9 +182,7 @@ def _pair_major(n: int):
     return pair_major
 
 
-def chsh_independent(
-    model: HiddenVariableModel, config: AngleConfig, n: int, rng: np.random.Generator
-) -> CorrelationEstimate:
+def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Independent-pairs protocol: four fresh lambdas per trial.
 
     Trial t draws lambda_1..lambda_4 (trial-major stream order) and
@@ -251,11 +195,8 @@ def chsh_independent(
     pair_major = _pair_major(n)
 
     def draw_chunk(size):
-        lam = pair_major(model.sample(rng, (size, 4)))
-        p = [
-            _responses(model, alpha, lam[j], "a") * _responses(model, beta, lam[j], "b")
-            for j, (alpha, beta) in enumerate(pairs)
-        ]
+        lam = pair_major(rng.uniform(0.0, math.pi, (size, 4)))
+        p = [_product(alpha, beta, lam[j]) for j, (alpha, beta) in enumerate(pairs)]
         return p[0] + p[1] + p[2] - p[3]
 
     return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)

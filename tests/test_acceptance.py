@@ -24,12 +24,12 @@ from chshlab.constrained import (
 )
 from chshlab.lhv import (
     AngleConfig,
+    _sign_response,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,
     correlation_quadrature,
-    reference_sign_model,
     tsirelson_angles,
 )
 from chshlab.linalg import is_hermitian
@@ -113,34 +113,32 @@ def test_criterion_6_parity_identity_exhaustive():
 
 
 def test_criterion_7_lhv_deterministic_bounds():
-    model = reference_sign_model()
     n = 1_000_000
     ok = True
     for i, config in enumerate(_random_configs(seed=107, count=20)):
         rng = np.random.default_rng(1000 + i)
-        lam = model.sample(rng, n)
-        a1 = model.respond_a(config.alpha1, lam)
-        a2 = model.respond_a(config.alpha2, lam)
-        b1 = model.respond_b(config.beta1, lam)
-        b2 = model.respond_b(config.beta2, lam)
+        lam = rng.uniform(0.0, math.pi, n)
+        a1 = _sign_response(config.alpha1, lam)
+        a2 = _sign_response(config.alpha2, lam)
+        b1 = -_sign_response(config.beta1, lam)
+        b2 = -_sign_response(config.beta2, lam)
         per_trial = (a1 + a2) * b1 + (a1 - a2) * b2
         ok &= bool(np.all(np.abs(per_trial) == 2))
-        est = chsh_same_lambda(model, config, n, np.random.default_rng(1000 + i))
+        est = chsh_same_lambda(config, n, np.random.default_rng(1000 + i))
         ok &= est.mean == float(np.mean(per_trial.astype(float)))
         ok &= -2.0 <= est.mean <= 2.0
-        est_ind = chsh_independent(model, config, n, np.random.default_rng(2000 + i))
+        est_ind = chsh_independent(config, n, np.random.default_rng(2000 + i))
         ok &= -4.0 <= est_ind.mean <= 4.0
     _report(7, "sign model, 1e6 trials x 20 configs: per-trial +-2, means in [-2,2] / [-4,4]", ok)
 
 
 def test_criterion_8_monte_carlo_vs_analytic():
-    model = reference_sign_model()
     rng_angles = np.random.default_rng(108)
     ok = True
     for i in range(50):
         alpha, beta = (float(v) for v in rng_angles.uniform(0.0, math.pi, 2))
-        est = correlation_mc(model, alpha, beta, 1_000_000, np.random.default_rng(3000 + i))
-        target = correlation_quadrature(model, alpha, beta, 100_000)
+        est = correlation_mc(alpha, beta, 1_000_000, np.random.default_rng(3000 + i))
+        target = correlation_quadrature(alpha, beta, 100_000)
         ok &= abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
     for i in range(20):
         alpha, beta = (float(v) for v in rng_angles.uniform(0.0, math.pi, 2))

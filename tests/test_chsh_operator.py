@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ class TestSpectrum:
         config = AngleConfig(*angles.T)
         assert np.array_equal(build_t(config).matrix, matrices)
         t_spectrum(ChshOperator(config, matrices))
+
+    def test_stack_memory_is_bounded(self):
+        # The four tensor terms are summed as they are formed, never held as one stack.
+        angles = np.random.default_rng(43).uniform(0.0, math.pi, (10_000, 4))
+        config = AngleConfig(*angles.T)
+        tracemalloc.start()
+        try:
+            matrix = build_t(config).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * matrix.nbytes
 
 
 class TestClosedForm:

@@ -172,15 +172,15 @@ class TestChsh:
         assert "quantum-mimic" in captured.err
 
     def test_estimator_value_error_exits_4(self, capsys, monkeypatch):
-        def invalid_responses(*a, **k):
-            raise ValueError("model 'sign' respond_a returned values outside {-1, +1}")
+        def invalid_values(*a, **k):
+            raise ValueError("per-trial values outside (-2, 2)")
 
-        monkeypatch.setattr(cli, "chsh_same_lambda", invalid_responses)
+        monkeypatch.setattr(cli, "chsh_same_lambda", invalid_values)
         code = cli.main(["chsh", "--mode", "same-lambda", "--model", "sign", *MAXV, "--trials", "100"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert captured.err.startswith("chshlab: numerical failure: model 'sign' respond_a")
+        assert captured.err == "chshlab: numerical failure: per-trial values outside (-2, 2)\n"
 
     def test_deterministic_bound_violation_exits_3(self, capsys, monkeypatch):
         from chshlab.lhv import CorrelationEstimate

@@ -13,14 +13,12 @@ from chshlab import lhv
 from chshlab.chsh_operator import t_distribution, t_estimate
 from chshlab.lhv import (
     AngleConfig,
-    HiddenVariableModel,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,
     quantum_chsh_independent,
-    reference_sign_model,
 )
-from chshlab.montecarlo import MC_CHUNK, estimate_from_counts
+from chshlab.montecarlo import MC_CHUNK, estimate_from_counts, stream_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -102,17 +100,17 @@ def _assert_matches(est, n, dense):
 class TestChunkBoundaries:
     @pytest.mark.parametrize("n", SIZES)
     def test_correlation_mc(self, n):
-        est = correlation_mc(reference_sign_model(), 0.4, 1.9, n, np.random.default_rng(n))
+        est = correlation_mc(0.4, 1.9, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_correlation(0.4, 1.9, n, np.random.default_rng(n)))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_same_lambda(self, n):
-        est = chsh_same_lambda(reference_sign_model(), CFG, n, np.random.default_rng(n))
+        est = chsh_same_lambda(CFG, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_same_lambda(CFG.astuple(), n, np.random.default_rng(n)))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_independent_sign(self, n):
-        est = chsh_independent(reference_sign_model(), CFG, n, np.random.default_rng(n))
+        est = chsh_independent(CFG, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_independent(CFG.astuple(), n, np.random.default_rng(n)))
 
     @pytest.mark.parametrize("n", SIZES)
@@ -145,9 +143,9 @@ class TestCountEstimate:
         with pytest.raises(ValueError):
             estimate_from_counts((-1, 1), (max(n, 0), 0))
         with pytest.raises(ValueError):
-            correlation_mc(reference_sign_model(), 0.1, 0.2, n, rng)
+            correlation_mc(0.1, 0.2, n, rng)
         with pytest.raises(ValueError):
-            chsh_same_lambda(reference_sign_model(), CFG, n, rng)
+            chsh_same_lambda(CFG, n, rng)
         with pytest.raises(ValueError):
             product_estimate(joint_distribution(0.1, 0.2), n, rng)
 
@@ -164,23 +162,17 @@ class TestCountEstimate:
         est = estimate_from_counts((-1, 1), (0, 12345))
         assert (est.mean, est.stderr) == (1.0, 0.0)
 
-    def test_responses_validated_on_every_chunk(self):
-        calls = []
+    def test_values_checked_on_every_chunk(self):
+        sizes = []
 
-        def respond(angle, lam):
-            calls.append(1)
-            return np.ones_like(lam) if len(calls) <= 2 else np.zeros_like(lam)
+        def draw_chunk(size):
+            # the first chunk is valid, the second holds a value outside (-1, 1)
+            sizes.append(size)
+            return np.ones(size, dtype=np.int8) if len(sizes) == 1 else np.zeros(size, dtype=np.int8)
 
-        broken = HiddenVariableModel(
-            name="late-broken",
-            sample=lambda rng, size=None: rng.uniform(0.0, math.pi, size),
-            respond_a=respond,
-            respond_b=respond,
-            support=(0.0, math.pi),
-        )
         with pytest.raises(ValueError, match="outside"):
-            correlation_mc(broken, 0.0, 0.1, C + 1, np.random.default_rng(0))
-        assert len(calls) == 3
+            stream_estimate(C + 1, draw_chunk, (-1, 1))
+        assert sizes == [C, 1]
 
 
 def test_independent_memory_is_bounded():
@@ -188,7 +180,7 @@ def test_independent_memory_is_bounded():
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        est = chsh_independent(reference_sign_model(), CFG, n, rng)
+        est = chsh_independent(CFG, n, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
