@@ -34,8 +34,20 @@ def pair_probability(q, k, l):
 
 
 def q_quad(a1, a2, b1, b2):
-    """Singlet correlations (q1, q2, q3, q4) of the four analyzer pairs of PAIRS."""
+    """Singlet correlations (q1, q2, q3, q4) of the four analyzer pairs of PAIRS.
+
+    Arrays of one shape (the rows of a descent) take all four pair
+    differences in one broadcast. Scalars, for which the block costs more
+    calls than it saves, and angles that only broadcast together (the scan
+    slab, where a block would hold four times its broadcast shape) go pair
+    by pair. Both routes give the same bits.
+    """
     angles = (a1, a2, b1, b2)
+    shape = getattr(a1, "shape", ())
+    if shape and getattr(a2, "shape", ()) == getattr(b1, "shape", ()) == getattr(b2, "shape", ()) == shape:
+        x = np.array(angles)
+        block = pair_correlation(x[:2, None], x[None, 2:])  # block[i, j - 2] is pair (i, j)
+        return tuple(block[i, j - 2] for i, j in PAIRS)
     return tuple(pair_correlation(angles[i], angles[j]) for i, j in PAIRS)
 
 
@@ -63,9 +75,15 @@ def e4(q1, q2, q3, q4):
     correlations are regular. NaN where 1 + q1 q2 q3 q4 is at or below
     DEGENERACY_THRESHOLD (or is NaN).
     """
-    den = 1.0 + q1 * q2 * q3 * q4
-    num = (q1 + q2 + q3 - q4) + (q2 * q3 * q4 + q1 * q3 * q4 + q1 * q2 * q4 - q1 * q2 * q3)
-    valid = den > DEGENERACY_THRESHOLD
+    # q1 q2 and q1 q2 q3 are formed once each. den comes after num, so the
+    # res^3 temporaries of a scan slab peak no higher than with every
+    # product written out.
+    q12 = q1 * q2
+    num = (q1 + q2 + q3 - q4) + (q2 * q3 * q4 + q1 * q3 * q4 + q12 * q4 - (q123 := q12 * q3))
+    den = 1.0 + q123 * q4
+    valid = np.greater(den, DEGENERACY_THRESHOLD)  # not >: float inputs must also give .all()
+    if valid.all():
+        return num / den
     return np.where(valid, num / np.where(valid, den, 1.0), np.nan)
 
 

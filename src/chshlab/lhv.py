@@ -143,14 +143,6 @@ def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000
     return float(np.mean(_product(alpha, beta, lam)))
 
 
-def parity_identity(a1: int, a2: int, b1: int, b2: int) -> int:
-    """(a1 + a2) b1 + (a1 - a2) b2, which equals +-2 for all sign choices."""
-    for v in (a1, a2, b1, b2):
-        if v not in (-1, 1):
-            raise ValueError(f"inputs must be -1 or +1, got {v!r}")
-    return (a1 + a2) * b1 + (a1 - a2) * b2
-
-
 def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Same-lambda protocol: one lambda per trial drives all four responses.
 

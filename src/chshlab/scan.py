@@ -146,8 +146,10 @@ def _scan_slab(obj: _Objective, resolution: int, bound: float):
     ax = (np.arange(resolution) / resolution) * math.pi
     flat = obj.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel()
     config_at = lambda index: AngleConfig(*_slab_angles(ax, index).tolist())
-    n_skipped = resolution * int(np.count_nonzero(np.isnan(flat)))
-    idx_max, idx_min = int(np.nanargmax(flat)), int(np.nanargmin(flat))
+    n_nan = int(np.count_nonzero(np.isnan(flat)))
+    n_skipped = resolution * n_nan
+    argmax, argmin = (np.nanargmax, np.nanargmin) if n_nan else (np.argmax, np.argmin)
+    idx_max, idx_min = int(argmax(flat)), int(argmin(flat))
     bad = np.flatnonzero(_violates(obj, bound, flat))
     report = ScanReport(
         objective_name=obj.name,
@@ -184,6 +186,26 @@ def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float |
     return _scan_slab(obj, resolution, bound)[0]
 
 
+def _extreme_indices(flat: np.ndarray, k: int):
+    """Flat indices of the k smallest and the k largest non-NaN values.
+
+    Exactly ``order[:k]`` and ``order[-k:]`` of the stable argsort of
+    ``flat`` with its NaNs (which sort last) dropped: ascending by value,
+    ties in index order. Only the values at or beyond the k-th smallest
+    and k-th largest are sorted, found by one partition.
+    """
+    n_valid = flat.size - int(np.count_nonzero(np.isnan(flat)))
+    if n_valid <= k:
+        order = np.argsort(flat, kind="stable")[:n_valid]
+        return order, order
+    lo, hi = np.partition(flat, (k - 1, n_valid - k))[[k - 1, n_valid - k]]
+    low, high = np.flatnonzero(flat <= lo), np.flatnonzero(flat >= hi)  # index order, NaN in neither
+    return (
+        low[np.argsort(flat[low], kind="stable")[:k]],
+        high[np.argsort(flat[high], kind="stable")[-k:]],
+    )
+
+
 def _descend(values: Callable, starts, maximize):
     """Coordinate descent with step halving, every row of ``starts`` in lockstep.
 
@@ -202,24 +224,27 @@ def _descend(values: Callable, starts, maximize):
     n = x.shape[1]
     start_values = np.asarray(values(*x), dtype=float)
     sense = np.where(maximize, 1.0, -1.0)
-    sense2 = np.concatenate([sense, sense])
     best_s = np.where(np.isnan(start_values), -np.inf, sense * start_values)  # any real value improves on NaN
     step = np.full(n, DEFAULT_STEP0)
     pair = np.concatenate([x, x], axis=1)  # (4, 2n): both halves hold the current angles
     angles = list(pair)
     halves = [a.reshape(2, n) for a in angles]  # the same rows as (2, n) views
     while (active := step >= DEFAULT_TOL).any():
-        sweep_start = best_s  # a row improved in this sweep iff its best_s rose
+        sweep_start = best_s.copy()  # a row improved in this sweep iff its best_s rose
         signed = np.concatenate([step, -step])
+        live = np.where(active, sense, np.nan)  # a stopped row's values turn NaN, which never improves
+        live2 = np.concatenate([live, live])
         for i in range(4):
             cand = angles.copy()
             cand[i] = angles[i] + signed  # the first n entries take +step, the last n -step
-            val_s = (sense2 * values(*cand)).reshape(2, n)
+            val_s = (live2 * values(*cand)).reshape(2, n)
             gain = val_s > best_s  # False wherever the value is NaN
-            gain &= active
-            best_s = np.where(gain[0], val_s[0], np.where(gain[1], val_s[1], best_s))
             moved = cand[i].reshape(2, n)
-            halves[i][...] = np.where(gain[0], moved[0], np.where(gain[1], moved[1], halves[i][0]))
+            # -step first, then +step over it: +step wins where both improve
+            np.copyto(best_s, val_s[1], where=gain[1])
+            np.copyto(best_s, val_s[0], where=gain[0])
+            np.copyto(halves[i], moved[1], where=gain[1])  # both halves take the move
+            np.copyto(halves[i], moved[0], where=gain[0])
         step = np.where(best_s > sweep_start, step, step / 2.0)
     # best_s is exactly sense * value; it stays -inf only in rows that never improved
     return pair[:, :n].T.copy(), np.where(np.isneginf(best_s), start_values, sense * best_s)
@@ -266,12 +291,12 @@ def verify_bound(
         raise ValueError(f"n_random_restarts must lie in [0, {MAX_RESTARTS}]")
     obj = _lookup(objective)
     report, flat, ax = _scan_slab(obj, resolution, bound)
-    order = np.argsort(flat, kind="stable")[: np.count_nonzero(~np.isnan(flat))]  # NaN sorts last
+    lowest, highest = _extreme_indices(flat, N_GRID_STARTS)
     restarts = component_stream(seed, "scan/restarts").uniform(0.0, math.pi, (n_random_restarts, 4))
 
     starts, senses = [], []
     for maximize in ([True, False] if obj.two_sided else [False]):
-        grid = order[max(0, order.size - N_GRID_STARTS) :] if maximize else order[:N_GRID_STARTS]
+        grid = highest if maximize else lowest
         starts += [_slab_angles(ax, grid), restarts]
         senses += [maximize] * (grid.size + n_random_restarts)
     angles, values = _descend(obj.values, np.concatenate(starts), senses)

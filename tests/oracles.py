@@ -150,6 +150,36 @@ def sign_model_sawtooth(alpha: float, beta: float) -> float:
     return -1.0 + 4.0 * d / math.pi
 
 
+def parity_identity(a1: int, a2: int, b1: int, b2: int) -> int:
+    """(a1 + a2) b1 + (a1 - a2) b2, which equals +-2 for all sign choices."""
+    for v in (a1, a2, b1, b2):
+        if v not in (-1, 1):
+            raise ValueError(f"inputs must be -1 or +1, got {v!r}")
+    return (a1 + a2) * b1 + (a1 - a2) * b2
+
+
+def e4_expression(q1, q2, q3, q4, threshold: float):
+    """The conditioned four-variable expectation, each product written out.
+
+    Elementwise on arrays; NaN where 1 + q1 q2 q3 q4 is at or below
+    ``threshold`` (or is NaN).
+    """
+    den = 1.0 + q1 * q2 * q3 * q4
+    num = (q1 + q2 + q3 - q4) + (q2 * q3 * q4 + q1 * q3 * q4 + q1 * q2 * q4 - q1 * q2 * q3)
+    valid = den > threshold
+    return np.where(valid, num / np.where(valid, den, 1.0), np.nan)
+
+
+def stable_extremes(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the k smallest and k largest non-NaN values by a full sort.
+
+    The stable argsort puts NaNs last and keeps ties in index order; both
+    index lists ascend by value.
+    """
+    order = np.argsort(values, kind="stable")[: np.count_nonzero(~np.isnan(values))]
+    return order[:k], order[max(0, order.size - k) :]
+
+
 def random_angle_tuple(rng: np.random.Generator) -> tuple[float, float, float, float]:
     return tuple(float(v) for v in rng.uniform(0.0, math.pi, 4))
 

@@ -14,12 +14,11 @@ from chshlab.lhv import (
     chsh_same_lambda,
     correlation_mc,
     correlation_quadrature,
-    parity_identity,
     quantum_chsh_independent,
     tsirelson_angles,
 )
 
-from oracles import sign_model_sawtooth
+from oracles import parity_identity, sign_model_sawtooth
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SQRT8 = 2.0 * math.sqrt(2.0)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chshlab.lhv import AngleConfig, tsirelson_angles
 from chshlab.scan import (
@@ -11,12 +13,14 @@ from chshlab.scan import (
     DEFAULT_TOL,
     MAX_RESOLUTION,
     MAX_RESTARTS,
+    N_GRID_STARTS,
     _descend,
+    _extreme_indices,
     grid_scan,
     refine,
     verify_bound,
 )
-from oracles import coordinate_descent, lattice_objective_values
+from oracles import coordinate_descent, lattice_objective_values, stable_extremes
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -73,6 +77,21 @@ class TestGridScan:
             grid_scan(obj, MAX_RESOLUTION + 1)
         with pytest.raises(ValueError, match="resolution"):
             verify_bound(obj, 2.0, resolution=MAX_RESOLUTION + 1, n_random_restarts=0)
+
+    def test_nan_points_are_skipped(self):
+        # NaN wherever alpha1 == beta1: res^2 slab points, res^3 lattice points
+        base = OBJECTIVES["eight_variable_sum"]
+        holed = replace(base, values=lambda a1, a2, b1, b2: np.where(a1 == b1, np.nan, base.values(a1, a2, b1, b2)))
+        res = 8
+        ax = (np.arange(res) / res) * math.pi
+        flat = np.broadcast_to(holed.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]), (res,) * 3)
+        report = grid_scan(holed, res)
+        assert report.n_skipped == res**3
+        assert (report.max_value, report.min_value) == (np.nanmax(flat), np.nanmin(flat))
+        assert holed.evaluate(report.argmax) == report.max_value
+        refined = verify_bound(holed, SQRT8, resolution=res, n_random_restarts=2, seed=1)
+        assert refined.n_skipped == res**3
+        assert refined.max_value >= report.max_value and refined.min_value <= report.min_value
 
     @pytest.mark.parametrize("restarts", [-1, MAX_RESTARTS + 1, 10**9])
     def test_rejects_restarts_outside_cap_before_evaluating(self, restarts):
@@ -215,6 +234,39 @@ class TestRefine:
         assert abs(ref_angles[0] - math.pi) <= 1e-6
         assert np.max(np.abs(angles[0] - ref_angles)) <= 1e-12
         assert values[0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStartSelection:
+    # Small integers and signed zeros tie often; NaN must never be picked.
+    tie_heavy = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, math.nan]), min_size=1, max_size=40)
+    any_floats = st.lists(st.floats(allow_infinity=True), min_size=1, max_size=40)
+
+    @staticmethod
+    def _check(values, k=N_GRID_STARTS):
+        flat = np.array(values, dtype=float)
+        lowest, highest = _extreme_indices(flat, k)
+        ref_lowest, ref_highest = stable_extremes(flat, k)
+        assert lowest.tolist() == ref_lowest.tolist()
+        assert highest.tolist() == ref_highest.tolist()
+
+    @given(tie_heavy)
+    @example([math.nan] * 7 + [1.0, 1.0, 0.0])  # fewer valid values than N_GRID_STARTS
+    @example([1.0] * 9)  # the k-th smallest and k-th largest coincide
+    @example([0.0, -0.0] * 5)
+    def test_equals_full_stable_sort_with_ties(self, values):
+        self._check(values)
+
+    @given(any_floats)
+    def test_equals_full_stable_sort_on_any_floats(self, values):
+        self._check(values)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_rounded_slab(self, k):
+        # A real slab rounded to one decimal: thousands of values in a few ties.
+        values = OBJECTIVES["eight_variable_sum"].values
+        ax = (np.arange(24) / 24) * math.pi
+        flat = np.round(values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel(), 1)
+        self._check(flat, k)
 
 
 class TestVerifyBound:
