@@ -22,6 +22,9 @@ mean converges to the sum of the four singlet correlations.
 
 Every estimator streams its trials through :mod:`chshlab.montecarlo`:
 MC_CHUNK trials at a time, reduced to counts of the per-trial values.
+The responses are read off the flip points of the cosine rule, found once
+per run (:func:`_flip_points`): one or two comparisons per response, no
+cosine per draw, and equal to the rule for every draw.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .montecarlo import MC_CHUNK, CorrelationEstimate, signs, stream_estimate
+from .montecarlo import MC_CHUNK, CorrelationEstimate, independent_values, signs, stream_estimate
 from .quantum import _product_cuts, _product_is_plus, joint_distribution
 
 # Per-trial values of the two protocols.
@@ -68,66 +71,162 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
     return tuple((angles[i], angles[j]) for i, j in kernels.PAIRS)
 
 
-# Draws closer than _ARC_GUARD to an arc endpoint take the cosine rule.
-# Below _ARC_LIMIT in |angle| and |lam| the rounding of the endpoints, of
-# folding lam into [0, pi] and of the cosine rule's own angle - lam stays
-# under 1e-12, far inside the guard.
-_ARC_GUARD = 1e-9
-_ARC_LIMIT = 1e3
+# Angles up to _FLIP_LIMIT in magnitude answer from flip points. Rounding
+# moves a flip by at most 1.3e-10 from its analytic endpoint there, so an
+# endpoint within _FLIP_WRAP of 0 or pi also gets a window at its translate
+# by pi, in case its flip moved across.
+_FLIP_LIMIT = 1e6
+_FLIP_WRAP = 1e-6
+# A window is 13 anchors with the 2 doubles either side of each: 65
+# consecutive doubles or, where the doubles d near angle - lam are the
+# coarser, the 13 consecutive places where fl(angle - lam) steps. Flips lie
+# within 6 doubles, or 2 steps, of the middle anchor (measured over 10^4
+# angles up to 10^6); a gap across which the rule changes is split
+# 128-fold per pass.
+_FLIP_ANCHORS = np.arange(-6, 7)
+_FLIP_RUN = np.arange(-2, 3)
+_FLIP_SPLIT = np.arange(129) / 128.0
+_TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi), and of every draw pi * u
 
 
-def _cos_sign(angle, lam) -> np.ndarray:
-    return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1).astype(np.int8)
+def _cos_rule(angle, lam) -> np.ndarray:
+    """A's response rule as a mask: cos 2(angle - lam) >= 0."""
+    return np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0
 
 
-def _on_arc(lam: np.ndarray, start: float, length: float) -> np.ndarray:
-    # lam in [0, pi]; the arc [start, start + length] is taken modulo pi.
-    lo = start % math.pi
-    hi = lo + length
-    if hi <= math.pi:
-        return (lam >= lo) & (lam <= hi)
-    return (lam >= lo) | (lam <= hi - math.pi)
+def _flip_points(angles: list) -> list:
+    """The flips of the cosine rule in lam over [0, pi), per angle.
+
+    Returns, per angle, (r0, t1, t2) with the rule equal to r0 XOR
+    (t1 <= lam < t2) for every double lam in [0, pi), r0 its value at 0 and
+    t2 = inf when only one flip falls there; or None where the rule does
+    not flip once or twice there and must answer itself. A flip is the
+    first double at which the rule changes. The rule's argument is
+    monotone in lam, so the flips sit near the analytic endpoints
+    (angle -+ pi/4) mod pi. [0, pi) is cut midway between the endpoints,
+    and the first pass evaluates the rule on each piece at its two ends
+    and at a window around its endpoint, in ascending order; a change
+    between adjacent doubles is a flip, and a change across a gap is
+    narrowed by splitting the gap 128-fold per pass until it is. Each pass
+    is one rule call for all angles. Doubles in [0, pi) are stepped through
+    as their int64 bit patterns, which are consecutive for consecutive
+    doubles.
+    """
+    owner, windows, firsts = [], [], []
+    for k, angle in enumerate(angles):
+        firsts.append(len(owner))
+        ends = sorted(((angle - math.pi / 4) % math.pi, (angle + math.pi / 4) % math.pi))
+        if ends[0] < _FLIP_WRAP:
+            ends.append(ends[0] + math.pi)
+        elif ends[1] > math.pi - _FLIP_WRAP:
+            ends.insert(0, ends[1] - math.pi)
+        left = 0.0
+        for i, center in enumerate(ends):
+            right = (center + ends[i + 1]) / 2 if i + 1 < len(ends) else _TOP
+            # fl(angle - lam) steps where angle - lam crosses the midpoint of
+            # two doubles d and d + ulp(d): at lam = (angle - d) - ulp(d) / 2.
+            d = angle - center
+            step = math.ulp(d)
+            if step >= 8 * math.ulp(center):
+                windows.append((left, angle - d - step / 2, step, 0.0, right, angle))
+            else:
+                windows.append((left, center, 0.0, 5.0, right, angle))
+            owner.append(k)
+            left = right
+    left, start, value_step, bit_step, right, rule_angles = np.array(windows).T[:, :, None]
+    left, right = left.view(np.int64), right.view(np.int64)
+    near = (start + value_step * _FLIP_ANCHORS).view(np.int64) + bit_step.astype(np.int64) * _FLIP_ANCHORS
+    near = np.minimum(np.maximum((near[:, :, None] + _FLIP_RUN).reshape(len(owner), -1), left), right)
+    grid = np.concatenate([left, near, right], axis=1)
+    rule = _cos_rule(rule_angles, grid.view(np.float64))
+    r0 = rule[firsts, 0].tolist()
+    flips = [[] for _ in angles]
+    while True:
+        rows, cols = np.nonzero(rule[:, 1:] != rule[:, :-1])
+        lo, hi = grid[rows, cols], grid[rows, cols + 1]
+        split = []
+        for i, (row, gap, flip) in enumerate(zip(rows.tolist(), (hi - lo).tolist(), hi.view(np.float64).tolist())):
+            if gap == 1:
+                flips[owner[row]].append(flip)
+            else:
+                split.append(i)
+        if not split:
+            break
+        owner = [owner[row] for row in rows[split].tolist()]
+        rule_angles, lo, span = rule_angles[rows[split]], lo[split, None], (hi - lo)[split, None]
+        offsets = (span * _FLIP_SPLIT).astype(np.int64)
+        offsets[:, -1:] = span  # span * 1.0 may round when span > 2^53
+        grid = lo + offsets
+        rule = _cos_rule(rule_angles, grid.view(np.float64))
+
+    found = []
+    for k, t in enumerate(flips):
+        t.sort()
+        found.append((r0[k], t[0], t[1] if len(t) == 2 else math.inf) if len(t) in (1, 2) else None)
+    return found
+
+
+def _responder(angle: float, flips):
+    if flips is None:
+        return lambda lam: _cos_rule(angle, lam)
+    r0, t1, t2 = flips
+    if t2 == math.inf:
+        return (lambda lam: lam < t1) if r0 else (lambda lam: lam >= t1)
+    if r0:
+        return lambda lam: (lam < t1) | (lam >= t2)
+    return lambda lam: (lam >= t1) & (lam < t2)
+
+
+def _responders(angles) -> list:
+    """A's response mask for each angle, as a function of lam in [0, pi).
+
+    Each is one or two comparisons against the angle's flip points, equal to
+    :func:`_cos_rule` for every lam in [0, pi); angles without clean flips
+    (NaN, inf, beyond _FLIP_LIMIT) take the cosine rule itself. Flips are
+    derived once per distinct angle, in one call.
+    """
+    angles = [float(a) for a in angles]
+    fit = list(dict.fromkeys(a for a in angles if abs(a) <= _FLIP_LIMIT))
+    flips = dict(zip(fit, _flip_points(fit))) if fit else {}
+    return [_responder(a, flips.get(a)) for a in angles]
 
 
 def _sign_response(angle: float, lam) -> np.ndarray:
     """sign(cos 2(angle - lam)), with sign(0) := +1 so responses are total.
 
-    The response is +1 exactly on the closed arc [angle - pi/4, angle + pi/4]
-    modulo pi, so it is read off two comparisons of lam against the arc
-    endpoints, at int8 width, instead of a cosine per draw. Draws within
-    _ARC_GUARD of an endpoint, and any input beyond _ARC_LIMIT, take the
+    lam in [0, pi) answers from the angle's flip points (see
+    :func:`_responders`); any other lam, and an array of angles, takes the
     cosine rule itself, so the result equals it for every input.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.ndim(angle) != 0 or not abs(angle) <= _ARC_LIMIT:
-        return _cos_sign(angle, lam)
+    if np.ndim(angle) != 0:
+        return signs(_cos_rule(angle, lam))
     flat = lam.reshape(-1)
-    if flat.size and 0.0 <= flat.min() and flat.max() <= math.pi:
-        folded, far = flat, None
-    else:
-        folded = np.mod(flat, math.pi)
-        far = ~(np.abs(flat) <= _ARC_LIMIT)
-    start = angle - math.pi / 4
-    inner = _on_arc(folded, start + _ARC_GUARD, math.pi / 2 - 2 * _ARC_GUARD)
-    outer = _on_arc(folded, start - _ARC_GUARD, math.pi / 2 + 2 * _ARC_GUARD)
-    out = signs(outer)
-    near = inner != outer
-    if far is not None:
-        near |= far
-    if near.any():
-        idx = np.flatnonzero(near)
-        out[idx] = _cos_sign(angle, flat[idx])
-    return out.reshape(lam.shape)
+    far = ~((flat >= 0.0) & (flat < math.pi))
+    out = _responders([angle])[0](np.where(far, 0.0, flat))
+    if far.any():
+        idx = np.flatnonzero(far)
+        out[idx] = _cos_rule(angle, flat[idx])
+    return signs(out).reshape(lam.shape)
 
 
-def _product(alpha: float, beta: float, lam: np.ndarray) -> np.ndarray:
-    # A(alpha, lam) B(beta, lam), with B = -A.
-    return _sign_response(alpha, lam) * -_sign_response(beta, lam)
+def _draw_lambda(rng: np.random.Generator, size) -> np.ndarray:
+    # pi * u is bit-identical to rng.uniform(0.0, pi, size), which computes 0.0 + pi * u.
+    lam = rng.random(size)
+    lam *= math.pi
+    return lam
 
 
 def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n draws lambda ~ U[0, pi)."""
-    return stream_estimate(n, lambda size: _product(alpha, beta, rng.uniform(0.0, math.pi, size)), (-1, 1))
+    respond_a, respond_b = _responders([alpha, beta])
+
+    def draw_chunk(size):
+        lam = _draw_lambda(rng, size)
+        # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
+        return signs(respond_a(lam) != respond_b(lam))
+
+    return stream_estimate(n, draw_chunk, (-1, 1))
 
 
 def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000) -> float:
@@ -140,35 +239,42 @@ def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
     lam = (np.arange(grid_points) + 0.5) * (math.pi / grid_points)
-    return float(np.mean(_product(alpha, beta, lam)))
+    respond_a, respond_b = _responders([alpha, beta])
+    return float(np.mean(signs(respond_a(lam) != respond_b(lam))))
 
 
 def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Same-lambda protocol: one lambda per trial drives all four responses.
 
     Every per-trial value of (a1 + a2) b1 + (a1 - a2) b2 is +-2, so the
-    returned mean is deterministically inside [-2, 2].
+    returned mean is deterministically inside [-2, 2]: it is 2 a1 b1 where
+    a1 = a2 and 2 a1 b2 elsewhere, so +2 exactly where A(alpha1) differs from
+    A(beta1), respectively A(beta2).
     """
+    respond = _responders(config.astuple())
 
     def draw_chunk(size):
-        lam = rng.uniform(0.0, math.pi, size)
-        a1 = _sign_response(config.alpha1, lam)
-        a2 = _sign_response(config.alpha2, lam)
-        b1 = -_sign_response(config.beta1, lam)
-        b2 = -_sign_response(config.beta2, lam)
-        return (a1 + a2) * b1 + (a1 - a2) * b2
+        lam = _draw_lambda(rng, size)
+        a1, a2, b1, b2 = (r(lam) for r in respond)
+        # a1 != (b1 where a1 == a2, else b2), without np.where's branch per element.
+        plus = a1 ^ b1 ^ ((a1 ^ a2) & (b1 ^ b2))
+        return plus.view(np.int8) * np.int8(4) - np.int8(2)
 
     return stream_estimate(n, draw_chunk, _SAME_LAMBDA_VALUES)
 
 
-def _pair_major(n: int):
-    # Copies each chunk's trial-major (size, 4) draws into one reused (4, size)
-    # buffer, so every pair's draws are contiguous and no chunk allocates it anew.
+def _pair_major(n: int, scale: float = 1.0):
+    # Copies each chunk's trial-major (size, 4) draws, times scale, into one
+    # reused (4, size) buffer, so every pair's draws are contiguous and no
+    # chunk allocates it anew. A plain copy is faster than a product by 1.
     buf = np.empty((4, min(n, MC_CHUNK)))
 
     def pair_major(draws: np.ndarray) -> np.ndarray:
         out = buf[:, : len(draws)]
-        np.copyto(out, draws.T)
+        if scale == 1.0:
+            np.copyto(out, draws.T)
+        else:
+            np.multiply(draws.T, scale, out=out)
         return out
 
     return pair_major
@@ -183,13 +289,14 @@ def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     is deterministically inside [-4, 4]. The same protocol with the four
     pairs drawn from the singlet law is :func:`quantum_chsh_independent`.
     """
-    pairs = angle_pairs(config)
-    pair_major = _pair_major(n)
+    respond = _responders(config.astuple())
+    pairs = [(respond[i], respond[j]) for i, j in kernels.PAIRS]
+    # pi * u, as _draw_lambda, fused into the pair-major copy.
+    pair_major = _pair_major(n, math.pi)
 
     def draw_chunk(size):
-        lam = pair_major(rng.uniform(0.0, math.pi, (size, 4)))
-        p = [_product(alpha, beta, lam[j]) for j, (alpha, beta) in enumerate(pairs)]
-        return p[0] + p[1] + p[2] - p[3]
+        lam = pair_major(rng.random((size, 4)))
+        return independent_values([a(lam[j]) != b(lam[j]) for j, (a, b) in enumerate(pairs)])
 
     return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
 
@@ -211,7 +318,6 @@ def quantum_chsh_independent(
         # One uniform per pair, trial-major: draw [t, j] drives pair j+1 of
         # trial t, so after the copy u[j] holds pair j+1's uniforms.
         u = pair_major(rng.random((size, 4)))
-        plus = [_product_is_plus(u[j], cuts[j]).view(np.int8) for j in range(4)]
-        return (plus[0] + plus[1] + plus[2] - plus[3]) * np.int8(2) - np.int8(2)
+        return independent_values([_product_is_plus(u[j], cuts[j]) for j in range(4)])
 
     return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)

@@ -43,6 +43,16 @@ def signs(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.int8) * np.int8(2) - np.int8(1)
 
 
+def independent_values(plus: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-trial p1 + p2 + p3 - p4 of four pair products, as int8.
+
+    Pair product j is +1 where ``plus[j]`` is true and -1 elsewhere, so the
+    sum is 2 (plus[0] + plus[1] + plus[2] - plus[3]) - 2.
+    """
+    p = [mask.view(np.int8) for mask in plus]
+    return (p[0] + p[1] + p[2] - p[3]) * np.int8(2) - np.int8(2)
+
+
 def estimate_from_counts(
     values: Sequence[int], counts: Sequence[int], scale: float = 1.0
 ) -> CorrelationEstimate:

@@ -301,12 +301,19 @@ def verify_bound(
         senses += [maximize] * (grid.size + n_random_restarts)
     angles, values = _descend(obj.values, np.concatenate(starts), senses)
 
-    # Refined points in refinement order; the first strict improvement on
-    # the lattice extremum wins, as with a running max/min.
-    found = [(v, AngleConfig(*row)) for row, v in zip(angles.tolist(), values.tolist()) if not math.isnan(v)]
-    max_value, argmax = max([(report.max_value, report.argmax), *found], key=lambda p: p[0])
-    min_value, argmin = min([(report.min_value, report.argmin), *found], key=lambda p: p[0])
-    bad = [(c, v) for v, c in found if _violates(obj, bound, v)]
+    # Refined rows in refinement order: the first row strictly beyond the
+    # lattice extremum wins, as with a running max/min; NaN rows never win.
+    max_value, argmax, min_value, argmin = report.max_value, report.argmax, report.min_value, report.argmin
+    if values.size:
+        i = int(np.where(np.isnan(values), -np.inf, values).argmax())
+        if values[i] > max_value:
+            max_value, argmax = float(values[i]), AngleConfig(*angles[i].tolist())
+        i = int(np.where(np.isnan(values), np.inf, values).argmin())
+        if values[i] < min_value:
+            min_value, argmin = float(values[i]), AngleConfig(*angles[i].tolist())
+    bad = np.flatnonzero(_violates(obj, bound, values))
+    room = MAX_STORED_VIOLATIONS - len(report.violations)
+    stored = [(AngleConfig(*angles[i].tolist()), float(values[i])) for i in bad[:room]]
     return replace(
         report,
         n_refinements=values.size,
@@ -314,6 +321,6 @@ def verify_bound(
         argmax=argmax,
         min_value=min_value,
         argmin=argmin,
-        violations=(report.violations + bad)[:MAX_STORED_VIOLATIONS],
-        n_violations=report.n_violations + len(bad),
+        violations=report.violations + stored,
+        n_violations=report.n_violations + int(bad.size),
     )

@@ -180,6 +180,20 @@ def stable_extremes(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return order[:k], order[max(0, order.size - k) :]
 
 
+def running_extremes(lattice_max, lattice_min, rows: np.ndarray, values: np.ndarray, violates):
+    """Extrema and violations of refined rows by a running max/min, in row order.
+
+    lattice_max and lattice_min are (value, point) pairs that hold unless a
+    non-NaN row is strictly beyond them; among equal rows the first wins.
+    Returns the max pair, the min pair and the violating (row, value) pairs,
+    rows as tuples; NaN rows never win and never violate.
+    """
+    found = [(v, tuple(row)) for row, v in zip(rows.tolist(), values.tolist()) if not math.isnan(v)]
+    best = max([lattice_max, *found], key=lambda p: p[0])
+    worst = min([lattice_min, *found], key=lambda p: p[0])
+    return best, worst, [(row, v) for v, row in found if violates(v)]
+
+
 def random_angle_tuple(rng: np.random.Generator) -> tuple[float, float, float, float]:
     return tuple(float(v) for v in rng.uniform(0.0, math.pi, 4))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from chshlab import scan
 from chshlab.lhv import AngleConfig, tsirelson_angles
 from chshlab.scan import (
     OBJECTIVES,
@@ -13,6 +14,7 @@ from chshlab.scan import (
     DEFAULT_TOL,
     MAX_RESOLUTION,
     MAX_RESTARTS,
+    MAX_STORED_VIOLATIONS,
     N_GRID_STARTS,
     _descend,
     _extreme_indices,
@@ -20,7 +22,7 @@ from chshlab.scan import (
     refine,
     verify_bound,
 )
-from oracles import coordinate_descent, lattice_objective_values, stable_extremes
+from oracles import coordinate_descent, lattice_objective_values, running_extremes, stable_extremes
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -298,6 +300,43 @@ class TestVerifyBound:
         report = verify_bound("t_validity_margin", 0.0, resolution=8, n_random_restarts=3, seed=4)
         assert report.n_violations == 0
         assert report.min_value >= -1e-9
+
+    @pytest.mark.parametrize("resolution, bound", [(8, 1.0), (16, 0.25)])
+    @pytest.mark.parametrize("name", ["eight_variable_sum", "t_validity_margin"])
+    @pytest.mark.parametrize("variant", ["rounded", "shifted"])
+    def test_refined_pick_is_the_running_rule(self, monkeypatch, variant, name, resolution, bound):
+        # Rounded values tie on more lattice points than there are grid
+        # starts, so tied refined rows are other configs than the lattice
+        # extremum; shifted ones put the extrema off the lattice, so refined
+        # rows beat it. NaN for alpha1 > 2.5 leaves NaN rows, and the bound
+        # makes violations; at res 16 the lattice alone fills the store.
+        base = OBJECTIVES[name]
+        if variant == "rounded":
+            inner = lambda a1, a2, b1, b2: np.round(base.values(a1, a2, b1, b2))
+        else:
+            inner = lambda a1, a2, b1, b2: base.values(a1 + 0.1, a2, b1, b2)
+        coarse = replace(base, values=lambda a1, a2, b1, b2: np.where(a1 > 2.5, np.nan, inner(a1, a2, b1, b2)))
+        descents = []
+        monkeypatch.setattr(scan, "_descend", lambda *args: descents.append(_descend(*args)) or descents[-1])
+        report = verify_bound(coarse, bound, resolution, n_random_restarts=40, seed=5)
+        lattice = grid_scan(coarse, resolution, bound)
+        (rows, values), = descents
+        violates = lambda v: (abs(v) > bound + scan.BOUND_SLACK) if base.two_sided else (v < bound - scan.BOUND_SLACK)
+        lattice_max = (lattice.max_value, lattice.argmax.astuple())
+        lattice_min = (lattice.min_value, lattice.argmin.astuple())
+        best, worst, bad = running_extremes(lattice_max, lattice_min, rows, values, violates)
+        assert np.isnan(values).any()
+        if variant == "rounded" and base.two_sided:
+            first_tie = next(tuple(r) for r, v in zip(rows.tolist(), values.tolist()) if v == lattice_max[0])
+            assert first_tie != lattice_max[1]
+        elif variant == "shifted":
+            assert best[0] > lattice_max[0] or worst[0] < lattice_min[0]
+        assert (report.max_value, report.argmax.astuple()) == best
+        assert (report.min_value, report.argmin.astuple()) == worst
+        assert report.n_violations == lattice.n_violations + len(bad)
+        stored = [(c.astuple(), v) for c, v in lattice.violations] + bad
+        assert [(c.astuple(), v) for c, v in report.violations] == stored[:MAX_STORED_VIOLATIONS]
+        assert len(lattice.violations) == MAX_STORED_VIOLATIONS or len(bad) > 0
 
 
 def test_default_schedule_constants():

@@ -70,18 +70,108 @@ class TestSignResponse:
         assert lhv._sign_response(math.pi / 4, 0.0).shape == ()
 
     def test_cos_rule_runs_only_near_endpoints(self, monkeypatch):
-        seen = []
-        cos_sign = lhv._cos_sign
+        # The rule runs while the flip points are derived, on points near the
+        # endpoints, and never on the draws: its work is the same at 1e5 and 1e6 draws.
+        cos_rule = lhv._cos_rule
+        for angle in (1.3, math.pi / 4, -2.0, 1e6):
+            points = []
+            for n in (100_000, 1_000_000):
+                lam = np.random.default_rng(0).uniform(0.0, math.pi, n)
+                seen = []
 
-        def counted(angle, lam):
-            seen.append(np.size(lam))
-            return cos_sign(angle, lam)
+                def counted(a, x):
+                    assert not np.shares_memory(x, lam)
+                    seen.append(np.broadcast(np.asarray(a), np.asarray(x)).size)
+                    return cos_rule(a, x)
 
-        monkeypatch.setattr(lhv, "_cos_sign", counted)
-        lam = np.random.default_rng(0).uniform(0.0, math.pi, 100_000)
-        got = lhv._sign_response(1.3, lam)
-        assert np.array_equal(got, cos_sign_response(1.3, lam))
-        assert sum(seen) <= 10
+                monkeypatch.setattr(lhv, "_cos_rule", counted)
+                got = lhv._sign_response(angle, lam)
+                monkeypatch.setattr(lhv, "_cos_rule", cos_rule)
+                assert np.array_equal(got, cos_sign_response(angle, lam))
+                points.append(sum(seen))
+            assert 0 < points[0] == points[1] < 10_000
+
+
+def _around(x: float, k: int) -> np.ndarray:
+    # The 2k + 1 consecutive doubles centred on x >= 0 that lie in [0, pi).
+    lam = (np.asarray(x, dtype=float).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+    return lam[(lam >= 0.0) & (lam < math.pi)]
+
+
+class TestFlipPoints:
+    GRID = np.arange(20_000) * (math.pi / 20_000)
+    # Endpoints within rounding of pi whose flip rounding moved to near 0.
+    WRAPPED = [-117.0243263462198, -60.47565858160352]
+
+    def _check(self, angle):
+        flips = lhv._flip_points([angle])[0]
+        lam = [self.GRID, _around(0.0, 256), _around(lhv._TOP, 256), [math.pi]]
+        if flips is not None:
+            r0, t1, t2 = flips
+            assert 0.0 < t1 < t2 and t1 < math.pi and (t2 < math.pi or t2 == math.inf)
+            assert lhv._cos_rule(angle, 0.0) == r0
+            lam += [_around(t, 256) for t in (t1, t2) if t < math.pi]
+        lam = np.concatenate(lam)
+        assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
+        return flips
+
+    def test_multiples_of_pi_over_8(self):
+        # Multiples of pi/8 put flips on lambda = 0 (alpha1 = pi/4 of the
+        # Tsirelson angles) and on every multiple of pi/8 in [0, pi).
+        for k in range(-16, 17):
+            assert self._check(k * math.pi / 8) is not None
+
+    @pytest.mark.parametrize("angle", [1e6, -1e6, 1e-300, -1e-300, 0.0, 5e-324, *WRAPPED])
+    def test_extreme_angles(self, angle):
+        assert self._check(angle) is not None
+
+    def test_split_gaps_when_windows_miss(self, monkeypatch):
+        # With one-point windows and no translated windows, most flips lie in
+        # a gap, which is split until they are pinned.
+        monkeypatch.setattr(lhv, "_FLIP_ANCHORS", np.arange(0, 1))
+        monkeypatch.setattr(lhv, "_FLIP_WRAP", 0.0)
+        angles = [k * math.pi / 8 for k in range(-16, 17)] + [1e6, -1e6, 1e-300, *self.WRAPPED]
+        angles += np.random.default_rng(22).uniform(-1e3, 1e3, 50).tolist()
+        for angle in angles:
+            assert self._check(angle) is not None
+
+    def test_random_angles(self):
+        rng = np.random.default_rng(20)
+        for angle in np.concatenate([rng.uniform(-2 * math.pi, 2 * math.pi, 500), rng.uniform(-1e6, 1e6, 500)]):
+            self._check(float(angle))
+
+    def test_windows_alone_give_the_flips(self, monkeypatch):
+        # One rule call finds every flip: no gap between windows is split.
+        calls = []
+        cos_rule = lhv._cos_rule
+        monkeypatch.setattr(lhv, "_cos_rule", lambda a, lam: calls.append(1) or cos_rule(a, lam))
+        rng = np.random.default_rng(21)
+        configs = [rng.uniform(-2 * math.pi, 2 * math.pi, (200, 4)), rng.uniform(-1e6, 1e6, (50, 4))]
+        configs.append(np.radians(22.5 * rng.integers(-16, 17, (50, 4))))
+        for angles in np.concatenate(configs).tolist() + [self.WRAPPED]:
+            calls.clear()
+            assert None not in lhv._flip_points(angles)
+            assert len(calls) == 1
+
+    def test_beyond_the_limit_takes_the_cosine_rule(self):
+        lam = np.concatenate([self.GRID, [math.pi, -0.5]])
+        for angle in (math.nextafter(lhv._FLIP_LIMIT, math.inf), 1e300, math.inf, math.nan):
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(lhv._responders([angle])[0](lam), lhv._cos_rule(angle, lam))
+                assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
+
+
+@pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
+def test_pi_times_random_is_uniform(shape):
+    # The sign model draws lambda as pi * u; numpy's uniform(0, pi) is 0.0 + pi * u.
+    want = np.asarray(np.random.default_rng(7).uniform(0.0, math.pi, shape))
+    got = np.asarray(math.pi * np.random.default_rng(7).random(shape))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    drawn = np.asarray(lhv._draw_lambda(np.random.default_rng(7), shape))
+    assert np.array_equal(drawn.view(np.int64), want.view(np.int64))
+    if shape is not None and len(shape) == 2:
+        pair_major = lhv._pair_major(shape[0], math.pi)(np.random.default_rng(7).random(shape))
+        assert np.array_equal(pair_major.view(np.int64), want.T.view(np.int64))
 
 
 C = MC_CHUNK
@@ -112,6 +202,16 @@ class TestChunkBoundaries:
     def test_independent_sign(self, n):
         est = chsh_independent(CFG, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_independent(CFG.astuple(), n, np.random.default_rng(n)))
+
+    @pytest.mark.parametrize("deg", [(45, 0, 22.5, 67.5), (0, 45, 90, 112.5), (-45, 45, 135, 180)])
+    def test_sign_protocols_with_flips_on_zero(self, deg):
+        # Multiples of 22.5 degrees put flips on lambda = 0 and pi/2.
+        cfg = AngleConfig(*np.radians(deg))
+        n = C + 1
+        est = chsh_same_lambda(cfg, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_sign_same_lambda(cfg.astuple(), n, np.random.default_rng(n)))
+        est = chsh_independent(cfg, n, np.random.default_rng(n))
+        _assert_matches(est, n, dense_sign_independent(cfg.astuple(), n, np.random.default_rng(n)))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_quantum(self, n):
