@@ -128,11 +128,37 @@ def _fmt(value):
     return str(value)
 
 
+# json.dumps(indent=2) puts each key of a row on its own line, six spaces in.
+_ROW_ITEM = ",\n      "
+_ROW_BREAK = "},\n      {"
+
+
+def _json(config: dict, rows: list[dict], status: str) -> str:
+    """json.dumps(doc, indent=2) of the document, with the rows in one C-encoder call.
+
+    The indent encoder is pure Python. Rows hold only scalars, so the C
+    encoder with _ROW_ITEM between items lays out their keys the same way;
+    the row braces are rebuilt at each _ROW_BREAK, which cannot occur inside
+    a string (strings escape newlines).
+    """
+    try:
+        text = "[]"
+        if rows:
+            flat = json.dumps(rows, separators=(_ROW_ITEM, ": "), allow_nan=False)
+            text = "[\n    {\n      " + flat[2:-2].replace(_ROW_BREAK, "\n    },\n    {\n      ") + "\n    }\n  ]"
+        head = json.dumps(config, indent=2, allow_nan=False).replace("\n", "\n  ")
+        return f'{{\n  "config": {head},\n  "rows": {text},\n  "status": {json.dumps(status)}\n}}\n'
+    except ValueError:
+        # A non-finite value: the indent encoder raises it with its own
+        # message ("...not JSON compliant: nan").
+        doc = {"config": config, "rows": rows, "status": status}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _render(config: dict, columns: tuple, rows: list[dict], status: str, fmt: str) -> str:
     if fmt == "json":
         blank = dict.fromkeys(columns)
-        doc = {"config": config, "rows": [{**blank, **row} for row in rows], "status": status}
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return _json(config, [{**blank, **row} for row in rows], status)
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, allow_nan=False) + "\n")
     buf.write("# status: " + status + "\n")
@@ -412,20 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     trials, seed = _int_range(2), _int_range(0)
+    parser.commands = {}  # each command's parser under the argv words that name it, for _parse
 
-    def command(group, name: str, func, help: str, **defaults) -> argparse.ArgumentParser:
+    def command(group, words: tuple, func, help: str, **defaults) -> argparse.ArgumentParser:
         # Every command takes --format and --out, and reports usage errors
-        # under its own usage line.
-        p = group.add_parser(name, help=help)
+        # under its own usage line. Its defaults name the command as the
+        # subparser actions do, so its own parser fills the same namespace.
+        p = group.add_parser(words[-1], help=help)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.set_defaults(func=func, parser=p, **defaults)
+        p.set_defaults(func=func, parser=p, **dict(zip(("subcommand", "action"), words)), **defaults)
+        parser.commands[words] = p
         return p
 
-    p = command(sub, "correlate", cmd_correlate, "pair correlation and joint outcome law")
+    p = command(sub, ("correlate",), cmd_correlate, "pair correlation and joint outcome law")
     _add_angles(p, ("alpha", "beta"))
 
-    p = command(sub, "chsh", cmd_chsh, "CHSH estimate in one of the three modes")
+    p = command(sub, ("chsh",), cmd_chsh, "CHSH estimate in one of the three modes")
     p.add_argument("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
     p.add_argument("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
     _add_angles(p)
@@ -434,21 +463,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constrained", help="conditioned four-variable table and expectations")
     actions = p.add_subparsers(dest="action", required=True)
-    p = command(actions, "eval", cmd_constrained, "the 16-cell table at four angles or at --q")
+    p = command(actions, ("constrained", "eval"), cmd_constrained, "the 16-cell table at four angles or at --q")
     _add_angles(p, required=False)
     p.add_argument("--q", type=_quad, help="4 comma-separated correlations, instead of the angles")
-    p = command(actions, "scan", _run_scan, "scan --objective constrained_e4", objective="constrained_e4")
+    p = command(actions, ("constrained", "scan"), _run_scan, "scan --objective constrained_e4",
+                objective="constrained_e4")
     _add_scan_flags(p)
 
-    p = command(sub, "spectrum", cmd_spectrum, "eigenstructure of the CHSH observable")
+    p = command(sub, ("spectrum",), cmd_spectrum, "eigenstructure of the CHSH observable")
     _add_angles(p)
 
-    p = command(sub, "simulate", cmd_simulate, "Monte Carlo sampling vs analytic values")
+    p = command(sub, ("simulate",), cmd_simulate, "Monte Carlo sampling vs analytic values")
     _add_angles(p)
     p.add_argument("--trials", type=trials, default=100_000)
     p.add_argument("--seed", type=seed, default=0)
 
-    p = command(sub, "scan", _run_scan, "bound verification for a named objective")
+    p = command(sub, ("scan",), _run_scan, "bound verification for a named objective")
     p.add_argument("--objective", choices=sorted(OBJECTIVES), default="constrained_e4")
     _add_scan_flags(p)
 
@@ -463,8 +493,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """_parser().parse_args(argv), with a command's flags parsed by its own parser alone.
+
+    The parsers above a command only match each argument against their own
+    options. That changes the outcome only for an argument opening with
+    "--=", which the top-level parser reports as ambiguous (--help or
+    --version), so argv holding one, and argv that does not open with a
+    command's words, take parse_args. Leftovers are reported as parse_args
+    reports them, under the top-level usage line.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2]) if tuple(argv[:2]) in parser.commands else tuple(argv[:1])
+    command = parser.commands.get(words)
+    if command is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[len(words):])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         # Like a shell's `>`, --out is created or truncated before the run,
         # so a path that cannot be opened (even "") fails before any work.

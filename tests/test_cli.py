@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -626,12 +627,13 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_output_exits_4_without_output(self, capsys, monkeypatch, fmt):
+        message = {"json": "Out of range float values are not JSON compliant: nan", "csv": "non-finite value nan"}[fmt]
         monkeypatch.setattr(cli, "singlet_correlation", lambda *a: math.nan)
         code = cli.main(["correlate", "--alpha", "0.1", "--beta", "0.2", "--format", fmt])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "numerical failure" in captured.err
+        assert captured.err == f"chshlab: numerical failure: {message}\n"
 
     def test_two_trials_report_finite_stderr(self, capsys):
         code, payload = run_json(capsys, ["simulate", *MAXV, "--trials", "2", "--seed", "3"])
@@ -926,3 +928,147 @@ class TestCliFuzz:
                 fields = [f.lower() for row in csv.reader(lines[3:]) for f in row]
                 assert not {"nan", "inf", "-inf"} & set(fields)
         assert _run_isolated(argv) == (code, out, err)
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the namespace, or the SystemExit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseRoutes:
+    """cli._parse sends a command's flags to its own parser; parse_args must agree."""
+
+    CORRELATE = ["correlate", "--alpha", "0.3", "--beta", "0.1"]
+    Q = ["constrained", "eval", "--q=0,0,0,0"]
+    EDGES = [
+        [],
+        ["bogus"],
+        ["--bogus"],
+        ["-h"],
+        ["--version"],
+        ["--=x"],
+        ["--", "correlate"],
+        ["constrained"],
+        ["constrained", "--q=0,0,0,0"],
+        ["constrained", "bogus"],
+        ["constrained", "-h"],
+        ["constrained", "eval"],
+        CORRELATE,
+        CORRELATE + ["--=x"],
+        Q + ["--=x"],
+        CORRELATE + ["--=x", "--bogus"],
+        ["scan", "--", "--=x"],
+        CORRELATE + ["--", "x"],
+        Q + ["--", "x"],
+        ["chsh", "--"],
+        CORRELATE + ["--bogus"],
+        Q + ["--bogus", "x", "--seed", "3"],
+        CORRELATE + ["--version"],
+        Q + ["--version"],
+        CORRELATE + ["-h"],
+        Q + ["-h"],
+        ["constrained", "scan", "--help"],
+        ["chsh", "--mode", "quantum", *MAXV, "--tri", "5", "--form", "json"],
+        ["constrained", "scan", "--res", "4", "--rest=0", "--form=json"],
+        ["scan", "--objective=eight_variable_sum", "--form", "xml"],
+        ["spectrum", *MAXV, "--out"],
+    ]
+
+    @staticmethod
+    def assert_routes_agree(argv):
+        parser = cli.build_parser()
+        with mock.patch.object(cli, "_parser", lambda: parser):
+            direct = _parse_outcome(cli._parse, argv)
+        assert direct == _parse_outcome(parser.parse_args, argv), argv
+
+    @pytest.mark.parametrize("argv", EDGES, ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_edge_argvs(self, argv):
+        self.assert_routes_agree(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fuzz_argv())
+    def test_fuzz_argvs(self, case):
+        self.assert_routes_agree(case[0])
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["chshlab", *self.Q, "--format", "json"])
+        assert _parse_outcome(lambda _: cli._parse(None), []) == _parse_outcome(cli._parser().parse_args, sys.argv[1:])
+
+    def test_each_command_is_parsed_by_its_own_parser(self):
+        parser = cli.build_parser()
+        assert sorted(parser.commands) == [
+            ("chsh",), ("constrained", "eval"), ("constrained", "scan"),
+            ("correlate",), ("scan",), ("simulate",), ("spectrum",),
+        ]
+        for words, command in parser.commands.items():
+            assert command.prog == " ".join(("chshlab", *words))
+
+
+# Strings that look like the structure of the indented JSON layout.
+AWKWARD_TEXT = ["}", "},\n      {", '"},\n      {"', '"quoted"', "back\\slash\\", "new\nline\r\t",
+                "λ → ψ⁻ 😀", "", " ", "\x00\x1f\x7f", "[1, {2}]"]
+SCALARS = [None, True, False, 0, -7, 2**70, 0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308,
+           0.1, 2.0 * math.sqrt(2.0), *AWKWARD_TEXT]
+
+
+class TestJsonRendering:
+    """_render(..., "json") is byte for byte json.dumps(doc, indent=2, allow_nan=False)."""
+
+    CONFIG = {"version": "0.1.0", "subcommand": "constrained", "action": "eval",
+              "q": [0.5, -0.2, 1.0, -1.0], "format": "json", "out": None}
+
+    @staticmethod
+    def expected(config, columns, rows, status):
+        blank = dict.fromkeys(columns)
+        doc = {"config": config, "rows": [{**blank, **row} for row in rows], "status": status}
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    def assert_identical(self, config, columns, rows, status="ok"):
+        expected = self.expected(config, columns, rows, status)
+        assert cli._render(config, columns, rows, status, "json") == expected
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 17])
+    def test_row_counts(self, n_rows):
+        columns = cli.CONSTRAINED_COLUMNS
+        rows = [{"kind": "cell", "k1": 1, "l1": -1, "probability": i / 16} for i in range(n_rows)]
+        self.assert_identical(self.CONFIG, columns, rows)
+
+    def test_every_scalar_type_in_a_row(self):
+        columns = tuple(f"c{i}" for i in range(len(SCALARS)))
+        rows = [dict(zip(columns, SCALARS)), dict(zip(columns, reversed(SCALARS))), {}]
+        self.assert_identical(self.CONFIG, columns, rows)
+
+    @pytest.mark.parametrize("text", AWKWARD_TEXT)
+    def test_awkward_strings_in_rows_columns_and_config(self, text):
+        columns = ("kind", text + "!", "value")
+        rows = [{"kind": text, "value": 1.5}, {"kind": "summary", text + "!": text}, {"value": text}]
+        for out in (text, "dir/" + text + ".json", None):
+            self.assert_identical({**self.CONFIG, "out": out, text + "?": [text, 0.25]}, columns, rows, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(), min_size=1, max_size=4, unique=True),
+        st.lists(st.lists(st.one_of(st.none(), st.booleans(), st.integers(),
+                                    st.floats(allow_nan=False, allow_infinity=False), st.text()),
+                          max_size=4), max_size=4),
+    )
+    def test_drawn_rows(self, columns, values):
+        rows = [dict(zip(columns, row)) for row in values]
+        self.assert_identical(self.CONFIG, tuple(columns), rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["row", "config"])
+    def test_non_finite_value_raises_the_indent_encoder_message(self, bad, where):
+        config = {**self.CONFIG, "bound": bad} if where == "config" else self.CONFIG
+        rows = [{"kind": "summary", "value": 1.0}, {"kind": "summary", "value": bad if where == "row" else 2.0}]
+        with pytest.raises(ValueError) as expected:
+            self.expected(config, ("kind", "value"), rows, "ok")
+        with pytest.raises(ValueError) as rendered:
+            cli._render(config, ("kind", "value"), rows, "ok", "json")
+        assert str(rendered.value) == str(expected.value)
+        assert str(rendered.value).endswith(f"not JSON compliant: {bad!r}")

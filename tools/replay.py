@@ -21,7 +21,10 @@ argvs:
 * the CLI fuzz draws of ``tests/test_cli.py`` (``fuzz_argv``), drawn with
   hypothesis derandomized;
 * boundary argvs: a NUL byte, an empty path and a missing directory as
-  ``--out``, and ``--restarts`` at ``scan.MAX_RESTARTS`` and one above.
+  ``--out``, ``--restarts`` at ``scan.MAX_RESTARTS`` and one above, and
+  the argvs that ``cli`` leaves to the top-level parser or reports under
+  its usage line: ``--=x``, ``-- x`` and ``--version`` after a command,
+  and ``constrained`` alone.
 
 Float bytes can differ across machines and numpy builds, so compare two
 revisions on one machine; this is not a tier-1 test.
@@ -88,12 +91,20 @@ def boundary_argvs(missing_dir: Path) -> list[list[str]]:
 
     correlate = ["correlate", "--alpha", "0.3", "--beta", "0.1"]
     scan = ["scan", "--objective", "eight_variable_sum", "--resolution", "2", "--seed", "1"]
+    q = ["constrained", "eval", "--q=0,0,0,0"]
     return [
         correlate + ["--out", "nul\0byte.csv"],
         correlate + ["--out", ""],
         correlate + ["--out", str(missing_dir / "out.csv")],
         scan + ["--restarts", str(MAX_RESTARTS)],
         scan + ["--restarts", str(MAX_RESTARTS + 1)],
+        correlate + ["--=x"],
+        q + ["--=x"],
+        correlate + ["--", "x"],
+        q + ["--", "x"],
+        correlate + ["--version"],
+        q + ["--version"],
+        ["constrained"],
     ]
 
 
