@@ -23,8 +23,8 @@ mean converges to the sum of the four singlet correlations.
 Every estimator streams its trials through :mod:`chshlab.montecarlo`:
 MC_CHUNK trials at a time, reduced to counts of the per-trial values.
 The responses are read off the flip points of the cosine rule, found once
-per run (:func:`_flip_points`): one or two comparisons per response, no
-cosine per draw, and equal to the rule for every draw.
+per run (:func:`_flip_points`): one comparison per flip, no cosine per
+draw, and equal to the rule for every draw.
 """
 
 from __future__ import annotations
@@ -73,18 +73,10 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
 
 # Angles up to _FLIP_LIMIT in magnitude answer from flip points. Rounding
 # moves a flip by at most 1.3e-10 from its analytic endpoint there, so an
-# endpoint within _FLIP_WRAP of 0 or pi also gets a window at its translate
+# endpoint within _FLIP_WRAP of 0 or pi also gets a piece at its translate
 # by pi, in case its flip moved across.
 _FLIP_LIMIT = 1e6
 _FLIP_WRAP = 1e-6
-# A window is 13 anchors with the 2 doubles either side of each: 65
-# consecutive doubles or, where the doubles d near angle - lam are the
-# coarser, the 13 consecutive places where fl(angle - lam) steps. Flips lie
-# within 6 doubles, or 2 steps, of the middle anchor (measured over 10^4
-# angles up to 10^6); a gap across which the rule changes is split
-# 128-fold per pass.
-_FLIP_ANCHORS = np.arange(-6, 7)
-_FLIP_RUN = np.arange(-2, 3)
 _FLIP_SPLIT = np.arange(129) / 128.0
 _TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi), and of every draw pi * u
 
@@ -97,22 +89,20 @@ def _cos_rule(angle, lam) -> np.ndarray:
 def _flip_points(angles: list) -> list:
     """The flips of the cosine rule in lam over [0, pi), per angle.
 
-    Returns, per angle, (r0, t1, t2) with the rule equal to r0 XOR
-    (t1 <= lam < t2) for every double lam in [0, pi), r0 its value at 0 and
-    t2 = inf when only one flip falls there; or None where the rule does
-    not flip once or twice there and must answer itself. A flip is the
-    first double at which the rule changes. The rule's argument is
-    monotone in lam, so the flips sit near the analytic endpoints
-    (angle -+ pi/4) mod pi. [0, pi) is cut midway between the endpoints,
-    and the first pass evaluates the rule on each piece at its two ends
-    and at a window around its endpoint, in ascending order; a change
-    between adjacent doubles is a flip, and a change across a gap is
-    narrowed by splitting the gap 128-fold per pass until it is. Each pass
-    is one rule call for all angles. Doubles in [0, pi) are stepped through
-    as their int64 bit patterns, which are consecutive for consecutive
-    doubles.
+    Returns, per angle, (r0, flips): the rule's value at 0 and the sorted
+    doubles in (0, pi) at which it changes, so that the rule is r0 XOR (an
+    odd number of flips <= lam) for every double lam in [0, pi). The rule's
+    argument is monotone in lam, so the flips sit near the analytic
+    endpoints (angle -+ pi/4) mod pi. [0, pi) is cut midway between the
+    endpoints, and the first pass evaluates the rule at each piece's two
+    ends and at its endpoint, clipped into the piece; a gap across which
+    the rule changes is split 128-fold per pass until the change lies
+    between adjacent doubles. Each pass is one rule call for all angles.
+    Doubles in [0, pi) are stepped through as their int64 bit patterns,
+    which are consecutive for consecutive doubles; a gap spans fewer than
+    2^63 of them, so a call makes at most 10 passes.
     """
-    owner, windows, firsts = [], [], []
+    owner, pieces, firsts = [], [], []
     for k, angle in enumerate(angles):
         firsts.append(len(owner))
         ends = sorted(((angle - math.pi / 4) % math.pi, (angle + math.pi / 4) % math.pi))
@@ -123,67 +113,52 @@ def _flip_points(angles: list) -> list:
         left = 0.0
         for i, center in enumerate(ends):
             right = (center + ends[i + 1]) / 2 if i + 1 < len(ends) else _TOP
-            # fl(angle - lam) steps where angle - lam crosses the midpoint of
-            # two doubles d and d + ulp(d): at lam = (angle - d) - ulp(d) / 2.
-            d = angle - center
-            step = math.ulp(d)
-            if step >= 8 * math.ulp(center):
-                windows.append((left, angle - d - step / 2, step, 0.0, right, angle))
-            else:
-                windows.append((left, center, 0.0, 5.0, right, angle))
+            pieces.append((left, min(max(center, left), right), right, angle))
             owner.append(k)
             left = right
-    left, start, value_step, bit_step, right, rule_angles = np.array(windows).T[:, :, None]
-    left, right = left.view(np.int64), right.view(np.int64)
-    near = (start + value_step * _FLIP_ANCHORS).view(np.int64) + bit_step.astype(np.int64) * _FLIP_ANCHORS
-    near = np.minimum(np.maximum((near[:, :, None] + _FLIP_RUN).reshape(len(owner), -1), left), right)
-    grid = np.concatenate([left, near, right], axis=1)
+    pieces = np.array(pieces)
+    grid, rule_angles = pieces[:, :3].view(np.int64), pieces[:, 3:]
     rule = _cos_rule(rule_angles, grid.view(np.float64))
     r0 = rule[firsts, 0].tolist()
+    owner = np.array(owner)
     flips = [[] for _ in angles]
     while True:
         rows, cols = np.nonzero(rule[:, 1:] != rule[:, :-1])
         lo, hi = grid[rows, cols], grid[rows, cols + 1]
-        split = []
-        for i, (row, gap, flip) in enumerate(zip(rows.tolist(), (hi - lo).tolist(), hi.view(np.float64).tolist())):
-            if gap == 1:
-                flips[owner[row]].append(flip)
-            else:
-                split.append(i)
-        if not split:
-            break
-        owner = [owner[row] for row in rows[split].tolist()]
-        rule_angles, lo, span = rule_angles[rows[split]], lo[split, None], (hi - lo)[split, None]
+        pinned = hi - lo == 1
+        for k, flip in zip(owner[rows[pinned]].tolist(), hi[pinned].view(np.float64).tolist()):
+            flips[k].append(flip)
+        if pinned.all():
+            return [(r0[k], sorted(t)) for k, t in enumerate(flips)]
+        rows, lo, span = rows[~pinned], lo[~pinned, None], (hi - lo)[~pinned, None]
+        owner, rule_angles = owner[rows], rule_angles[rows]
         offsets = (span * _FLIP_SPLIT).astype(np.int64)
         offsets[:, -1:] = span  # span * 1.0 may round when span > 2^53
         grid = lo + offsets
         rule = _cos_rule(rule_angles, grid.view(np.float64))
 
-    found = []
-    for k, t in enumerate(flips):
-        t.sort()
-        found.append((r0[k], t[0], t[1] if len(t) == 2 else math.inf) if len(t) in (1, 2) else None)
-    return found
 
-
-def _responder(angle: float, flips):
-    if flips is None:
+def _responder(angle: float, found):
+    if found is None:
         return lambda lam: _cos_rule(angle, lam)
-    r0, t1, t2 = flips
-    if t2 == math.inf:
-        return (lambda lam: lam < t1) if r0 else (lambda lam: lam >= t1)
-    if r0:
-        return lambda lam: (lam < t1) | (lam >= t2)
-    return lambda lam: (lam >= t1) & (lam < t2)
+    r0, (first, *rest) = found
+
+    def respond(lam):
+        out = lam < first if r0 else lam >= first
+        for t in rest:
+            out ^= lam >= t
+        return out
+
+    return respond
 
 
 def _responders(angles) -> list:
     """A's response mask for each angle, as a function of lam in [0, pi).
 
-    Each is one or two comparisons against the angle's flip points, equal to
-    :func:`_cos_rule` for every lam in [0, pi); angles without clean flips
-    (NaN, inf, beyond _FLIP_LIMIT) take the cosine rule itself. Flips are
-    derived once per distinct angle, in one call.
+    Each is r0 XOR (an odd number of the angle's flip points <= lam): one
+    comparison per flip, equal to :func:`_cos_rule` for every lam in
+    [0, pi). Non-finite angles and those beyond _FLIP_LIMIT take the cosine
+    rule itself. Flips are derived once per distinct angle, in one call.
     """
     angles = [float(a) for a in angles]
     fit = list(dict.fromkeys(a for a in angles if abs(a) <= _FLIP_LIMIT))

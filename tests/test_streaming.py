@@ -73,7 +73,7 @@ class TestSignResponse:
         # The rule runs while the flip points are derived, on points near the
         # endpoints, and never on the draws: its work is the same at 1e5 and 1e6 draws.
         cos_rule = lhv._cos_rule
-        for angle in (1.3, math.pi / 4, -2.0, 1e6):
+        for angle in (1.3, math.pi / 4, -2.0, 1e6, math.radians(4455)):
             points = []
             for n in (100_000, 1_000_000):
                 lam = np.random.default_rng(0).uniform(0.0, math.pi, n)
@@ -102,16 +102,16 @@ class TestFlipPoints:
     GRID = np.arange(20_000) * (math.pi / 20_000)
     # Endpoints within rounding of pi whose flip rounding moved to near 0.
     WRAPPED = [-117.0243263462198, -60.47565858160352]
+    # Endpoints within rounding of 0 whose rule flips just above 0 and, as
+    # fl(angle - lam) rounds, again just below pi.
+    THREE = [-5214 * math.pi / 8, math.radians(4455), math.radians(-6435)]
 
     def _check(self, angle):
-        flips = lhv._flip_points([angle])[0]
+        r0, flips = lhv._flip_points([angle])[0]
+        assert flips == sorted(flips) and all(0.0 < t < math.pi for t in flips)
+        assert lhv._cos_rule(angle, 0.0) == r0
         lam = [self.GRID, _around(0.0, 256), _around(lhv._TOP, 256), [math.pi]]
-        if flips is not None:
-            r0, t1, t2 = flips
-            assert 0.0 < t1 < t2 and t1 < math.pi and (t2 < math.pi or t2 == math.inf)
-            assert lhv._cos_rule(angle, 0.0) == r0
-            lam += [_around(t, 256) for t in (t1, t2) if t < math.pi]
-        lam = np.concatenate(lam)
+        lam = np.concatenate(lam + [_around(t, 256) for t in flips])
         assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
         return flips
 
@@ -119,39 +119,34 @@ class TestFlipPoints:
         # Multiples of pi/8 put flips on lambda = 0 (alpha1 = pi/4 of the
         # Tsirelson angles) and on every multiple of pi/8 in [0, pi).
         for k in range(-16, 17):
-            assert self._check(k * math.pi / 8) is not None
+            self._check(k * math.pi / 8)
 
     @pytest.mark.parametrize("angle", [1e6, -1e6, 1e-300, -1e-300, 0.0, 5e-324, *WRAPPED])
     def test_extreme_angles(self, angle):
-        assert self._check(angle) is not None
+        self._check(angle)
 
-    def test_split_gaps_when_windows_miss(self, monkeypatch):
-        # With one-point windows and no translated windows, most flips lie in
-        # a gap, which is split until they are pinned.
-        monkeypatch.setattr(lhv, "_FLIP_ANCHORS", np.arange(0, 1))
-        monkeypatch.setattr(lhv, "_FLIP_WRAP", 0.0)
-        angles = [k * math.pi / 8 for k in range(-16, 17)] + [1e6, -1e6, 1e-300, *self.WRAPPED]
-        angles += np.random.default_rng(22).uniform(-1e3, 1e3, 50).tolist()
-        for angle in angles:
-            assert self._check(angle) is not None
+    @pytest.mark.parametrize("angle", THREE)
+    def test_three_flips(self, angle):
+        assert len(self._check(angle)) == 3
 
     def test_random_angles(self):
         rng = np.random.default_rng(20)
         for angle in np.concatenate([rng.uniform(-2 * math.pi, 2 * math.pi, 500), rng.uniform(-1e6, 1e6, 500)]):
             self._check(float(angle))
 
-    def test_windows_alone_give_the_flips(self, monkeypatch):
-        # One rule call finds every flip: no gap between windows is split.
+    def test_at_most_ten_rule_calls(self, monkeypatch):
+        # Each pass narrows every gap 128-fold, and a gap spans fewer than
+        # 2^63 doubles: one call for the pieces and at most 9 to split them.
         calls = []
         cos_rule = lhv._cos_rule
         monkeypatch.setattr(lhv, "_cos_rule", lambda a, lam: calls.append(1) or cos_rule(a, lam))
         rng = np.random.default_rng(21)
         configs = [rng.uniform(-2 * math.pi, 2 * math.pi, (200, 4)), rng.uniform(-1e6, 1e6, (50, 4))]
         configs.append(np.radians(22.5 * rng.integers(-16, 17, (50, 4))))
-        for angles in np.concatenate(configs).tolist() + [self.WRAPPED]:
+        for angles in np.concatenate(configs).tolist() + [self.WRAPPED, self.THREE]:
             calls.clear()
-            assert None not in lhv._flip_points(angles)
-            assert len(calls) == 1
+            lhv._flip_points(angles)
+            assert 0 < len(calls) <= 10
 
     def test_beyond_the_limit_takes_the_cosine_rule(self):
         lam = np.concatenate([self.GRID, [math.pi, -0.5]])
@@ -203,9 +198,12 @@ class TestChunkBoundaries:
         est = chsh_independent(CFG, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_independent(CFG.astuple(), n, np.random.default_rng(n)))
 
-    @pytest.mark.parametrize("deg", [(45, 0, 22.5, 67.5), (0, 45, 90, 112.5), (-45, 45, 135, 180)])
+    @pytest.mark.parametrize(
+        "deg", [(45, 0, 22.5, 67.5), (0, 45, 90, 112.5), (-45, 45, 135, 180), (4455, 0, 22.5, 67.5)]
+    )
     def test_sign_protocols_with_flips_on_zero(self, deg):
-        # Multiples of 22.5 degrees put flips on lambda = 0 and pi/2.
+        # Multiples of 22.5 degrees put flips on lambda = 0 and pi/2; 4455
+        # degrees flips three times, just above 0, near pi/2 and just below pi.
         cfg = AngleConfig(*np.radians(deg))
         n = C + 1
         est = chsh_same_lambda(cfg, n, np.random.default_rng(n))
