@@ -63,6 +63,7 @@ from .constrained import (
     quantum_eight_variable_sum,
 )
 from .lhv import (
+    MAX_ANGLE,
     AngleConfig,
     angle_pairs,
     chsh_independent,
@@ -80,9 +81,6 @@ EXIT_BOUND_VIOLATION = 3
 EXIT_NUMERICAL = 4
 
 SQRT8 = 2.0 * math.sqrt(2.0)
-
-# Largest |angle| accepted by the angle flags, in the flag's own unit.
-MAX_ANGLE = 1e6
 
 FOUR_ANGLES = ("alpha1", "alpha2", "beta1", "beta2")
 
@@ -187,6 +185,8 @@ def _finite(text: str) -> float:
 
 
 def _angle(text: str) -> float:
+    # The sign model's MAX_ANGLE, held in the flag's own unit: with --degrees
+    # the largest angle the models see is radians(1e6), about 17,453.
     value = _finite(text)
     if abs(value) > MAX_ANGLE:
         raise argparse.ArgumentTypeError(f"|angle| must be at most {MAX_ANGLE:g}, got {text!r}")

@@ -24,7 +24,8 @@ Every estimator streams its trials through :mod:`chshlab.montecarlo`:
 MC_CHUNK trials at a time, reduced to counts of the per-trial values.
 The responses are read off the flip points of the cosine rule, found once
 per run (:func:`_flip_points`): one comparison per flip, no cosine per
-draw, and equal to the rule for every draw.
+draw, and equal to the rule for every draw. Every angle must be finite
+with magnitude at most MAX_ANGLE; any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
     return tuple((angles[i], angles[j]) for i, j in kernels.PAIRS)
 
 
-# Angles up to _FLIP_LIMIT in magnitude answer from flip points. Rounding
-# moves a flip by at most 1.3e-10 from its analytic endpoint there, so an
-# endpoint within _FLIP_WRAP of 0 or pi also gets a piece at its translate
-# by pi, in case its flip moved across.
-_FLIP_LIMIT = 1e6
+# Largest |angle| the sign model accepts. Rounding moves a flip by at most
+# 1.3e-10 from its analytic endpoint there, so an endpoint within _FLIP_WRAP
+# of 0 or pi also gets a piece at its translate by pi, in case its flip
+# moved across.
+MAX_ANGLE = 1e6
 _FLIP_WRAP = 1e-6
 _FLIP_SPLIT = np.arange(129) / 128.0
 _TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi), and of every draw pi * u
@@ -138,51 +139,32 @@ def _flip_points(angles: list) -> list:
         rule = _cos_rule(rule_angles, grid.view(np.float64))
 
 
-def _responder(angle: float, found):
-    if found is None:
-        return lambda lam: _cos_rule(angle, lam)
-    r0, (first, *rest) = found
-
-    def respond(lam):
-        out = lam < first if r0 else lam >= first
-        for t in rest:
-            out ^= lam >= t
-        return out
-
-    return respond
-
-
 def _responders(angles) -> list:
     """A's response mask for each angle, as a function of lam in [0, pi).
 
     Each is r0 XOR (an odd number of the angle's flip points <= lam): one
     comparison per flip, equal to :func:`_cos_rule` for every lam in
-    [0, pi). Non-finite angles and those beyond _FLIP_LIMIT take the cosine
-    rule itself. Flips are derived once per distinct angle, in one call.
+    [0, pi). Flips are derived once per distinct angle, in one call. Raises
+    ValueError unless every angle is finite with |angle| <= MAX_ANGLE.
     """
     angles = [float(a) for a in angles]
-    fit = list(dict.fromkeys(a for a in angles if abs(a) <= _FLIP_LIMIT))
-    flips = dict(zip(fit, _flip_points(fit))) if fit else {}
-    return [_responder(a, flips.get(a)) for a in angles]
+    if not all(abs(a) <= MAX_ANGLE for a in angles):
+        raise ValueError(f"angles must be finite with |angle| <= {MAX_ANGLE:g}, got {angles}")
+    distinct = list(dict.fromkeys(angles))
+    found = dict(zip(distinct, _flip_points(distinct)))
 
+    def responder(r0, flips):
+        first, *rest = flips
 
-def _sign_response(angle: float, lam) -> np.ndarray:
-    """sign(cos 2(angle - lam)), with sign(0) := +1 so responses are total.
+        def respond(lam):
+            out = lam < first if r0 else lam >= first
+            for t in rest:
+                out ^= lam >= t
+            return out
 
-    lam in [0, pi) answers from the angle's flip points (see
-    :func:`_responders`); any other lam, and an array of angles, takes the
-    cosine rule itself, so the result equals it for every input.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.ndim(angle) != 0:
-        return signs(_cos_rule(angle, lam))
-    flat = lam.reshape(-1)
-    far = ~((flat >= 0.0) & (flat < math.pi))
-    out = _responders([angle])[0](np.where(far, 0.0, flat))
-    if far.any():
-        idx = np.flatnonzero(far)
-        out[idx] = _cos_rule(angle, flat[idx])
-    return signs(out).reshape(lam.shape)
+        return respond
+
+    return [responder(*found[a]) for a in angles]
 
 
 def _draw_lambda(rng: np.random.Generator, size) -> np.ndarray:
@@ -209,7 +191,8 @@ def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000
 
     Serves as the analytic oracle for :func:`correlation_mc`. grid_points
     must be at least 1000 to keep the midpoint error well under 1e-3 for
-    the piecewise-constant sign responses.
+    the piecewise-constant sign responses. The midpoints lie in (0, pi),
+    where :func:`_responders` answers from flip points and checks the angles.
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
@@ -242,7 +225,8 @@ def _pair_major(n: int, scale: float = 1.0):
     # Copies each chunk's trial-major (size, 4) draws, times scale, into one
     # reused (4, size) buffer, so every pair's draws are contiguous and no
     # chunk allocates it anew. A plain copy is faster than a product by 1.
-    buf = np.empty((4, min(n, MC_CHUNK)))
+    # n < 2 is left for stream_estimate to reject.
+    buf = np.empty((4, max(0, min(n, MC_CHUNK))))
 
     def pair_major(draws: np.ndarray) -> np.ndarray:
         out = buf[:, : len(draws)]
@@ -284,8 +268,6 @@ def quantum_chsh_independent(
     The mean converges to q1 + q2 + q3 - q4, the signed sum of the four
     singlet correlations, whose magnitude never exceeds 2 sqrt(2).
     """
-    if n < 2:
-        raise ValueError("need at least 2 trials")
     cuts = [_product_cuts(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
     pair_major = _pair_major(n)
 

@@ -24,7 +24,7 @@ from chshlab.constrained import (
 )
 from chshlab.lhv import (
     AngleConfig,
-    _sign_response,
+    _responders,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
@@ -33,6 +33,7 @@ from chshlab.lhv import (
     tsirelson_angles,
 )
 from chshlab.linalg import is_hermitian
+from chshlab.montecarlo import signs
 from chshlab.quantum import commutator, joint_distribution, sample_pairs, singlet_state
 from chshlab.scan import grid_scan, verify_bound
 from chshlab import cli
@@ -118,10 +119,8 @@ def test_criterion_7_lhv_deterministic_bounds():
     for i, config in enumerate(_random_configs(seed=107, count=20)):
         rng = np.random.default_rng(1000 + i)
         lam = rng.uniform(0.0, math.pi, n)
-        a1 = _sign_response(config.alpha1, lam)
-        a2 = _sign_response(config.alpha2, lam)
-        b1 = -_sign_response(config.beta1, lam)
-        b2 = -_sign_response(config.beta2, lam)
+        a1, a2, b1, b2 = (signs(respond(lam)) for respond in _responders(config.astuple()))
+        b1, b2 = -b1, -b2
         per_trial = (a1 + a2) * b1 + (a1 - a2) * b2
         ok &= bool(np.all(np.abs(per_trial) == 2))
         est = chsh_same_lambda(config, n, np.random.default_rng(1000 + i))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chshlab.lhv import (
     AngleConfig,
-    _sign_response,
+    _responders,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
@@ -17,6 +17,7 @@ from chshlab.lhv import (
     quantum_chsh_independent,
     tsirelson_angles,
 )
+from chshlab.montecarlo import signs
 
 from oracles import parity_identity, sign_model_sawtooth
 
@@ -36,17 +37,18 @@ def test_tsirelson_angles():
 
 class TestSignModel:
     def test_responses_are_signs(self):
-        lam = np.linspace(-5.0, 5.0, 1001)
-        for angle in (-1.0, 0.0, 0.7, math.pi):
-            assert set(np.unique(_sign_response(angle, lam))) <= {-1, 1}
+        lam = np.linspace(0.0, math.pi, 1001, endpoint=False)
+        for respond in _responders((-1.0, 0.0, 0.7, math.pi)):
+            assert set(np.unique(signs(respond(lam)))) <= {-1, 1}
 
     def test_responses_deterministic(self):
         lam = np.array([0.1, 0.5, 2.0])
-        assert np.array_equal(_sign_response(0.3, lam), _sign_response(0.3, lam))
+        first, second = (_responders([0.3])[0] for _ in range(2))
+        assert np.array_equal(signs(first(lam)), signs(second(lam)))
 
     def test_sign_zero_convention(self):
         # cos(2(angle - lam)) == 0 must resolve to +1 for station A
-        assert _sign_response(math.pi / 4, 0.0) == 1
+        assert signs(_responders([math.pi / 4])[0](np.asarray(0.0))) == 1
 
     def test_perfect_anticorrelation_at_equal_angles(self):
         # B = -A, so A B = -1 on every lambda, drawn or on the quadrature grid
@@ -114,10 +116,8 @@ class TestSameLambda:
         n = 20_000
         # reproduce the estimator's draws: lambda ~ U[0, pi), B = -A
         lam = np.random.default_rng(5).uniform(0.0, math.pi, n)
-        a1 = _sign_response(cfg.alpha1, lam)
-        a2 = _sign_response(cfg.alpha2, lam)
-        b1 = -_sign_response(cfg.beta1, lam)
-        b2 = -_sign_response(cfg.beta2, lam)
+        a1, a2, b1, b2 = (signs(respond(lam)) for respond in _responders(cfg.astuple()))
+        b1, b2 = -b1, -b2
         s = (a1 + a2) * b1 + (a1 - a2) * b2
         assert set(np.unique(s)) <= {-2, 2}
         est = chsh_same_lambda(cfg, n, np.random.default_rng(5))
@@ -148,8 +148,9 @@ class TestIndependent:
         n = 20_000
         lam = np.random.default_rng(8).uniform(0.0, math.pi, (n, 4))
         pairs = angle_pairs(cfg)
-        a = [_sign_response(pairs[j][0], lam[:, j]) for j in range(4)]
-        b = [-_sign_response(pairs[j][1], lam[:, j]) for j in range(4)]
+        respond = [_responders(pair) for pair in pairs]
+        a = [signs(respond[j][0](lam[:, j])) for j in range(4)]
+        b = [-signs(respond[j][1](lam[:, j])) for j in range(4)]
         s = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
         assert set(np.unique(s)) <= {-4, -2, 0, 2, 4}
         est = chsh_independent(cfg, n, np.random.default_rng(8))

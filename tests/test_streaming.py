@@ -1,5 +1,5 @@
-"""Streaming Monte Carlo: the cosine-free sign response, chunk boundaries,
-exact count-based estimates and bounded memory."""
+"""Streaming Monte Carlo: the cosine-free sign response and its angle
+check, chunk boundaries, exact count-based estimates and bounded memory."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshlab import lhv
+from chshlab import cli, lhv
 from chshlab.chsh_operator import t_distribution, t_estimate
 from chshlab.lhv import (
     AngleConfig,
@@ -18,7 +18,7 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, estimate_from_counts, stream_estimate
+from chshlab.montecarlo import MC_CHUNK, estimate_from_counts, signs, stream_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -31,26 +31,29 @@ from oracles import (
     dense_two_point,
 )
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
 moderate = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
-angles = st.one_of(moderate, finite)
-lambdas = st.lists(st.one_of(st.floats(min_value=0.0, max_value=math.pi), moderate, finite), min_size=1, max_size=50)
+angles = st.one_of(moderate, st.floats(min_value=-lhv.MAX_ANGLE, max_value=lhv.MAX_ANGLE))
+lambdas = st.lists(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True), min_size=1, max_size=50)
+
+
+def _response(angle, lam):
+    # A's +-1 response to lam in [0, pi), as the sign-model estimators compute it.
+    return signs(lhv._responders([angle])[0](lam))
 
 
 class TestSignResponse:
     @given(angles, lambdas)
     def test_matches_cos_rule(self, angle, lam):
         lam = np.array(lam)
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = cos_sign_response(angle, lam)
-            got = lhv._sign_response(angle, lam)
+        got = _response(angle, lam)
         assert got.dtype == np.int8
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, cos_sign_response(angle, lam))
 
     @settings(max_examples=200)
     @given(moderate)
     def test_arc_endpoints_to_the_ulp(self, angle):
-        # lambda at each arc endpoint angle +- pi/4 (+ j pi), walked k ulp either way.
+        # lambda at each arc endpoint angle +- pi/4 (+ j pi), walked k ulp
+        # either way, where it lies in [0, pi).
         lam = []
         for edge in (angle - math.pi / 4, angle + math.pi / 4):
             for j in range(-2, 3):
@@ -61,13 +64,14 @@ class TestSignResponse:
                         below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
                         lam += [below, above]
         lam = np.array(lam)
-        assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
+        lam = lam[(lam >= 0.0) & (lam < math.pi)]
+        assert np.array_equal(_response(angle, lam), cos_sign_response(angle, lam))
 
     def test_scalar_and_shaped_lambda(self):
-        lam = np.linspace(-4.0, 4.0, 24).reshape(2, 3, 4)
-        assert np.array_equal(lhv._sign_response(0.7, lam), cos_sign_response(0.7, lam))
-        assert lhv._sign_response(math.pi / 4, 0.0) == 1
-        assert lhv._sign_response(math.pi / 4, 0.0).shape == ()
+        lam = np.linspace(0.0, math.pi, 24, endpoint=False).reshape(2, 3, 4)
+        assert np.array_equal(_response(0.7, lam), cos_sign_response(0.7, lam))
+        assert _response(math.pi / 4, np.asarray(0.0)) == 1
+        assert _response(math.pi / 4, np.asarray(0.0)).shape == ()
 
     def test_cos_rule_runs_only_near_endpoints(self, monkeypatch):
         # The rule runs while the flip points are derived, on points near the
@@ -85,7 +89,7 @@ class TestSignResponse:
                     return cos_rule(a, x)
 
                 monkeypatch.setattr(lhv, "_cos_rule", counted)
-                got = lhv._sign_response(angle, lam)
+                got = _response(angle, lam)
                 monkeypatch.setattr(lhv, "_cos_rule", cos_rule)
                 assert np.array_equal(got, cos_sign_response(angle, lam))
                 points.append(sum(seen))
@@ -110,9 +114,9 @@ class TestFlipPoints:
         r0, flips = lhv._flip_points([angle])[0]
         assert flips == sorted(flips) and all(0.0 < t < math.pi for t in flips)
         assert lhv._cos_rule(angle, 0.0) == r0
-        lam = [self.GRID, _around(0.0, 256), _around(lhv._TOP, 256), [math.pi]]
+        lam = [self.GRID, _around(0.0, 256), _around(lhv._TOP, 256)]
         lam = np.concatenate(lam + [_around(t, 256) for t in flips])
-        assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
+        assert np.array_equal(_response(angle, lam), cos_sign_response(angle, lam))
         return flips
 
     def test_multiples_of_pi_over_8(self):
@@ -148,12 +152,24 @@ class TestFlipPoints:
             lhv._flip_points(angles)
             assert 0 < len(calls) <= 10
 
-    def test_beyond_the_limit_takes_the_cosine_rule(self):
-        lam = np.concatenate([self.GRID, [math.pi, -0.5]])
-        for angle in (math.nextafter(lhv._FLIP_LIMIT, math.inf), 1e300, math.inf, math.nan):
-            with np.errstate(invalid="ignore"):
-                assert np.array_equal(lhv._responders([angle])[0](lam), lhv._cos_rule(angle, lam))
-                assert np.array_equal(lhv._sign_response(angle, lam), cos_sign_response(angle, lam))
+    def test_rejects_angles_beyond_the_limit(self):
+        # Each sign-model entry point checks its angles in _responders; the
+        # CLI's angle flags hold the same constant in their own unit.
+        assert cli.MAX_ANGLE is lhv.MAX_ANGLE
+        rng = np.random.default_rng(0)
+        entry_points = (
+            lambda a: correlation_mc(a, 0.3, 1000, rng),
+            lambda a: lhv.correlation_quadrature(0.3, a, 1000),
+            lambda a: chsh_same_lambda(AngleConfig(0.1, a, 0.3, 0.5), 1000, rng),
+            lambda a: chsh_independent(AngleConfig(0.1, 0.2, 0.3, a), 1000, rng),
+        )
+        beyond = (math.nextafter(lhv.MAX_ANGLE, math.inf), -math.nextafter(lhv.MAX_ANGLE, math.inf), 1e300)
+        for run in entry_points:
+            for angle in (lhv.MAX_ANGLE, -lhv.MAX_ANGLE):
+                run(angle)
+            for angle in beyond + (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    run(angle)
 
 
 @pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
@@ -235,17 +251,22 @@ class TestChunkBoundaries:
 
 
 class TestCountEstimate:
-    @pytest.mark.parametrize("n", [1, 0, -3])
+    @pytest.mark.parametrize("n", [1, 0, -1, -3])
     def test_requires_two_samples(self, n):
+        # Every estimator leaves the trial count to stream_estimate's one check.
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             estimate_from_counts((-1, 1), (max(n, 0), 0))
-        with pytest.raises(ValueError):
-            correlation_mc(0.1, 0.2, n, rng)
-        with pytest.raises(ValueError):
-            chsh_same_lambda(CFG, n, rng)
-        with pytest.raises(ValueError):
-            product_estimate(joint_distribution(0.1, 0.2), n, rng)
+        for run in (
+            lambda: correlation_mc(0.1, 0.2, n, rng),
+            lambda: chsh_same_lambda(CFG, n, rng),
+            lambda: chsh_independent(CFG, n, rng),
+            lambda: quantum_chsh_independent(CFG, n, rng),
+            lambda: product_estimate(joint_distribution(0.1, 0.2), n, rng),
+            lambda: t_estimate(T_CFG, n, rng),
+        ):
+            with pytest.raises(ValueError, match="^need at least 2 samples$"):
+                run()
 
     def test_exact_at_huge_counts(self):
         # n * (sum of squares) is about 6e31: exact as Python ints, far past int64.
