@@ -27,7 +27,7 @@ floating-point rounding of the angle differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -104,11 +104,11 @@ class ScanReport:
     argmax: AngleConfig
     min_value: float
     argmin: AngleConfig
-    violations: list = field(default_factory=list)  # [(AngleConfig, value), ...]
-    n_violations: int = 0
-    n_evaluated: int = 0
-    n_skipped: int = 0
-    bound: float | None = None
+    violations: list  # [(AngleConfig, value), ...]
+    n_violations: int
+    n_evaluated: int
+    n_skipped: int
+    bound: float
 
 
 def _lookup(objective: Union[str, _Objective]) -> _Objective:
@@ -135,37 +135,44 @@ def _slab_angles(ax: np.ndarray, index):
     return np.stack([ax[i1], np.zeros_like(ax[i1]), ax[i3], ax[i4]], axis=-1)
 
 
-def _scan_slab(obj: _Objective, resolution: int, bound: float):
-    """Evaluate the alpha2 = 0 slab; returns (report, flat slab values, lattice axis).
-
-    The slab is flattened in C order of (alpha1, beta1, beta2), so the first
-    extremum found is the lexicographically smallest slab index.
-    """
+def _scan_slab(obj: _Objective, resolution: int):
+    """The alpha2 = 0 slab values, flat in C order of (alpha1, beta1, beta2), and the lattice axis."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
     ax = (np.arange(resolution) / resolution) * math.pi
-    flat = obj.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel()
-    config_at = lambda index: AngleConfig(*_slab_angles(ax, index).tolist())
-    n_nan = int(np.count_nonzero(np.isnan(flat)))
-    n_skipped = resolution * n_nan
-    argmax, argmin = (np.nanargmax, np.nanargmin) if n_nan else (np.argmax, np.argmin)
-    idx_max, idx_min = int(argmax(flat)), int(argmin(flat))
-    bad = np.flatnonzero(_violates(obj, bound, flat))
-    report = ScanReport(
+    return obj.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel(), ax
+
+
+def _report(obj: _Objective, resolution: int, bound: float, flat, ax, angles, values) -> ScanReport:
+    """One pass over the slab values ``flat`` followed by the refined (angles, values) rows.
+
+    The first extremum in that order wins: the lattice wins ties, the
+    smallest slab index among slab points, the first row among refined rows.
+    NaN is skipped and never violates; the first MAX_STORED_VIOLATIONS
+    violations are stored. A slab point counts resolution times, a row once.
+    """
+    both = np.concatenate([flat, values])
+    nan = np.isnan(both)
+    n_skipped = resolution * int(np.count_nonzero(nan[: flat.size]))
+    argmax, argmin = (np.nanargmax, np.nanargmin) if nan.any() else (np.argmax, np.argmin)
+    idx_max, idx_min = int(argmax(both)), int(argmin(both))
+    bad = np.flatnonzero(_violates(obj, bound, both))
+    n_slab_bad = int(np.searchsorted(bad, flat.size))
+    config_at = lambda i: AngleConfig(*(_slab_angles(ax, i) if i < flat.size else angles[i - flat.size]).tolist())
+    return ScanReport(
         objective_name=obj.name,
         grid_resolution=resolution,
-        n_refinements=0,
-        max_value=float(flat[idx_max]),
+        n_refinements=values.size,
+        max_value=float(both[idx_max]),
         argmax=config_at(idx_max),
-        min_value=float(flat[idx_min]),
+        min_value=float(both[idx_min]),
         argmin=config_at(idx_min),
-        violations=[(config_at(i), float(flat[i])) for i in bad[:MAX_STORED_VIOLATIONS]],
-        n_violations=resolution * int(bad.size),
+        violations=[(config_at(i), float(both[i])) for i in bad[:MAX_STORED_VIOLATIONS]],
+        n_violations=resolution * n_slab_bad + (bad.size - n_slab_bad),
         n_evaluated=resolution**4 - n_skipped,
         n_skipped=n_skipped,
         bound=bound,
     )
-    return report, flat, ax
 
 
 def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float | None = None) -> ScanReport:
@@ -176,14 +183,15 @@ def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float |
     full resolution^4 lattice, while argmax, argmin and the stored
     violations are slab points. Degenerate-conditioning points (possible
     only off the angle manifold, so in practice never) are skipped and
-    counted, never flagged. Ties for the extrema resolve to the
-    lexicographically smallest (alpha1, beta1, beta2) slab index.
+    counted, never flagged. The report is :func:`_report` with no refined
+    rows: ties go to the smallest (alpha1, beta1, beta2) slab index.
     ``resolution`` must lie in [2, MAX_RESOLUTION]; ValueError otherwise.
     """
     obj = _lookup(objective)
     if bound is None:
         bound = obj.default_bound
-    return _scan_slab(obj, resolution, bound)[0]
+    flat, ax = _scan_slab(obj, resolution)
+    return _report(obj, resolution, bound, flat, ax, np.empty((0, 4)), np.empty(0))
 
 
 def _extreme_indices(flat: np.ndarray, k: int):
@@ -282,15 +290,15 @@ def verify_bound(
     over the full resolution^4 lattice). Then refines from the
     N_GRID_STARTS best slab points in each relevant direction and from
     ``n_random_restarts`` uniform random configurations, all starts of both
-    directions in lockstep under the rule of :func:`refine`, and reports
-    every refined or lattice value beyond the bound (with a 1e-9 slack).
+    directions in lockstep under the rule of :func:`refine`. The report is
+    :func:`_report` of the slab values followed by the refined rows.
     Deterministic in (objective, bound, resolution, n_random_restarts, seed).
     ``n_random_restarts`` must lie in [0, MAX_RESTARTS]; ValueError otherwise.
     """
     if not 0 <= n_random_restarts <= MAX_RESTARTS:
         raise ValueError(f"n_random_restarts must lie in [0, {MAX_RESTARTS}]")
     obj = _lookup(objective)
-    report, flat, ax = _scan_slab(obj, resolution, bound)
+    flat, ax = _scan_slab(obj, resolution)
     lowest, highest = _extreme_indices(flat, N_GRID_STARTS)
     restarts = component_stream(seed, "scan/restarts").uniform(0.0, math.pi, (n_random_restarts, 4))
 
@@ -300,27 +308,4 @@ def verify_bound(
         starts += [_slab_angles(ax, grid), restarts]
         senses += [maximize] * (grid.size + n_random_restarts)
     angles, values = _descend(obj.values, np.concatenate(starts), senses)
-
-    # Refined rows in refinement order: the first row strictly beyond the
-    # lattice extremum wins, as with a running max/min; NaN rows never win.
-    max_value, argmax, min_value, argmin = report.max_value, report.argmax, report.min_value, report.argmin
-    if values.size:
-        i = int(np.where(np.isnan(values), -np.inf, values).argmax())
-        if values[i] > max_value:
-            max_value, argmax = float(values[i]), AngleConfig(*angles[i].tolist())
-        i = int(np.where(np.isnan(values), np.inf, values).argmin())
-        if values[i] < min_value:
-            min_value, argmin = float(values[i]), AngleConfig(*angles[i].tolist())
-    bad = np.flatnonzero(_violates(obj, bound, values))
-    room = MAX_STORED_VIOLATIONS - len(report.violations)
-    stored = [(AngleConfig(*angles[i].tolist()), float(values[i])) for i in bad[:room]]
-    return replace(
-        report,
-        n_refinements=values.size,
-        max_value=max_value,
-        argmax=argmax,
-        min_value=min_value,
-        argmin=argmin,
-        violations=report.violations + stored,
-        n_violations=report.n_violations + int(bad.size),
-    )
+    return _report(obj, resolution, bound, flat, ax, angles, values)

@@ -180,18 +180,25 @@ def stable_extremes(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return order[:k], order[max(0, order.size - k) :]
 
 
-def running_extremes(lattice_max, lattice_min, rows: np.ndarray, values: np.ndarray, violates):
-    """Extrema and violations of refined rows by a running max/min, in row order.
+def running_extremes(slab_rows, slab_values, rows, values, violates, resolution: int):
+    """Extrema and violations of the slab rows followed by the refined rows.
 
-    lattice_max and lattice_min are (value, point) pairs that hold unless a
-    non-NaN row is strictly beyond them; among equal rows the first wins.
-    Returns the max pair, the min pair and the violating (row, value) pairs,
-    rows as tuples; NaN rows never win and never violate.
+    A running max/min over the (row, value) pairs in that order: a value
+    replaces the extremum only if strictly beyond it, so among equal values
+    the first wins. NaN never wins and never violates. Returns the max pair,
+    the min pair, the violating (row, value) pairs in order and their count
+    with each slab violation counted resolution times; rows are tuples.
     """
-    found = [(v, tuple(row)) for row, v in zip(rows.tolist(), values.tolist()) if not math.isnan(v)]
-    best = max([lattice_max, *found], key=lambda p: p[0])
-    worst = min([lattice_min, *found], key=lambda p: p[0])
-    return best, worst, [(row, v) for v, row in found if violates(v)]
+    found = [
+        (v, tuple(row), weight)
+        for weight, rs, vs in ((resolution, slab_rows, slab_values), (1, rows, values))
+        for row, v in zip(rs.tolist(), vs.tolist())
+        if not math.isnan(v)
+    ]
+    best = max(found, key=lambda p: p[0])[:2]
+    worst = min(found, key=lambda p: p[0])[:2]
+    bad = [(row, v, weight) for v, row, weight in found if violates(v)]
+    return best, worst, [(row, v) for row, v, _ in bad], sum(weight for *_, weight in bad)
 
 
 def random_angle_tuple(rng: np.random.Generator) -> tuple[float, float, float, float]:

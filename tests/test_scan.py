@@ -319,12 +319,16 @@ class TestVerifyBound:
         descents = []
         monkeypatch.setattr(scan, "_descend", lambda *args: descents.append(_descend(*args)) or descents[-1])
         report = verify_bound(coarse, bound, resolution, n_random_restarts=40, seed=5)
-        lattice = grid_scan(coarse, resolution, bound)
         (rows, values), = descents
+        ax = (np.arange(resolution) / resolution) * math.pi
+        a1, b1, b2 = (g.ravel() for g in np.meshgrid(ax, ax, ax, indexing="ij"))  # C order of (a1, b1, b2)
+        slab_rows = np.stack([a1, np.zeros_like(a1), b1, b2], axis=1)
+        slab_values = coarse.values(*slab_rows.T)
         violates = lambda v: (abs(v) > bound + scan.BOUND_SLACK) if base.two_sided else (v < bound - scan.BOUND_SLACK)
-        lattice_max = (lattice.max_value, lattice.argmax.astuple())
-        lattice_min = (lattice.min_value, lattice.argmin.astuple())
-        best, worst, bad = running_extremes(lattice_max, lattice_min, rows, values, violates)
+        lattice_max, lattice_min, lattice_bad, _ = running_extremes(
+            slab_rows, slab_values, rows[:0], values[:0], violates, resolution
+        )
+        best, worst, bad, n_bad = running_extremes(slab_rows, slab_values, rows, values, violates, resolution)
         assert np.isnan(values).any()
         if variant == "rounded" and base.two_sided:
             first_tie = next(tuple(r) for r, v in zip(rows.tolist(), values.tolist()) if v == lattice_max[0])
@@ -333,10 +337,11 @@ class TestVerifyBound:
             assert best[0] > lattice_max[0] or worst[0] < lattice_min[0]
         assert (report.max_value, report.argmax.astuple()) == best
         assert (report.min_value, report.argmin.astuple()) == worst
-        assert report.n_violations == lattice.n_violations + len(bad)
-        stored = [(c.astuple(), v) for c, v in lattice.violations] + bad
-        assert [(c.astuple(), v) for c, v in report.violations] == stored[:MAX_STORED_VIOLATIONS]
-        assert len(lattice.violations) == MAX_STORED_VIOLATIONS or len(bad) > 0
+        assert report.n_refinements == values.size
+        assert report.n_skipped == resolution * np.count_nonzero(np.isnan(slab_values))
+        assert report.n_violations == n_bad
+        assert [(c.astuple(), v) for c, v in report.violations] == bad[:MAX_STORED_VIOLATIONS]
+        assert len(lattice_bad) >= MAX_STORED_VIOLATIONS or len(bad) > len(lattice_bad)
 
 
 def test_default_schedule_constants():
