@@ -88,12 +88,12 @@ def build_constrained_from_quad(quad: CorrelationQuad) -> ConstrainedDistributio
     conditioning mass vanish.
     """
     for q in quad.astuple():
-        if abs(q) > 1.0 + 1e-12:
+        if not abs(q) <= 1.0 + 1e-12:  # not >, so that NaN fails too
             raise ValueError(f"correlations must lie in [-1, 1], got {q}")
+    if math.isnan(kernels.e4(*quad.astuple())):  # degenerate exactly where the closed form is
+        raise DegenerateConditioningError("constraint event has zero probability")
     raw = kernels.conditioned_table(*quad.astuple())
     mass = float(raw.cumsum()[-1])
-    if mass <= kernels.DEGENERACY_THRESHOLD:
-        raise DegenerateConditioningError("constraint event has zero probability")
     probs = dict(zip(CELL_ORDER, (raw / mass).tolist()))
     return ConstrainedDistribution(probs=probs, normalizer=mass)
 

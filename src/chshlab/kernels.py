@@ -11,8 +11,8 @@ from itertools import product
 
 import numpy as np
 
-# Minimum admissible conditioning mass 1 + q1 q2 q3 q4; at or below it the
-# conditioned four-variable expectation is undefined.
+# Minimum admissible 1 + q1 q2 q3 q4, sixteen times the conditioning mass; at
+# or below it the conditioned table and its expectation are undefined.
 DEGENERACY_THRESHOLD = 1e-12
 
 # Pair n's (i, j) into (a1, a2, b1, b2): (a1, b1), (a1, b2), (a2, b1), (a2, b2).

@@ -22,10 +22,11 @@ mean converges to the sum of the four singlet correlations.
 
 Every estimator streams its trials through :mod:`chshlab.montecarlo`:
 MC_CHUNK trials at a time, reduced to counts of the per-trial values.
-The responses are read off the flip points of the cosine rule, found once
-per run (:func:`_flip_points`): one comparison per flip, no cosine per
-draw, and equal to the rule for every draw. Every angle must be finite
-with magnitude at most MAX_ANGLE; any other raises ValueError.
+The responses are read off the flip points of the cosine rule, which the
+rule itself finds once per run from one grid shared by all angles
+(:func:`_flip_points`): one comparison per flip, no cosine per draw, and
+equal to the rule for every draw. Every angle must be finite with
+magnitude at most MAX_ANGLE; any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -73,13 +74,11 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
 
 
 # Largest |angle| the sign model accepts. Rounding moves a flip by at most
-# 1.3e-10 from its analytic endpoint there, so an endpoint within _FLIP_WRAP
-# of 0 or pi also gets a piece at its translate by pi, in case its flip
-# moved across.
+# 1.3e-10 from its analytic endpoint there.
 MAX_ANGLE = 1e6
-_FLIP_WRAP = 1e-6
 _FLIP_SPLIT = np.arange(129) / 128.0
 _TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi), and of every draw pi * u
+_FLIP_GRID = np.minimum(_FLIP_SPLIT * math.pi, _TOP)  # k pi / 128 for k < 128, then _TOP
 
 
 def _cos_rule(angle, lam) -> np.ndarray:
@@ -92,36 +91,25 @@ def _flip_points(angles: list) -> list:
 
     Returns, per angle, (r0, flips): the rule's value at 0 and the sorted
     doubles in (0, pi) at which it changes, so that the rule is r0 XOR (an
-    odd number of flips <= lam) for every double lam in [0, pi). The rule's
-    argument is monotone in lam, so the flips sit near the analytic
-    endpoints (angle -+ pi/4) mod pi. [0, pi) is cut midway between the
-    endpoints, and the first pass evaluates the rule at each piece's two
-    ends and at its endpoint, clipped into the piece; a gap across which
-    the rule changes is split 128-fold per pass until the change lies
-    between adjacent doubles. Each pass is one rule call for all angles.
-    Doubles in [0, pi) are stepped through as their int64 bit patterns,
-    which are consecutive for consecutive doubles; a gap spans fewer than
-    2^63 of them, so a call makes at most 10 passes.
+    odd number of flips <= lam) for every double lam in [0, pi). The first
+    pass evaluates the rule on _FLIP_GRID, which all angles share; a gap
+    across which the rule changes is split 128-fold per pass until the
+    change lies between adjacent doubles. Each pass is one rule call for all
+    angles. No flip is missed, because no grid gap holds two flips. The
+    rule's argument is monotone in lam, so the flips lie within 1.3e-10 of
+    the analytic endpoints (angle -+ pi/4) mod pi. Those are pi/2 apart mod
+    pi, so flips of different endpoints are too far apart to share a pi/128
+    gap. Only an endpoint within rounding of 0 or pi can flip both just
+    above 0 and just below pi, and the grid's first and last gaps keep
+    those two flips apart. Doubles in [0, pi) are stepped through as their
+    int64 bit patterns, which are consecutive for consecutive doubles; a gap
+    spans fewer than 2^63 of them, so a call makes at most 10 passes.
     """
-    owner, pieces, firsts = [], [], []
-    for k, angle in enumerate(angles):
-        firsts.append(len(owner))
-        ends = sorted(((angle - math.pi / 4) % math.pi, (angle + math.pi / 4) % math.pi))
-        if ends[0] < _FLIP_WRAP:
-            ends.append(ends[0] + math.pi)
-        elif ends[1] > math.pi - _FLIP_WRAP:
-            ends.insert(0, ends[1] - math.pi)
-        left = 0.0
-        for i, center in enumerate(ends):
-            right = (center + ends[i + 1]) / 2 if i + 1 < len(ends) else _TOP
-            pieces.append((left, min(max(center, left), right), right, angle))
-            owner.append(k)
-            left = right
-    pieces = np.array(pieces)
-    grid, rule_angles = pieces[:, :3].view(np.int64), pieces[:, 3:]
-    rule = _cos_rule(rule_angles, grid.view(np.float64))
-    r0 = rule[firsts, 0].tolist()
-    owner = np.array(owner)
+    rule_angles = np.array(angles, dtype=float)[:, None]
+    grid = np.broadcast_to(_FLIP_GRID.view(np.int64), (len(angles), _FLIP_GRID.size))
+    rule = _cos_rule(rule_angles, _FLIP_GRID)
+    r0 = rule[:, 0].tolist()
+    owner = np.arange(len(angles))
     flips = [[] for _ in angles]
     while True:
         rows, cols = np.nonzero(rule[:, 1:] != rule[:, :-1])

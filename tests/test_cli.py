@@ -532,6 +532,8 @@ class TestRowSchema:
             ("scan", ["scan", "--objective", "eight_variable_sum", "--bound", "2", *SCAN_FLAGS], "violations"),
             ("scan", ["constrained", "scan", *SCAN_FLAGS], "ok"),
             ("scan", ["constrained", "scan", "--bound", "0.5", *SCAN_FLAGS], "violations"),
+            # 1 + q1 q2 q3 q4 = 1e-11: the closed form and the table both answer.
+            ("constrained", ["constrained", "eval", "--q=1,1,1,-0.99999999999"], "ok"),
         ],
     )
     def test_csv_header_and_json_keys_follow_the_column_tuple(self, capsys, monkeypatch, schema, argv, status):

@@ -117,9 +117,28 @@ class TestBuildConstrained:
         with pytest.raises(DegenerateConditioningError, match="zero probability"):
             build_constrained_from_quad(CorrelationQuad(-1.0, 1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("d", [0.0, 5e-13, 1e-11, 1.5e-11, 1e-10])
+    def test_table_degenerate_exactly_where_e4_is_nan(self, d):
+        # 1 + q1 q2 q3 q4 = d, on both sides of DEGENERACY_THRESHOLD and
+        # between it and sixteen times it, where the table's own mass sits.
+        quad = CorrelationQuad(1.0, 1.0, 1.0, d - 1.0)
+        if math.isnan(kernels.e4(*quad.astuple())):
+            with pytest.raises(DegenerateConditioningError, match="zero probability"):
+                build_constrained_from_quad(quad)
+        else:
+            dist = build_constrained_from_quad(quad)
+            assert constrained_expectation_bruteforce(dist) == pytest.approx(constrained_expectation_closed(quad))
+
     def test_rejects_out_of_range_quad(self):
         with pytest.raises(ValueError):
             build_constrained_from_quad(CorrelationQuad(1.5, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_nan_correlation(self, position):
+        q = [0.0] * 4
+        q[position] = math.nan
+        with pytest.raises(ValueError, match=r"correlations must lie in \[-1, 1\], got nan"):
+            build_constrained_from_quad(CorrelationQuad(*q))
 
     def test_table_kernel_rows_equal_scalar_tables(self):
         rng = np.random.default_rng(8)

@@ -74,10 +74,11 @@ class TestSignResponse:
         assert _response(math.pi / 4, np.asarray(0.0)).shape == ()
 
     def test_cos_rule_runs_only_near_endpoints(self, monkeypatch):
-        # The rule runs while the flip points are derived, on points near the
-        # endpoints, and never on the draws: its work is the same at 1e5 and 1e6 draws.
+        # The rule runs only while the flip points are derived, on the shared
+        # grid and on the gaps split around each flip, and never on the draws:
+        # its work is the same at 1e5 and 1e6 draws.
         cos_rule = lhv._cos_rule
-        for angle in (1.3, math.pi / 4, -2.0, 1e6, math.radians(4455)):
+        for angle in (1.3, math.pi / 4, -2.0, 1e6, math.radians(4455), *TestFlipPoints.WRAPPED):
             points = []
             for n in (100_000, 1_000_000):
                 lam = np.random.default_rng(0).uniform(0.0, math.pi, n)
@@ -140,7 +141,7 @@ class TestFlipPoints:
 
     def test_at_most_ten_rule_calls(self, monkeypatch):
         # Each pass narrows every gap 128-fold, and a gap spans fewer than
-        # 2^63 doubles: one call for the pieces and at most 9 to split them.
+        # 2^63 doubles: one call for the grid and at most 9 to split them.
         calls = []
         cos_rule = lhv._cos_rule
         monkeypatch.setattr(lhv, "_cos_rule", lambda a, lam: calls.append(1) or cos_rule(a, lam))
@@ -215,12 +216,21 @@ class TestChunkBoundaries:
         _assert_matches(est, n, dense_sign_independent(CFG.astuple(), n, np.random.default_rng(n)))
 
     @pytest.mark.parametrize(
-        "deg", [(45, 0, 22.5, 67.5), (0, 45, 90, 112.5), (-45, 45, 135, 180), (4455, 0, 22.5, 67.5)]
+        "deg",
+        [
+            (45, 0, 22.5, 67.5),
+            (0, 45, 90, 112.5),
+            (-45, 45, 135, 180),
+            (4455, 0, 22.5, 67.5),
+            pytest.param(AngleConfig(*TestFlipPoints.WRAPPED, 0.3, 1.2), id="wrapped-radians"),
+        ],
     )
     def test_sign_protocols_with_flips_on_zero(self, deg):
         # Multiples of 22.5 degrees put flips on lambda = 0 and pi/2; 4455
         # degrees flips three times, just above 0, near pi/2 and just below pi.
-        cfg = AngleConfig(*np.radians(deg))
+        # The wrapped angles, whose endpoints lie within rounding of pi but
+        # flip near 0, are given in radians: through degrees their bits move.
+        cfg = deg if isinstance(deg, AngleConfig) else AngleConfig(*np.radians(deg))
         n = C + 1
         est = chsh_same_lambda(cfg, n, np.random.default_rng(n))
         _assert_matches(est, n, dense_sign_same_lambda(cfg.astuple(), n, np.random.default_rng(n)))
