@@ -22,6 +22,11 @@ they report (points evaluated, skipped and in violation) are resolution
 times the slab counts, i.e. they still count the full resolution^4
 lattice. Translated lattice points agree with their slab point up to
 floating-point rounding of the angle differences.
+
+The slab is evaluated in blocks of whole alpha1-planes, at most SLAB_BLOCK
+points each or one plane, and each block is folded into a running report
+in index order. So a scan holds max(SLAB_BLOCK, resolution^2) values at a
+time, and every value is the same ufuncs on the same operands as in one piece.
 """
 
 from __future__ import annotations
@@ -47,8 +52,12 @@ N_GRID_STARTS = 5
 # Violations stored per report are capped; n_violations counts all of them.
 MAX_STORED_VIOLATIONS = 1000
 
-# The res^3 slab is evaluated in one broadcast call with several float64
-# temporaries of res^3 entries each; this cap keeps a scan near 100 MB.
+# Points per slab block: whole alpha1-planes up to this many, or one plane
+# once a plane (res^2 points) is larger, as MC_CHUNK bounds the Monte Carlo.
+SLAB_BLOCK = 1 << 13
+
+# A scan evaluates res^3 slab points: this cap bounds that to 2.1e6
+# evaluations, 15-105 ms per objective on a 2-vCPU x86_64 VM.
 MAX_RESOLUTION = 128
 
 # verify_bound draws (restarts, 4) angles and descends from 2 x restarts rows
@@ -135,63 +144,100 @@ def _slab_angles(ax: np.ndarray, index):
     return np.stack([ax[i1], np.zeros_like(ax[i1]), ax[i3], ax[i4]], axis=-1)
 
 
-def _scan_slab(obj: _Objective, resolution: int):
-    """The alpha2 = 0 slab values, flat in C order of (alpha1, beta1, beta2), and the lattice axis."""
+class _Fold:
+    """The report rule over value blocks in index order; NaN never wins or violates.
+
+    Keeps the first extremum each way as (value, index), so a later block
+    wins only if strictly better; the NaN and violation counts; the first
+    MAX_STORED_VIOLATIONS violations as (index, value); and the
+    :func:`_extreme_indices` candidates of blocks added with k > 0.
+    """
+
+    def __init__(self, obj: _Objective, bound: float):
+        self.obj, self.bound = obj, bound
+        self.size = self.n_nan = self.n_bad = 0
+        self.max = self.min = None
+        self.bad, self.candidates = [], []  # candidates: [(indices, values), ...]
+
+    def add(self, block: np.ndarray, k: int = 0) -> None:
+        n_nan = int(np.count_nonzero(np.isnan(block)))
+        if n_nan < block.size:
+            argmax, argmin = (np.nanargmax, np.nanargmin) if n_nan else (np.argmax, np.argmin)
+            i, j = int(argmax(block)), int(argmin(block))
+            if self.max is None or block[i] > self.max[0]:
+                self.max = (float(block[i]), self.size + i)
+            if self.min is None or block[j] < self.min[0]:
+                self.min = (float(block[j]), self.size + j)
+        bad = np.flatnonzero(_violates(self.obj, self.bound, block))
+        self.bad += [(self.size + i, float(block[i])) for i in bad[: MAX_STORED_VIOLATIONS - len(self.bad)].tolist()]
+        if k:
+            keep = np.zeros(block.size, dtype=bool)  # a mask, not np.union1d, whose first call costs 1.6 MB
+            keep[np.concatenate(_extreme_indices(block, k))] = True
+            self.candidates.append((self.size + np.flatnonzero(keep), block[keep]))
+        self.size += block.size
+        self.n_nan += n_nan
+        self.n_bad += bad.size
+
+
+def _scan_slab(obj: _Objective, resolution: int, bound: float, k: int = 0):
+    """The alpha2 = 0 slab, folded with ``k`` in blocks of whole alpha1-planes, and the lattice axis."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
     ax = (np.arange(resolution) / resolution) * math.pi
-    return obj.values(ax[:, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel(), ax
+    fold = _Fold(obj, bound)
+    planes = max(1, SLAB_BLOCK // resolution**2)
+    for lo in range(0, resolution, planes):
+        fold.add(obj.values(ax[lo : lo + planes, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel(), k)
+    return fold, ax
 
 
-def _report(obj: _Objective, resolution: int, bound: float, flat, ax, angles, values) -> ScanReport:
-    """One pass over the slab values ``flat`` followed by the refined (angles, values) rows.
+def _report(fold: _Fold, resolution: int, ax, angles, values) -> ScanReport:
+    """The report of the slab ``fold`` with the refined (angles, values) rows folded in as one last block.
 
-    The first extremum in that order wins: the lattice wins ties, the
-    smallest slab index among slab points, the first row among refined rows.
-    NaN is skipped and never violates; the first MAX_STORED_VIOLATIONS
-    violations are stored. A slab point counts resolution times, a row once.
+    So the first extremum in index order wins: the lattice wins ties, the
+    smallest slab index among slab points, the first row among refined
+    rows. A slab point counts resolution times, a row once. ValueError if
+    every value is NaN.
     """
-    both = np.concatenate([flat, values])
-    nan = np.isnan(both)
-    n_skipped = resolution * int(np.count_nonzero(nan[: flat.size]))
-    argmax, argmin = (np.nanargmax, np.nanargmin) if nan.any() else (np.argmax, np.argmin)
-    idx_max, idx_min = int(argmax(both)), int(argmin(both))
-    bad = np.flatnonzero(_violates(obj, bound, both))
-    n_slab_bad = int(np.searchsorted(bad, flat.size))
-    config_at = lambda i: AngleConfig(*(_slab_angles(ax, i) if i < flat.size else angles[i - flat.size]).tolist())
+    n_slab, n_skipped, n_slab_bad = fold.size, resolution * fold.n_nan, fold.n_bad
+    fold.add(values)
+    if fold.max is None:
+        raise ValueError("All-NaN slice encountered")
+    config_at = lambda i: AngleConfig(*(_slab_angles(ax, i) if i < n_slab else angles[i - n_slab]).tolist())
     return ScanReport(
-        objective_name=obj.name,
+        objective_name=fold.obj.name,
         grid_resolution=resolution,
         n_refinements=values.size,
-        max_value=float(both[idx_max]),
-        argmax=config_at(idx_max),
-        min_value=float(both[idx_min]),
-        argmin=config_at(idx_min),
-        violations=[(config_at(i), float(both[i])) for i in bad[:MAX_STORED_VIOLATIONS]],
-        n_violations=resolution * n_slab_bad + (bad.size - n_slab_bad),
+        max_value=fold.max[0],
+        argmax=config_at(fold.max[1]),
+        min_value=fold.min[0],
+        argmin=config_at(fold.min[1]),
+        violations=[(config_at(i), v) for i, v in fold.bad],
+        n_violations=resolution * n_slab_bad + (fold.n_bad - n_slab_bad),
         n_evaluated=resolution**4 - n_skipped,
         n_skipped=n_skipped,
-        bound=bound,
+        bound=fold.bound,
     )
 
 
 def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float | None = None) -> ScanReport:
     """Evaluate an objective over the full angle lattice and record extrema.
 
-    Only the resolution^3 slab alpha2 = 0 is evaluated (see the module
-    docstring); ``n_evaluated``, ``n_skipped`` and ``n_violations`` count the
-    full resolution^4 lattice, while argmax, argmin and the stored
-    violations are slab points. Degenerate-conditioning points (possible
-    only off the angle manifold, so in practice never) are skipped and
-    counted, never flagged. The report is :func:`_report` with no refined
-    rows: ties go to the smallest (alpha1, beta1, beta2) slab index.
-    ``resolution`` must lie in [2, MAX_RESOLUTION]; ValueError otherwise.
+    Only the resolution^3 slab alpha2 = 0 is evaluated, in blocks (see the
+    module docstring); ``n_evaluated``, ``n_skipped`` and ``n_violations``
+    count the full resolution^4 lattice, while argmax, argmin and the
+    stored violations are slab points. Degenerate-conditioning points
+    (possible only off the angle manifold, so in practice never) are
+    skipped and counted, never flagged. The report is :func:`_report` with
+    no refined rows: ties go to the smallest (alpha1, beta1, beta2) slab
+    index, whatever SLAB_BLOCK is. ValueError unless ``resolution`` lies in
+    [2, MAX_RESOLUTION], and if every slab value is NaN.
     """
     obj = _lookup(objective)
     if bound is None:
         bound = obj.default_bound
-    flat, ax = _scan_slab(obj, resolution)
-    return _report(obj, resolution, bound, flat, ax, np.empty((0, 4)), np.empty(0))
+    fold, ax = _scan_slab(obj, resolution, bound)
+    return _report(fold, resolution, ax, np.empty((0, 4)), np.empty(0))
 
 
 def _extreme_indices(flat: np.ndarray, k: int):
@@ -288,18 +334,21 @@ def verify_bound(
 
     Scans the alpha2 = 0 slab once, as :func:`grid_scan` does (counts are
     over the full resolution^4 lattice). Then refines from the
-    N_GRID_STARTS best slab points in each relevant direction and from
-    ``n_random_restarts`` uniform random configurations, all starts of both
-    directions in lockstep under the rule of :func:`refine`. The report is
-    :func:`_report` of the slab values followed by the refined rows.
+    N_GRID_STARTS best slab points in each relevant direction, merged from
+    each block's best, and from ``n_random_restarts`` uniform random
+    configurations, all starts of both directions in lockstep under the
+    rule of :func:`refine`. The report is :func:`_report` of the slab fold
+    with the refined rows folded in last.
     Deterministic in (objective, bound, resolution, n_random_restarts, seed).
     ``n_random_restarts`` must lie in [0, MAX_RESTARTS]; ValueError otherwise.
     """
     if not 0 <= n_random_restarts <= MAX_RESTARTS:
         raise ValueError(f"n_random_restarts must lie in [0, {MAX_RESTARTS}]")
     obj = _lookup(objective)
-    flat, ax = _scan_slab(obj, resolution)
-    lowest, highest = _extreme_indices(flat, N_GRID_STARTS)
+    fold, ax = _scan_slab(obj, resolution, bound, N_GRID_STARTS)
+    # a slab point among the k best overall, ties in index order, is among them in its block
+    indices, candidates = (np.concatenate(c) for c in zip(*fold.candidates))
+    lowest, highest = (indices[i] for i in _extreme_indices(candidates, N_GRID_STARTS))
     restarts = component_stream(seed, "scan/restarts").uniform(0.0, math.pi, (n_random_restarts, 4))
 
     starts, senses = [], []
@@ -308,4 +357,4 @@ def verify_bound(
         starts += [_slab_angles(ax, grid), restarts]
         senses += [maximize] * (grid.size + n_random_restarts)
     angles, values = _descend(obj.values, np.concatenate(starts), senses)
-    return _report(obj, resolution, bound, flat, ax, angles, values)
+    return _report(fold, resolution, ax, angles, values)

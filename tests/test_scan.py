@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +29,20 @@ from chshlab.scan import (
 from oracles import coordinate_descent, lattice_objective_values, running_extremes, stable_extremes
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+
+def coarse_objective(variant, name):
+    """``name``'s objective rounded or shifted, and NaN for alpha1 > 2.5.
+
+    Rounded values tie on many lattice points, shifted ones put the
+    extrema off the lattice, and the NaN hole covers the last alpha1-planes.
+    """
+    base = OBJECTIVES[name]
+    if variant == "rounded":
+        inner = lambda a1, a2, b1, b2: np.round(base.values(a1, a2, b1, b2))
+    else:
+        inner = lambda a1, a2, b1, b2: base.values(a1 + 0.1, a2, b1, b2)
+    return replace(base, values=lambda a1, a2, b1, b2: np.where(a1 > 2.5, np.nan, inner(a1, a2, b1, b2)))
 
 
 class TestGridScan:
@@ -311,11 +329,7 @@ class TestVerifyBound:
         # rows beat it. NaN for alpha1 > 2.5 leaves NaN rows, and the bound
         # makes violations; at res 16 the lattice alone fills the store.
         base = OBJECTIVES[name]
-        if variant == "rounded":
-            inner = lambda a1, a2, b1, b2: np.round(base.values(a1, a2, b1, b2))
-        else:
-            inner = lambda a1, a2, b1, b2: base.values(a1 + 0.1, a2, b1, b2)
-        coarse = replace(base, values=lambda a1, a2, b1, b2: np.where(a1 > 2.5, np.nan, inner(a1, a2, b1, b2)))
+        coarse = coarse_objective(variant, name)
         descents = []
         monkeypatch.setattr(scan, "_descend", lambda *args: descents.append(_descend(*args)) or descents[-1])
         report = verify_bound(coarse, bound, resolution, n_random_restarts=40, seed=5)
@@ -347,3 +361,111 @@ class TestVerifyBound:
 def test_default_schedule_constants():
     assert DEFAULT_STEP0 == pytest.approx(math.pi / 24)
     assert DEFAULT_TOL == 1e-10
+
+
+class TestSlabBlocks:
+    """The slab is evaluated and folded in blocks of whole alpha1-planes."""
+
+    @staticmethod
+    def _reports(monkeypatch, obj, bound, resolution, restarts=4):
+        # SLAB_BLOCK = 1 gives one plane per block, 2**62 one block for the whole slab
+        reports = []
+        for block in (1, 2**62):
+            monkeypatch.setattr(scan, "SLAB_BLOCK", block)
+            reports.append((grid_scan(obj, resolution, bound), verify_bound(obj, bound, resolution, restarts, seed=5)))
+        return reports
+
+    @pytest.mark.parametrize("resolution", [8, 16, 25])
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [("eight_variable_sum", [SQRT8, 2.0]), ("constrained_e4", [2.0, 1.9]), ("t_validity_margin", [0.0, 0.5])],
+    )
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, name, bounds, resolution):
+        for bound in bounds:
+            per_plane, whole = self._reports(monkeypatch, OBJECTIVES[name], bound, resolution)
+            assert per_plane == whole
+
+    @pytest.mark.parametrize("resolution, bound", [(8, 1.0), (16, 0.25)])
+    @pytest.mark.parametrize("name", ["eight_variable_sum", "t_validity_margin"])
+    @pytest.mark.parametrize("variant", ["rounded", "shifted"])
+    def test_coarse_report_does_not_depend_on_block_size(self, monkeypatch, variant, name, resolution, bound):
+        # Rounding ties values across blocks, and the planes with
+        # alpha1 > 2.5 are all-NaN trailing blocks.
+        (grid, refined), whole = self._reports(monkeypatch, coarse_objective(variant, name), bound, resolution, 20)
+        assert (grid, refined) == whole
+        assert grid.n_skipped > 0 and grid.n_violations > 0
+        if resolution == 16:  # the store fills before the last plane with a value
+            assert len(grid.violations) == MAX_STORED_VIOLATIONS
+            assert grid.violations[-1][0].alpha1 < 2.5 - math.pi / resolution
+
+    @pytest.mark.parametrize(
+        "keep", [lambda b1, b2: b1 == b2, lambda b1, b2: (b1 == 0) & (b2 == 0)], ids=["b1 == b2", "b1 == b2 == 0"]
+    )
+    def test_sparse_planes_give_the_same_starts(self, monkeypatch, keep):
+        # 8 or 1 valid values per plane, fewer than 2 N_GRID_STARTS: a
+        # block's smallest and largest candidates overlap.
+        base = OBJECTIVES["eight_variable_sum"]
+        obj = replace(base, values=lambda a1, a2, b1, b2: np.where(keep(b1, b2), np.round(base.values(a1, a2, b1, b2)), np.nan))
+        starts = []
+        monkeypatch.setattr(scan, "_descend", lambda values, rows, senses: starts.append(rows) or _descend(values, rows, senses))
+        per_plane, whole = self._reports(monkeypatch, obj, 1.0, 8, restarts=0)
+        assert per_plane == whole
+        assert starts[0].tolist() == starts[1].tolist()
+        highest, lowest = starts[0][:N_GRID_STARTS], starts[0][N_GRID_STARTS:]  # no restarts
+        assert len({tuple(r) for r in highest.tolist()}) == len({tuple(r) for r in lowest.tolist()}) == N_GRID_STARTS
+
+    def test_all_nan_slab_raises(self, monkeypatch):
+        nan = replace(OBJECTIVES["constrained_e4"], values=lambda *angles: np.full(np.broadcast(*angles).shape, np.nan))
+        for block in (1, 2**62):
+            monkeypatch.setattr(scan, "SLAB_BLOCK", block)
+            with pytest.raises(ValueError):
+                grid_scan(nan, 8)
+            with pytest.raises(ValueError):
+                verify_bound(nan, 2.0, 8, n_random_restarts=2)
+
+    @pytest.mark.parametrize("resolution", [90, 91, 128])
+    def test_blocks_bound_the_evaluation(self, resolution):
+        # 90^2 <= SLAB_BLOCK < 91^2: from 91 on, a single plane is larger
+        # than SLAB_BLOCK and is a block of its own. Two planes never fit here.
+        calls = []
+        base = OBJECTIVES["eight_variable_sum"]
+
+        def recorded(a1, a2, b1, b2):
+            if np.ndim(a1) == 3:  # a slab block; descent rows are 1-D
+                calls.append((np.broadcast(a1, a2, b1, b2).size, np.ravel(a1)))
+            return base.values(a1, a2, b1, b2)
+
+        obj = replace(base, values=recorded)
+        ax = (np.arange(resolution) / resolution) * math.pi
+        for scan_once in (lambda: grid_scan(obj, resolution), lambda: verify_bound(obj, SQRT8, resolution, 2)):
+            calls.clear()
+            scan_once()
+            assert max(size for size, _ in calls) <= max(scan.SLAB_BLOCK, resolution**2)
+            assert all(size == a1.size * resolution**2 for size, a1 in calls)
+            assert np.concatenate([a1 for _, a1 in calls]).tolist() == ax.tolist()
+        assert len(calls) == resolution
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc/self/status")
+    def test_peak_memory_does_not_grow_with_resolution(self):
+        # Run in a fresh process, so the peak is this run's. After a small
+        # warm-up, the res-128 scans (2.1e6 slab points each) add next to
+        # nothing; evaluating a slab in one piece added about 80 MB. The
+        # peak is VmHWM, the new program's own: ru_maxrss keeps across exec
+        # the peak of the process that spawned it, here this test run's.
+        script = textwrap.dedent("""
+            from chshlab.scan import OBJECTIVES, verify_bound
+            def peak_mb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+            for name, obj in OBJECTIVES.items():
+                verify_bound(name, obj.default_bound, 8, 20, seed=3)
+            before = peak_mb()
+            for name, obj in OBJECTIVES.items():
+                verify_bound(name, obj.default_bound, 128, 20, seed=3)
+            print(peak_mb() - before)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scan.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 16.0
