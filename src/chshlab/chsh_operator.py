@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .linalg import SpectralDecomposition, hermitian_eigen, tensor_product
 from .lhv import AngleConfig
-from .montecarlo import CorrelationEstimate, signs, stream_estimate
+from .montecarlo import CorrelationEstimate, stream_estimate
 from .quantum import analyzer_operator, singlet_state
 
 # Spectra whose +- pairing is broken beyond this signal a construction bug.
@@ -185,11 +185,7 @@ def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> Correla
     of the signs. Raises ValueError for n < 2.
     """
     dist = t_distribution(config)
-
-    def draw_chunk(size):
-        return signs(rng.random(size) < dist.weight_plus)
-
-    return stream_estimate(n, draw_chunk, (-1, 1), scale=dist.t0)
+    return stream_estimate(n, lambda size: rng.random(size) < dist.weight_plus, (-1, 1), scale=dist.t0)
 
 
 def singlet_overlaps(summary: TSpectralSummary) -> np.ndarray:

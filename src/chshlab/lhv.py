@@ -21,7 +21,9 @@ pair outcomes from the singlet joint law instead of a shared lambda; its
 mean converges to the sum of the four singlet correlations.
 
 Every estimator streams its trials through :mod:`chshlab.montecarlo`:
-MC_CHUNK trials at a time, reduced to counts of the per-trial values.
+MC_CHUNK trials at a time, each reduced to the index of its value in the
+protocol's value tuple and counted; the tuples below are the only place
+the values are written.
 The responses are read off the flip points of the cosine rule, which the
 rule itself finds once per run from one grid shared by all angles
 (:func:`_flip_points`): one comparison per flip, no cosine per draw, and
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .montecarlo import MC_CHUNK, CorrelationEstimate, independent_values, signs, stream_estimate
-from .quantum import _product_cuts, _product_is_plus, joint_distribution
+from .montecarlo import MC_CHUNK, CorrelationEstimate, stream_estimate
+from .quantum import _product_is_plus, joint_distribution
 
 # Per-trial values of the two protocols.
 _SAME_LAMBDA_VALUES = (-2, 2)
@@ -169,7 +171,7 @@ def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) 
     def draw_chunk(size):
         lam = _draw_lambda(rng, size)
         # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
-        return signs(respond_a(lam) != respond_b(lam))
+        return respond_a(lam) != respond_b(lam)
 
     return stream_estimate(n, draw_chunk, (-1, 1))
 
@@ -186,7 +188,9 @@ def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000
         raise ValueError("grid_points must be at least 1000")
     lam = (np.arange(grid_points) + 0.5) * (math.pi / grid_points)
     respond_a, respond_b = _responders([alpha, beta])
-    return float(np.mean(signs(respond_a(lam) != respond_b(lam))))
+    # The exact integer sum of the +-1 products, divided once, as np.mean.
+    plus = int(np.count_nonzero(respond_a(lam) != respond_b(lam)))
+    return (2 * plus - grid_points) / grid_points
 
 
 def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -203,28 +207,32 @@ def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> C
         lam = _draw_lambda(rng, size)
         a1, a2, b1, b2 = (r(lam) for r in respond)
         # a1 != (b1 where a1 == a2, else b2), without np.where's branch per element.
-        plus = a1 ^ b1 ^ ((a1 ^ a2) & (b1 ^ b2))
-        return plus.view(np.int8) * np.int8(4) - np.int8(2)
+        return a1 ^ b1 ^ ((a1 ^ a2) & (b1 ^ b2))
 
     return stream_estimate(n, draw_chunk, _SAME_LAMBDA_VALUES)
 
 
-def _pair_major(n: int, scale: float = 1.0):
-    # Copies each chunk's trial-major (size, 4) draws, times scale, into one
-    # reused (4, size) buffer, so every pair's draws are contiguous and no
-    # chunk allocates it anew. A plain copy is faster than a product by 1.
-    # n < 2 is left for stream_estimate to reject.
+def _independent_pairs(n: int, rng: np.random.Generator, plus, scale: float) -> CorrelationEstimate:
+    """Mean of p1 + p2 + p3 - p4 over n trials of four pairs, one uniform u[t, j] each.
+
+    p_j is +1 where the bool mask m_j = plus[j](scale * u[:, j]) is true,
+    so the value's index in _INDEPENDENT_VALUES is m1 + m2 + m3 - m4 + 1.
+    """
+    # Each chunk's trial-major (size, 4) draws, times scale, go into one
+    # reused (4, size) buffer: contiguous per pair, allocated once. A plain
+    # copy is faster than a product by 1. stream_estimate rejects n < 2.
     buf = np.empty((4, max(0, min(n, MC_CHUNK))))
 
-    def pair_major(draws: np.ndarray) -> np.ndarray:
-        out = buf[:, : len(draws)]
+    def draw_chunk(size):
+        draws, u = rng.random((size, 4)), buf[:, :size]
         if scale == 1.0:
-            np.copyto(out, draws.T)
+            np.copyto(u, draws.T)
         else:
-            np.multiply(draws.T, scale, out=out)
-        return out
+            np.multiply(draws.T, scale, out=u)
+        p = [rule(u[j]).view(np.int8) for j, rule in enumerate(plus)]
+        return p[0] + p[1] + p[2] - p[3] + np.int8(1)
 
-    return pair_major
+    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
 
 
 def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -237,15 +245,9 @@ def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     pairs drawn from the singlet law is :func:`quantum_chsh_independent`.
     """
     respond = _responders(config.astuple())
-    pairs = [(respond[i], respond[j]) for i, j in kernels.PAIRS]
-    # pi * u, as _draw_lambda, fused into the pair-major copy.
-    pair_major = _pair_major(n, math.pi)
-
-    def draw_chunk(size):
-        lam = pair_major(rng.random((size, 4)))
-        return independent_values([a(lam[j]) != b(lam[j]) for j, (a, b) in enumerate(pairs)])
-
-    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
+    # A B = +1 where A(alpha) != A(beta), as in correlation_mc; scale pi is _draw_lambda's.
+    plus = [lambda lam, a=respond[i], b=respond[j]: a(lam) != b(lam) for i, j in kernels.PAIRS]
+    return _independent_pairs(n, rng, plus, math.pi)
 
 
 def quantum_chsh_independent(
@@ -256,13 +258,5 @@ def quantum_chsh_independent(
     The mean converges to q1 + q2 + q3 - q4, the signed sum of the four
     singlet correlations, whose magnitude never exceeds 2 sqrt(2).
     """
-    cuts = [_product_cuts(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
-    pair_major = _pair_major(n)
-
-    def draw_chunk(size):
-        # One uniform per pair, trial-major: draw [t, j] drives pair j+1 of
-        # trial t, so after the copy u[j] holds pair j+1's uniforms.
-        u = pair_major(rng.random((size, 4)))
-        return independent_values([_product_is_plus(u[j], cuts[j]) for j in range(4)])
-
-    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
+    plus = [_product_is_plus(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
+    return _independent_pairs(n, rng, plus, 1.0)

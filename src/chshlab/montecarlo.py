@@ -1,18 +1,20 @@
 """Streaming Monte Carlo: fixed-size chunks and exact count-based estimates.
 
 Every per-trial value of the package's estimators takes one of a few
-values (+-1, +-2, {-4, ..., 4}, or +-t0), so a run reduces to a
-histogram. Estimators draw MC_CHUNK trials at a time in the same
-trial-major order as one whole-run call, which keeps the draws identical
-to that call and memory O(MC_CHUNK) whatever the number of trials. Mean
-and variance then follow from Python-int counts.
+values (+-1, +-2, {-4, ..., 4}, or +-t0), written once per estimator as a
+tuple, so a run reduces to a histogram: a chunk's draws give per trial
+the index of its value in that tuple, and only counts of indices are kept.
+Estimators draw MC_CHUNK trials at a time in the same trial-major order
+as one whole-run call, which keeps the draws identical to that call and
+memory O(MC_CHUNK) whatever the number of trials. Mean and variance then
+follow from Python-int counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,30 +29,6 @@ class CorrelationEstimate:
     mean: float
     stderr: float
     n_samples: int
-
-
-def chunk_sizes(n: int) -> Iterator[int]:
-    """Sizes of the consecutive chunks, at most MC_CHUNK each, covering n trials."""
-    full, rest = divmod(n, MC_CHUNK)
-    for _ in range(full):
-        yield MC_CHUNK
-    if rest:
-        yield rest
-
-
-def signs(mask: np.ndarray) -> np.ndarray:
-    """+1 where ``mask`` is true and -1 elsewhere, as int8."""
-    return mask.view(np.int8) * np.int8(2) - np.int8(1)
-
-
-def independent_values(plus: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-trial p1 + p2 + p3 - p4 of four pair products, as int8.
-
-    Pair product j is +1 where ``plus[j]`` is true and -1 elsewhere, so the
-    sum is 2 (plus[0] + plus[1] + plus[2] - plus[3]) - 2.
-    """
-    p = [mask.view(np.int8) for mask in plus]
-    return (p[0] + p[1] + p[2] - p[3]) * np.int8(2) - np.int8(2)
 
 
 def estimate_from_counts(
@@ -81,16 +59,16 @@ def stream_estimate(
 ) -> CorrelationEstimate:
     """Estimate from n trials whose per-trial values come MC_CHUNK at a time.
 
-    ``draw_chunk(size)`` draws the next ``size`` trials and returns their
-    per-trial values, each one of ``values``; only the counts of each
-    value are kept.
+    ``draw_chunk(size)`` draws the next ``size`` trials and returns, per
+    trial, the index of its value in ``values``: a bool mask for two
+    values, int8 otherwise. Only the count of each index is kept.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     counts = [0] * len(values)
-    for size in chunk_sizes(n):
-        x = draw_chunk(size)
-        counts = [c + int(np.count_nonzero(x == v)) for c, v in zip(counts, values)]
+    for start in range(0, n, MC_CHUNK):
+        x = draw_chunk(min(MC_CHUNK, n - start)).view(np.int8)
+        counts = [c + int(np.count_nonzero(x == i)) for i, c in enumerate(counts)]
     if sum(counts) != n:
         raise ValueError(f"per-trial values outside {tuple(values)}")
     return estimate_from_counts(values, counts, scale)

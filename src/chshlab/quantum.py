@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import tensor_product
-from .montecarlo import CorrelationEstimate, signs, stream_estimate
+from .montecarlo import CorrelationEstimate, stream_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -109,17 +109,12 @@ def _cumulative(dist: PairOutcomeDistribution) -> np.ndarray:
     return cum
 
 
-def _product_cuts(dist: PairOutcomeDistribution) -> tuple[float, float]:
-    # The inverse CDF of sample_pairs gives x*y = +1 exactly when
-    # u < cum[0] (outcome (1, 1)) or u >= cum[2] (outcome (-1, -1)).
+def _product_is_plus(dist: PairOutcomeDistribution):
+    # x*y == +1 as a bool mask of uniforms u: the inverse CDF of sample_pairs
+    # gives (1, 1) for u < cum[0] and (-1, -1) for u >= cum[2].
     cum = _cumulative(dist)
-    return float(cum[0]), float(cum[2])
-
-
-def _product_is_plus(u: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:
-    """x*y == +1 for each uniform, as a bool array; same rule as the inverse CDF."""
-    lo, hi = cuts
-    return (u < lo) | (u >= hi)
+    lo, hi = float(cum[0]), float(cum[2])
+    return lambda u: (u < lo) | (u >= hi)
 
 
 def sample_pairs(
@@ -149,9 +144,5 @@ def product_estimate(
     with the same ``n``, and its mean equals the mean of x*y over those
     samples exactly; only the count of x*y = +1 is kept.
     """
-    cuts = _product_cuts(dist)
-
-    def draw_chunk(size):
-        return signs(_product_is_plus(rng.random(size), cuts))
-
-    return stream_estimate(n, draw_chunk, (-1, 1))
+    is_plus = _product_is_plus(dist)
+    return stream_estimate(n, lambda size: is_plus(rng.random(size)), (-1, 1))

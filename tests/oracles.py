@@ -267,6 +267,11 @@ def coordinate_descent(fn, start, step0: float, tol: float, maximize: bool):
     return tuple(x), best
 
 
+def signs(mask) -> np.ndarray:
+    """+1 where ``mask`` is true and -1 elsewhere, as int8."""
+    return np.where(mask, np.int8(1), np.int8(-1))
+
+
 def cos_sign_response(angle, lam) -> np.ndarray:
     """The sign model's response rule, sign(cos 2(angle - lam)) with sign(0) := +1."""
     return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1)

@@ -33,12 +33,11 @@ from chshlab.lhv import (
     tsirelson_angles,
 )
 from chshlab.linalg import is_hermitian
-from chshlab.montecarlo import signs
 from chshlab.quantum import commutator, joint_distribution, sample_pairs, singlet_state
 from chshlab.scan import grid_scan, verify_bound
 from chshlab import cli
 
-from oracles import chsh_square
+from oracles import chsh_square, signs
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = 2.0 * SQRT2

@@ -17,9 +17,8 @@ from chshlab.lhv import (
     quantum_chsh_independent,
     tsirelson_angles,
 )
-from chshlab.montecarlo import signs
 
-from oracles import parity_identity, sign_model_sawtooth
+from oracles import parity_identity, sign_model_sawtooth, signs
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SQRT8 = 2.0 * math.sqrt(2.0)

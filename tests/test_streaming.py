@@ -18,7 +18,7 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, estimate_from_counts, signs, stream_estimate
+from chshlab.montecarlo import MC_CHUNK, estimate_from_counts, stream_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     dense_sign_independent,
     dense_sign_same_lambda,
     dense_two_point,
+    signs,
 )
 
 moderate = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -182,8 +183,14 @@ def test_pi_times_random_is_uniform(shape):
     drawn = np.asarray(lhv._draw_lambda(np.random.default_rng(7), shape))
     assert np.array_equal(drawn.view(np.int64), want.view(np.int64))
     if shape is not None and len(shape) == 2:
-        pair_major = lhv._pair_major(shape[0], math.pi)(np.random.default_rng(7).random(shape))
-        assert np.array_equal(pair_major.view(np.int64), want.T.view(np.int64))
+        # The independent-pairs driver hands pair j column j of the
+        # trial-major draws: lambda at scale pi, the uniforms at scale 1.
+        for scale, col in ((math.pi, want), (1.0, np.random.default_rng(7).random(shape))):
+            seen = [[] for _ in range(4)]
+            plus = [lambda u, rec=rec: rec.append(u.copy()) or u < 0.5 for rec in seen]
+            lhv._independent_pairs(shape[0], np.random.default_rng(7), plus, scale)
+            for j, rec in enumerate(seen):
+                assert np.array_equal(np.concatenate(rec).view(np.int64), col[:, j].view(np.int64))
 
 
 C = MC_CHUNK
@@ -292,16 +299,17 @@ class TestCountEstimate:
         assert (est.mean, est.stderr) == (1.0, 0.0)
 
     def test_values_checked_on_every_chunk(self):
-        sizes = []
+        # The first chunk holds a valid index, the second one that indexes no value of (-1, 1).
+        for index in (2, -1):
+            sizes = []
 
-        def draw_chunk(size):
-            # the first chunk is valid, the second holds a value outside (-1, 1)
-            sizes.append(size)
-            return np.ones(size, dtype=np.int8) if len(sizes) == 1 else np.zeros(size, dtype=np.int8)
+            def draw_chunk(size):
+                sizes.append(size)
+                return np.full(size, 1 if len(sizes) == 1 else index, dtype=np.int8)
 
-        with pytest.raises(ValueError, match="outside"):
-            stream_estimate(C + 1, draw_chunk, (-1, 1))
-        assert sizes == [C, 1]
+            with pytest.raises(ValueError, match="outside"):
+                stream_estimate(C + 1, draw_chunk, (-1, 1))
+            assert sizes == [C, 1]
 
 
 def test_independent_memory_is_bounded():
