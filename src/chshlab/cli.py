@@ -162,8 +162,13 @@ def _render(config: dict, columns: tuple, rows: list[dict], status: str, fmt: st
     buf.write("# status: " + status + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
+    # Only the keys a row holds are formatted; its other columns stay empty.
+    blank = dict.fromkeys(columns, "")
     for row in rows:
-        writer.writerow([_fmt(row.get(k)) for k in columns])
+        cells = blank.copy()
+        for k, v in row.items():
+            cells[k] = _fmt(v)
+        writer.writerow(cells.values())
     return buf.getvalue()
 
 

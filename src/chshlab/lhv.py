@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .montecarlo import MC_CHUNK, CorrelationEstimate, stream_estimate
+from .montecarlo import MC_CHUNK, CorrelationEstimate, draw_uniforms, stream_estimate
 from .quantum import _product_is_plus, joint_distribution
 
 # Per-trial values of the two protocols.
@@ -79,7 +79,7 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
 # 1.3e-10 from its analytic endpoint there.
 MAX_ANGLE = 1e6
 _FLIP_SPLIT = np.arange(129) / 128.0
-_TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi), and of every draw pi * u
+_TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi)
 _FLIP_GRID = np.minimum(_FLIP_SPLIT * math.pi, _TOP)  # k pi / 128 for k < 128, then _TOP
 
 
@@ -158,10 +158,12 @@ def _responders(angles) -> list:
 
 
 def _draw_lambda(rng: np.random.Generator, size) -> np.ndarray:
-    # pi * u is bit-identical to rng.uniform(0.0, pi, size), which computes 0.0 + pi * u.
-    lam = rng.random(size)
-    lam *= math.pi
-    return lam
+    """size draws lambda = (pi 2^-32) k of :func:`chshlab.montecarlo.draw_uniforms`.
+
+    That is pi * u bit for bit, with u = k 2^-32 on a 32-bit half k: every
+    lambda is one of 2^32 evenly spaced doubles in [0, pi).
+    """
+    return draw_uniforms(rng, size, math.pi)
 
 
 def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -217,18 +219,17 @@ def _independent_pairs(n: int, rng: np.random.Generator, plus, scale: float) -> 
 
     p_j is +1 where the bool mask m_j = plus[j](scale * u[:, j]) is true,
     so the value's index in _INDEPENDENT_VALUES is m1 + m2 + m3 - m4 + 1.
+    u[t, j] is entry 4 t + j of one trial-major draw_uniforms stream, and
+    scale * u[t, j] is drawn as (scale 2^-32) k, the same double.
     """
     # Each chunk's trial-major (size, 4) draws, times scale, go into one
-    # reused (4, size) buffer: contiguous per pair, allocated once. A plain
-    # copy is faster than a product by 1. stream_estimate rejects n < 2.
+    # reused (4, size) buffer: contiguous per pair, allocated once.
+    # stream_estimate rejects n < 2.
     buf = np.empty((4, max(0, min(n, MC_CHUNK))))
 
     def draw_chunk(size):
-        draws, u = rng.random((size, 4)), buf[:, :size]
-        if scale == 1.0:
-            np.copyto(u, draws.T)
-        else:
-            np.multiply(draws.T, scale, out=u)
+        u = buf[:, :size]
+        draw_uniforms(rng, (size, 4), scale, out=u.T)
         p = [rule(u[j]).view(np.int8) for j, rule in enumerate(plus)]
         return p[0] + p[1] + p[2] - p[3] + np.int8(1)
 

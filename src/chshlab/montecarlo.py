@@ -8,6 +8,12 @@ Estimators draw MC_CHUNK trials at a time in the same trial-major order
 as one whole-run call, which keeps the draws identical to that call and
 memory O(MC_CHUNK) whatever the number of trials. Mean and variance then
 follow from Python-int counts.
+
+Every Monte Carlo uniform comes from :func:`draw_uniforms`, 32 bits at a
+time: u = k 2^-32, where k runs through the low, then the high 32-bit half
+of each 64-bit output of the generator's bit generator. Each outcome law is
+thus met to within 2^-32 (about 2.3e-10), far below any standard error a
+run can reach, and one 64-bit output serves two outcomes.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Trials drawn and reduced per chunk.
+# Trials drawn and reduced per chunk. Even, so that a chunked run draws
+# whole 64-bit outputs until its last chunk, as one whole-run call does.
 MC_CHUNK = 1 << 15
 
 
@@ -29,6 +36,26 @@ class CorrelationEstimate:
     mean: float
     stderr: float
     n_samples: int
+
+
+def draw_uniforms(rng: np.random.Generator, shape, scale: float = 1.0, out=None) -> np.ndarray:
+    """The next uniforms of ``rng`` in [0, scale), as an array of ``shape``.
+
+    Entry i (in C order) is (scale 2^-32) k_i, where k_0, k_1, ... are the
+    low, then the high 32-bit half of each ``rng.bit_generator.random_raw``
+    output in turn. A count of entries c takes ceil(c / 2) outputs; an odd c
+    drops the last high half. Scaling by a power of two is exact, so the
+    result equals scale * (k 2^-32) bit for bit. ``out`` (any array of
+    ``shape``, such as a transposed view) receives the result in one pass.
+    Raises ValueError for MT19937, whose raw outputs hold only 32 bits.
+    """
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("draw_uniforms needs 64-bit raw outputs; MT19937 gives 32")
+    count = math.prod(shape) if isinstance(shape, tuple) else shape
+    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    # As little-endian bytes, each 64-bit output is its low half, then its high half.
+    k = raw.astype("<u8", copy=False).view("<u4")[:count].reshape(shape)
+    return np.multiply(k, scale * 2.0**-32, out=out)
 
 
 def estimate_from_counts(
@@ -61,14 +88,20 @@ def stream_estimate(
 
     ``draw_chunk(size)`` draws the next ``size`` trials and returns, per
     trial, the index of its value in ``values``: a bool mask for two
-    values, int8 otherwise. Only the count of each index is kept.
+    values, int8 otherwise. Only the count of each index is kept; a mask
+    is counted once, its false entries being the rest of the chunk.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     counts = [0] * len(values)
     for start in range(0, n, MC_CHUNK):
-        x = draw_chunk(min(MC_CHUNK, n - start)).view(np.int8)
-        counts = [c + int(np.count_nonzero(x == i)) for i, c in enumerate(counts)]
+        x = draw_chunk(min(MC_CHUNK, n - start))
+        if x.dtype == np.bool_:
+            ones = int(np.count_nonzero(x))
+            counts[0] += x.size - ones
+            counts[1] += ones
+        else:
+            counts = [c + int(np.count_nonzero(x == i)) for i, c in enumerate(counts)]
     if sum(counts) != n:
         raise ValueError(f"per-trial values outside {tuple(values)}")
     return estimate_from_counts(values, counts, scale)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import tensor_product
-from .montecarlo import CorrelationEstimate, stream_estimate
+from .montecarlo import CorrelationEstimate, draw_uniforms, stream_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -122,15 +122,17 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of ``n`` joint outcomes (one uniform per sample).
 
-    Inverse CDF over OUTCOME_ORDER; raises ValueError for n < 1 or a
-    non-finite law. Returns (x, y) integer arrays with entries in {-1, +1};
-    the empirical mean of x*y converges to :func:`singlet_correlation` at
-    the usual 1/sqrt(n) rate.
+    Inverse CDF over OUTCOME_ORDER, on the 32-bit uniforms u = k 2^-32 of
+    :func:`chshlab.montecarlo.draw_uniforms`, so each outcome's probability
+    is met to within 2^-32. Raises ValueError for n < 1 or a non-finite law.
+    Returns (x, y) integer arrays with entries in {-1, +1}; the empirical
+    mean of x*y converges to :func:`singlet_correlation` at the usual
+    1/sqrt(n) rate.
     """
     if n < 1:
         raise ValueError("n must be positive")
     cum = _cumulative(dist)
-    idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), 3)
+    idx = np.minimum(np.searchsorted(cum, draw_uniforms(rng, n), side="right"), 3)
     table = np.array(OUTCOME_ORDER)
     return table[idx, 0], table[idx, 1]
 
@@ -140,9 +142,9 @@ def product_estimate(
 ) -> CorrelationEstimate:
     """Monte Carlo mean of x*y over ``n`` sampled pairs, in bounded memory.
 
-    Consumes the same uniforms, in the same order, as :func:`sample_pairs`
-    with the same ``n``, and its mean equals the mean of x*y over those
-    samples exactly; only the count of x*y = +1 is kept.
+    Consumes the same 32-bit uniforms u = k 2^-32, in the same order, as
+    :func:`sample_pairs` with the same ``n``, and its mean equals the mean
+    of x*y over those samples exactly; only the count of x*y = +1 is kept.
     """
     is_plus = _product_is_plus(dist)
-    return stream_estimate(n, lambda size: is_plus(rng.random(size)), (-1, 1))
+    return stream_estimate(n, lambda size: is_plus(draw_uniforms(rng, size)), (-1, 1))

@@ -3,8 +3,9 @@
 Nothing in this module imports the package under test: eigenvalues come
 from closed-form characteristic polynomials (quadratic formula, Ferrari's
 quartic), the constrained expectation from a literal enumeration of the
-full eight-variable product distribution, and the sign-model correlation
-from its analytic sawtooth.
+full eight-variable product distribution, the sign-model correlation
+from its analytic sawtooth, and the Monte Carlo uniforms from the raw
+outputs of the bit generator.
 """
 
 from __future__ import annotations
@@ -287,16 +288,31 @@ def _pairs(config):
     return ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
 
 
+def raw_halves(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The first n 32-bit halves of ``rng``'s raw 64-bit outputs, as uint64.
+
+    Low half, then high half of each output, split by arithmetic; an odd n
+    takes ceil(n / 2) outputs and drops the last high half.
+    """
+    raw = rng.bit_generator.random_raw((n + 1) // 2)
+    return np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()[:n]
+
+
+def uniforms32(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The Monte Carlo estimators' n uniforms k 2^-32 in [0, 1), k from :func:`raw_halves`."""
+    return raw_halves(rng, n) * 2.0**-32
+
+
 def dense_sign_correlation(alpha: float, beta: float, n: int, rng: np.random.Generator):
-    """Sign model, one whole-run draw of n lambdas ~ U[0, pi): (mean, stderr) of A(alpha) B(beta)."""
-    lam = rng.uniform(0.0, math.pi, n)
+    """Sign model, one whole-run draw of n lambdas pi * u: (mean, stderr) of A(alpha) B(beta)."""
+    lam = math.pi * uniforms32(rng, n)
     return _dense_estimate((cos_sign_response(alpha, lam) * -cos_sign_response(beta, lam)).astype(float))
 
 
 def dense_sign_same_lambda(config, n: int, rng: np.random.Generator):
     """Sign model, same-lambda protocol: (mean, stderr) of (a1 + a2) b1 + (a1 - a2) b2."""
     a1, a2, b1, b2 = config
-    lam = rng.uniform(0.0, math.pi, n)
+    lam = math.pi * uniforms32(rng, n)
     ra1, ra2 = cos_sign_response(a1, lam), cos_sign_response(a2, lam)
     rb1, rb2 = -cos_sign_response(b1, lam), -cos_sign_response(b2, lam)
     return _dense_estimate(((ra1 + ra2) * rb1 + (ra1 - ra2) * rb2).astype(float))
@@ -304,7 +320,7 @@ def dense_sign_same_lambda(config, n: int, rng: np.random.Generator):
 
 def dense_sign_independent(config, n: int, rng: np.random.Generator):
     """Sign model, independent pairs: an (n, 4) trial-major lambda draw, pair j on column j."""
-    lam = rng.uniform(0.0, math.pi, (n, 4))
+    lam = math.pi * uniforms32(rng, 4 * n).reshape(n, 4)
     p = [cos_sign_response(a, lam[:, j]) * -cos_sign_response(b, lam[:, j]) for j, (a, b) in enumerate(_pairs(config))]
     return _dense_estimate((p[0] + p[1] + p[2] - p[3]).astype(float))
 
@@ -324,12 +340,12 @@ def dense_singlet_products(alpha: float, beta: float, u: np.ndarray) -> np.ndarr
 
 def dense_pair_products(alpha: float, beta: float, n: int, rng: np.random.Generator):
     """(mean, stderr) of x*y over n singlet pairs from one whole-run draw."""
-    return _dense_estimate(dense_singlet_products(alpha, beta, rng.random(n)).astype(float))
+    return _dense_estimate(dense_singlet_products(alpha, beta, uniforms32(rng, n)).astype(float))
 
 
 def dense_quantum_independent(config, n: int, rng: np.random.Generator):
     """Quantum independent pairs: an (n, 4) trial-major uniform draw, pair j on column j."""
-    u = rng.random((n, 4))
+    u = uniforms32(rng, 4 * n).reshape(n, 4)
     p = [dense_singlet_products(a, b, u[:, j]) for j, (a, b) in enumerate(_pairs(config))]
     return _dense_estimate((p[0] + p[1] + p[2] - p[3]).astype(float))
 
@@ -340,6 +356,6 @@ def dense_two_point(t0: float, weight_plus: float, n: int, rng: np.random.Genera
     Returns (mean, stderr) as t0 times those of the signs, and the float
     outcome array itself.
     """
-    signs = np.where(rng.random(n) < weight_plus, 1.0, -1.0)
+    signs = np.where(uniforms32(rng, n) < weight_plus, 1.0, -1.0)
     mean, stderr = _dense_estimate(signs)
     return t0 * mean, t0 * stderr, t0 * signs

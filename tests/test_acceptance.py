@@ -37,7 +37,7 @@ from chshlab.quantum import commutator, joint_distribution, sample_pairs, single
 from chshlab.scan import grid_scan, verify_bound
 from chshlab import cli
 
-from oracles import chsh_square, signs
+from oracles import chsh_square, signs, uniforms32
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = 2.0 * SQRT2
@@ -116,8 +116,7 @@ def test_criterion_7_lhv_deterministic_bounds():
     n = 1_000_000
     ok = True
     for i, config in enumerate(_random_configs(seed=107, count=20)):
-        rng = np.random.default_rng(1000 + i)
-        lam = rng.uniform(0.0, math.pi, n)
+        lam = math.pi * uniforms32(np.random.default_rng(1000 + i), n)
         a1, a2, b1, b2 = (signs(respond(lam)) for respond in _responders(config.astuple()))
         b1, b2 = -b1, -b2
         per_trial = (a1 + a2) * b1 + (a1 - a2) * b2

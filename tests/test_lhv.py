@@ -18,7 +18,7 @@ from chshlab.lhv import (
     tsirelson_angles,
 )
 
-from oracles import parity_identity, sign_model_sawtooth, signs
+from oracles import parity_identity, sign_model_sawtooth, signs, uniforms32
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -113,8 +113,8 @@ class TestSameLambda:
     def test_per_trial_values_are_plus_minus_two(self):
         cfg = tsirelson_angles()
         n = 20_000
-        # reproduce the estimator's draws: lambda ~ U[0, pi), B = -A
-        lam = np.random.default_rng(5).uniform(0.0, math.pi, n)
+        # reproduce the estimator's draws: lambda = pi * u on 32-bit uniforms, B = -A
+        lam = math.pi * uniforms32(np.random.default_rng(5), n)
         a1, a2, b1, b2 = (signs(respond(lam)) for respond in _responders(cfg.astuple()))
         b1, b2 = -b1, -b2
         s = (a1 + a2) * b1 + (a1 - a2) * b2
@@ -145,7 +145,7 @@ class TestIndependent:
     def test_per_trial_values_in_even_range(self):
         cfg = tsirelson_angles()
         n = 20_000
-        lam = np.random.default_rng(8).uniform(0.0, math.pi, (n, 4))
+        lam = math.pi * uniforms32(np.random.default_rng(8), 4 * n).reshape(n, 4)
         pairs = angle_pairs(cfg)
         respond = [_responders(pair) for pair in pairs]
         a = [signs(respond[j][0](lam[:, j])) for j in range(4)]

@@ -18,7 +18,7 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, estimate_from_counts, stream_estimate
+from chshlab.montecarlo import MC_CHUNK, draw_uniforms, estimate_from_counts, stream_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -29,7 +29,9 @@ from oracles import (
     dense_sign_independent,
     dense_sign_same_lambda,
     dense_two_point,
+    raw_halves,
     signs,
+    uniforms32,
 )
 
 moderate = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -176,25 +178,58 @@ class TestFlipPoints:
 
 @pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
 def test_pi_times_random_is_uniform(shape):
-    # The sign model draws lambda as pi * u; numpy's uniform(0, pi) is 0.0 + pi * u.
-    want = np.asarray(np.random.default_rng(7).uniform(0.0, math.pi, shape))
-    got = np.asarray(math.pi * np.random.default_rng(7).random(shape))
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # The sign model draws lambda as (pi 2^-32) k on the 32-bit halves k of
+    # the raw outputs, which is pi * u with u = k 2^-32 bit for bit. None
+    # draws a single lambda, of shape ().
+    shape = () if shape is None else shape
+    k = raw_halves(np.random.default_rng(7), math.prod(shape)).reshape(shape)
+    want = np.asarray((math.pi * 2.0**-32) * k)
+    assert np.array_equal(np.asarray(math.pi * (k * 2.0**-32)).view(np.int64), want.view(np.int64))
     drawn = np.asarray(lhv._draw_lambda(np.random.default_rng(7), shape))
+    assert drawn.shape == shape
     assert np.array_equal(drawn.view(np.int64), want.view(np.int64))
-    if shape is not None and len(shape) == 2:
+    if len(shape) == 2:
         # The independent-pairs driver hands pair j column j of the
-        # trial-major draws: lambda at scale pi, the uniforms at scale 1.
-        for scale, col in ((math.pi, want), (1.0, np.random.default_rng(7).random(shape))):
+        # trial-major draws: (scale 2^-32) k[:, j] at scale pi and at scale 1.
+        for scale in (math.pi, 1.0):
             seen = [[] for _ in range(4)]
             plus = [lambda u, rec=rec: rec.append(u.copy()) or u < 0.5 for rec in seen]
             lhv._independent_pairs(shape[0], np.random.default_rng(7), plus, scale)
             for j, rec in enumerate(seen):
-                assert np.array_equal(np.concatenate(rec).view(np.int64), col[:, j].view(np.int64))
+                col = (scale * 2.0**-32) * k[:, j]
+                assert np.array_equal(np.concatenate(rec).view(np.int64), col.view(np.int64))
+
+
+class TestDrawUniforms:
+    def test_first_uniforms_are_the_raw_halves(self):
+        # Raw PCG64 streams are stable across numpy versions (NEP 19): the
+        # first two outputs of seed 7, low half first.
+        first = [0xA00641A9F1E54A8B, 0xE5AFCDBCAF266A95]
+        assert np.random.default_rng(7).bit_generator.random_raw(2).tolist() == first
+        halves = [h for x in first for h in (x & 0xFFFFFFFF, x >> 32)]
+        got = draw_uniforms(np.random.default_rng(7), 4)
+        assert got.tolist() == [h * 2.0**-32 for h in halves]
+        assert np.array_equal(got, uniforms32(np.random.default_rng(7), 4))
+        scaled = draw_uniforms(np.random.default_rng(7), (2, 2), math.pi)
+        assert scaled.ravel().tolist() == [math.pi * (h * 2.0**-32) for h in halves]
+
+    def test_odd_count_drops_the_last_half(self):
+        # 3 uniforms take two outputs and drop the high half of the second;
+        # the next draw starts on the low half of the third.
+        rng, want = np.random.default_rng(7), raw_halves(np.random.default_rng(7), 6) * 2.0**-32
+        assert np.array_equal(draw_uniforms(rng, 3), want[:3])
+        assert np.array_equal(draw_uniforms(rng, 2), want[4:])
+
+    def test_rejects_32_bit_raw_outputs(self):
+        rng = np.random.Generator(np.random.MT19937(7))
+        with pytest.raises(ValueError, match="MT19937"):
+            draw_uniforms(rng, 4)
+        with pytest.raises(ValueError, match="MT19937"):
+            chsh_same_lambda(CFG, 1000, rng)
 
 
 C = MC_CHUNK
-SIZES = [2, C - 1, C, C + 1, 3 * C + 7]
+SIZES = [2, 3, C - 1, C, C + 1, 3 * C + 5, 3 * C + 7]
 CFG = AngleConfig(0.3, 1.1, 0.7, 2.0)
 T_CFG = AngleConfig(1.0, 0.3, 2.1, 0.9)
 
