@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .linalg import SpectralDecomposition, hermitian_eigen, tensor_product
 from .lhv import AngleConfig
-from .montecarlo import CorrelationEstimate, draw_uniforms, stream_estimate
+from .montecarlo import CorrelationEstimate, rule_estimate
 from .quantum import analyzer_operator, singlet_state
 
 # Spectra whose +- pairing is broken beyond this signal a construction bug.
@@ -181,12 +181,12 @@ def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> Correla
     """Monte Carlo mean of n single-shot outcomes on the singlet, in bounded memory.
 
     One 32-bit uniform u = k 2^-32 of :func:`chshlab.montecarlo.draw_uniforms`
-    per draw; u < weight_plus gives +t0, the rest -t0, so the weights are met
-    to within 2^-32. Only the count of +t0 outcomes is kept, so the mean is
-    t0 times the exact mean of the signs. Raises ValueError for n < 2.
+    per draw, read by the cut rule (True, [weight_plus]): +t0 for u below
+    weight_plus, else -t0, within 2^-32 of the weights. Only the +t0 count is
+    kept: the mean is t0 times the exact sign mean. Raises ValueError for n < 2.
     """
     dist = t_distribution(config)
-    return stream_estimate(n, lambda size: draw_uniforms(rng, size) < dist.weight_plus, (-1, 1), scale=dist.t0)
+    return rule_estimate(n, rng, (True, [dist.weight_plus]), scale=dist.t0)
 
 
 def singlet_overlaps(summary: TSpectralSummary) -> np.ndarray:

@@ -23,12 +23,12 @@ mean converges to the sum of the four singlet correlations.
 Every estimator streams its trials through :mod:`chshlab.montecarlo`:
 MC_CHUNK trials at a time, each reduced to the index of its value in the
 protocol's value tuple and counted; the tuples below are the only place
-the values are written.
-The responses are read off the flip points of the cosine rule, which the
-rule itself finds once per run from one grid shared by all angles
-(:func:`_flip_points`): one comparison per flip, no cosine per draw, and
-equal to the rule for every draw. Every angle must be finite with
-magnitude at most MAX_ANGLE; any other raises ValueError.
+the values are written. Each response is a cut rule in lambda = pi * u
+whose cuts are the flips of the cosine rule, found once per run from one
+grid shared by all angles (:func:`_flip_points`); each pair product or
+same-lambda value is one cut rule read off those (:func:`_combined`), equal
+to the rule for every draw without a cosine per draw. Every angle must be
+finite with magnitude at most MAX_ANGLE; any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .montecarlo import MC_CHUNK, CorrelationEstimate, draw_uniforms, stream_estimate
-from .quantum import _product_is_plus, joint_distribution
+from .montecarlo import MC_CHUNK, CorrelationEstimate, cut_mask, draw_uniforms, rule_estimate, stream_estimate
+from .quantum import _product_rule, joint_distribution
 
 # Per-trial values of the two protocols.
 _SAME_LAMBDA_VALUES = (-2, 2)
@@ -91,11 +91,10 @@ def _cos_rule(angle, lam) -> np.ndarray:
 def _flip_points(angles: list) -> list:
     """The flips of the cosine rule in lam over [0, pi), per angle.
 
-    Returns, per angle, (r0, flips): the rule's value at 0 and the sorted
-    doubles in (0, pi) at which it changes, so that the rule is r0 XOR (an
-    odd number of flips <= lam) for every double lam in [0, pi). The first
-    pass evaluates the rule on _FLIP_GRID, which all angles share; a gap
-    across which the rule changes is split 128-fold per pass until the
+    Returns, per angle, the cut rule (r0, flips) of the rule on every double
+    in [0, pi): its value at 0 and the sorted doubles at which it changes.
+    The first pass evaluates the rule on _FLIP_GRID, which all angles share;
+    a gap across which the rule changes is split 128-fold per pass until the
     change lies between adjacent doubles. Each pass is one rule call for all
     angles. No flip is missed, because no grid gap holds two flips. The
     rule's argument is monotone in lam, so the flips lie within 1.3e-10 of
@@ -129,53 +128,35 @@ def _flip_points(angles: list) -> list:
         rule = _cos_rule(rule_angles, grid.view(np.float64))
 
 
-def _responders(angles) -> list:
-    """A's response mask for each angle, as a function of lam in [0, pi).
-
-    Each is r0 XOR (an odd number of the angle's flip points <= lam): one
-    comparison per flip, equal to :func:`_cos_rule` for every lam in
-    [0, pi). Flips are derived once per distinct angle, in one call. Raises
-    ValueError unless every angle is finite with |angle| <= MAX_ANGLE.
-    """
+def _rules(angles) -> list:
+    """A's rule (r0, flips) per angle; ValueError unless each is finite, |angle| <= MAX_ANGLE."""
     angles = [float(a) for a in angles]
     if not all(abs(a) <= MAX_ANGLE for a in angles):
         raise ValueError(f"angles must be finite with |angle| <= {MAX_ANGLE:g}, got {angles}")
-    distinct = list(dict.fromkeys(angles))
-    found = dict(zip(distinct, _flip_points(distinct)))
-
-    def responder(r0, flips):
-        first, *rest = flips
-
-        def respond(lam):
-            out = lam < first if r0 else lam >= first
-            for t in rest:
-                out ^= lam >= t
-            return out
-
-        return respond
-
-    return [responder(*found[a]) for a in angles]
+    return _flip_points(angles)
 
 
-def _draw_lambda(rng: np.random.Generator, size) -> np.ndarray:
-    """size draws lambda = (pi 2^-32) k of :func:`chshlab.montecarlo.draw_uniforms`.
+def _responders(angles) -> list:
+    """A's response mask for each angle: equal to :func:`_cos_rule` for every lam in [0, pi)."""
+    return [cut_mask(*rule) for rule in _rules(angles)]
 
-    That is pi * u bit for bit, with u = k 2^-32 on a 32-bit half k: every
-    lambda is one of 2^32 evenly spaced doubles in [0, pi).
+
+def _combined(rules, f) -> list:
+    """The cut rule of each row (one mask or a list of them) of f(response masks).
+
+    Every response, so every row, is constant from 0 or a flip up to the next
+    flip: f is read there, and a row's rule is exact on [0, pi).
     """
-    return draw_uniforms(rng, size, math.pi)
+    points = np.array([0.0, *sorted({t for _, flips in rules for t in flips})])
+    rows = np.atleast_2d(f(*(cut_mask(*rule)(points) for rule in rules)))
+    return [(bool(row[0]), points[1:][row[1:] != row[:-1]].tolist()) for row in rows]
 
 
 def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n draws lambda ~ U[0, pi)."""
-    respond_a, respond_b = _responders([alpha, beta])
-
-    def draw_chunk(size):
-        lam = _draw_lambda(rng, size)
-        # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
-        return respond_a(lam) != respond_b(lam)
-
-    return stream_estimate(n, draw_chunk, (-1, 1))
+    # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
+    (rule,) = _combined(_rules([alpha, beta]), np.not_equal)
+    return rule_estimate(n, rng, rule, span=math.pi)
 
 
 def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000) -> float:
@@ -183,15 +164,14 @@ def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000
 
     Serves as the analytic oracle for :func:`correlation_mc`. grid_points
     must be at least 1000 to keep the midpoint error well under 1e-3 for
-    the piecewise-constant sign responses. The midpoints lie in (0, pi),
-    where :func:`_responders` answers from flip points and checks the angles.
+    the piecewise-constant sign responses. :func:`_rules` checks the angles.
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be at least 1000")
     lam = (np.arange(grid_points) + 0.5) * (math.pi / grid_points)
-    respond_a, respond_b = _responders([alpha, beta])
+    (rule,) = _combined(_rules([alpha, beta]), np.not_equal)
     # The exact integer sum of the +-1 products, divided once, as np.mean.
-    plus = int(np.count_nonzero(respond_a(lam) != respond_b(lam)))
+    plus = int(np.count_nonzero(cut_mask(*rule)(lam)))
     return (2 * plus - grid_points) / grid_points
 
 
@@ -203,15 +183,8 @@ def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     a1 = a2 and 2 a1 b2 elsewhere, so +2 exactly where A(alpha1) differs from
     A(beta1), respectively A(beta2).
     """
-    respond = _responders(config.astuple())
-
-    def draw_chunk(size):
-        lam = _draw_lambda(rng, size)
-        a1, a2, b1, b2 = (r(lam) for r in respond)
-        # a1 != (b1 where a1 == a2, else b2), without np.where's branch per element.
-        return a1 ^ b1 ^ ((a1 ^ a2) & (b1 ^ b2))
-
-    return stream_estimate(n, draw_chunk, _SAME_LAMBDA_VALUES)
+    (rule,) = _combined(_rules(config.astuple()), lambda a1, a2, b1, b2: a1 != np.where(a1 == a2, b1, b2))
+    return rule_estimate(n, rng, rule, _SAME_LAMBDA_VALUES, math.pi)
 
 
 def _independent_pairs(n: int, rng: np.random.Generator, plus, scale: float) -> CorrelationEstimate:
@@ -245,19 +218,16 @@ def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     is deterministically inside [-4, 4]. The same protocol with the four
     pairs drawn from the singlet law is :func:`quantum_chsh_independent`.
     """
-    respond = _responders(config.astuple())
-    # A B = +1 where A(alpha) != A(beta), as in correlation_mc; scale pi is _draw_lambda's.
-    plus = [lambda lam, a=respond[i], b=respond[j]: a(lam) != b(lam) for i, j in kernels.PAIRS]
-    return _independent_pairs(n, rng, plus, math.pi)
+    # A B = +1 where A(alpha) != A(beta), as in correlation_mc.
+    rules = _combined(_rules(config.astuple()), lambda *a: [a[i] != a[j] for i, j in kernels.PAIRS])
+    return _independent_pairs(n, rng, [cut_mask(*rule) for rule in rules], math.pi)
 
 
-def quantum_chsh_independent(
-    config: AngleConfig, n: int, rng: np.random.Generator
-) -> CorrelationEstimate:
+def quantum_chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Quantum independent-pairs run: four singlet pairs sampled per trial.
 
     The mean converges to q1 + q2 + q3 - q4, the signed sum of the four
     singlet correlations, whose magnitude never exceeds 2 sqrt(2).
     """
-    plus = [_product_is_plus(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
+    plus = [cut_mask(*_product_rule(joint_distribution(alpha, beta))) for alpha, beta in angle_pairs(config)]
     return _independent_pairs(n, rng, plus, 1.0)

@@ -7,7 +7,8 @@ the index of its value in that tuple, and only counts of indices are kept.
 Estimators draw MC_CHUNK trials at a time in the same trial-major order
 as one whole-run call, which keeps the draws identical to that call and
 memory O(MC_CHUNK) whatever the number of trials. Mean and variance then
-follow from Python-int counts.
+follow from Python-int counts. Every two-valued outcome is a step function
+of its one draw, a cut rule (r0, cuts) streamed by :func:`rule_estimate`.
 
 Every Monte Carlo uniform comes from :func:`draw_uniforms`, 32 bits at a
 time: u = k 2^-32, where k runs through the low, then the high 32-bit half
@@ -105,3 +106,32 @@ def stream_estimate(
     if sum(counts) != n:
         raise ValueError(f"per-trial values outside {tuple(values)}")
     return estimate_from_counts(values, counts, scale)
+
+
+def cut_mask(r0: bool, cuts: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The bool mask u -> r0 XOR (an odd number of the sorted ``cuts`` <= u).
+
+    One comparison per cut, each after the first applied in place. Without
+    cuts the mask is r0 everywhere, as a bool array of u's shape.
+    """
+    if not cuts:
+        return lambda u: np.full(np.shape(u), r0)
+    first, *rest = cuts
+
+    def mask(u):
+        out = u < first if r0 else u >= first
+        for t in rest:
+            out ^= u >= t
+        return out
+
+    return mask
+
+
+def rule_estimate(
+    n: int, rng: np.random.Generator, rule, values: Sequence[int] = (-1, 1), span: float = 1.0, scale: float = 1.0
+) -> CorrelationEstimate:
+    """Estimate from n trials of ``rule``, each on one uniform of :func:`draw_uniforms`
+    in [0, span): values[1] where the rule's :func:`cut_mask` holds, else values[0].
+    """
+    mask = cut_mask(*rule)
+    return stream_estimate(n, lambda size: mask(draw_uniforms(rng, size, span)), values, scale)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import tensor_product
-from .montecarlo import CorrelationEstimate, draw_uniforms, stream_estimate
+from .montecarlo import CorrelationEstimate, draw_uniforms, rule_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -103,18 +103,19 @@ def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
 
 def _cumulative(dist: PairOutcomeDistribution) -> np.ndarray:
     """Cumulative law in OUTCOME_ORDER: the table of the inverse CDF."""
-    cum = np.cumsum(dist.as_array())
+    probs = dist.as_array()
+    cum = np.cumsum(probs)
     if not np.all(np.isfinite(cum)):
         raise ValueError("outcome probabilities must be finite")
+    if min(probs.tolist()) < 0.0:
+        raise ValueError("outcome probabilities must be nonnegative")
     return cum
 
 
-def _product_is_plus(dist: PairOutcomeDistribution):
-    # x*y == +1 as a bool mask of uniforms u: the inverse CDF of sample_pairs
-    # gives (1, 1) for u < cum[0] and (-1, -1) for u >= cum[2].
+def _product_rule(dist: PairOutcomeDistribution) -> tuple[bool, list]:
+    # x*y == +1 where sample_pairs gives (1, 1), u < cum[0], or (-1, -1), u >= cum[2] >= cum[0].
     cum = _cumulative(dist)
-    lo, hi = float(cum[0]), float(cum[2])
-    return lambda u: (u < lo) | (u >= hi)
+    return True, [float(cum[0]), float(cum[2])]
 
 
 def sample_pairs(
@@ -124,10 +125,10 @@ def sample_pairs(
 
     Inverse CDF over OUTCOME_ORDER, on the 32-bit uniforms u = k 2^-32 of
     :func:`chshlab.montecarlo.draw_uniforms`, so each outcome's probability
-    is met to within 2^-32. Raises ValueError for n < 1 or a non-finite law.
-    Returns (x, y) integer arrays with entries in {-1, +1}; the empirical
-    mean of x*y converges to :func:`singlet_correlation` at the usual
-    1/sqrt(n) rate.
+    is met to within 2^-32. Raises ValueError for n < 1 or a non-finite or
+    negative law. Returns (x, y) integer arrays with entries in {-1, +1};
+    the empirical mean of x*y converges to :func:`singlet_correlation` at
+    the usual 1/sqrt(n) rate.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -137,14 +138,12 @@ def sample_pairs(
     return table[idx, 0], table[idx, 1]
 
 
-def product_estimate(
-    dist: PairOutcomeDistribution, n: int, rng: np.random.Generator
-) -> CorrelationEstimate:
+def product_estimate(dist: PairOutcomeDistribution, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of x*y over ``n`` sampled pairs, in bounded memory.
 
     Consumes the same 32-bit uniforms u = k 2^-32, in the same order, as
     :func:`sample_pairs` with the same ``n``, and its mean equals the mean
-    of x*y over those samples exactly; only the count of x*y = +1 is kept.
+    of x*y over those samples exactly: x*y is the cut rule (True, [cum[0],
+    cum[2]]) in u on the cumulative law, and only the count of +1 is kept.
     """
-    is_plus = _product_is_plus(dist)
-    return stream_estimate(n, lambda size: is_plus(draw_uniforms(rng, size)), (-1, 1))
+    return rule_estimate(n, rng, _product_rule(dist))

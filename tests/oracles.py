@@ -278,6 +278,20 @@ def cos_sign_response(angle, lam) -> np.ndarray:
     return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1)
 
 
+def same_lambda_is_plus(a1, a2, b1, b2) -> np.ndarray:
+    """Where (a1 + a2) b1 + (a1 - a2) b2 = +2, from A's response masks, with B = -A."""
+    a1, a2, b1, b2 = signs(a1), signs(a2), -signs(b1), -signs(b2)
+    return (a1 + a2) * b1 + (a1 - a2) * b2 == 2
+
+
+def cut_parity(r0: bool, cuts, u) -> np.ndarray:
+    """r0 XOR (an odd number of ``cuts`` <= u), counting the cuts one by one."""
+    count = np.zeros(np.shape(u), dtype=int)
+    for t in cuts:
+        count += np.asarray(u) >= t
+    return r0 ^ (count % 2 == 1)
+
+
 def _dense_estimate(samples: np.ndarray) -> tuple[float, float]:
     # (mean, stderr = sample std / sqrt(n)) of one whole-run float array.
     return float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.size))

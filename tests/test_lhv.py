@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from chshlab.lhv import (
     AngleConfig,
+    _combined,
     _responders,
+    _rules,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
@@ -18,7 +20,7 @@ from chshlab.lhv import (
     tsirelson_angles,
 )
 
-from oracles import parity_identity, sign_model_sawtooth, signs, uniforms32
+from oracles import parity_identity, same_lambda_is_plus, sign_model_sawtooth, signs, uniforms32
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -122,6 +124,15 @@ class TestSameLambda:
         est = chsh_same_lambda(cfg, n, np.random.default_rng(5))
         assert est.mean == pytest.approx(float(np.mean(s)), abs=0)
         assert -2.0 <= est.mean <= 2.0
+
+    def test_every_lambda_gives_minus_two_at_the_tsirelson_angles(self):
+        # The paper's point: one lambda per trial, and at the Tsirelson angles
+        # the per-trial value is -2 on all of [0, pi), so the rule that gives
+        # +2 has no cut and the estimate is -2 exactly, with stderr 0.
+        cfg = tsirelson_angles()
+        assert _combined(_rules(cfg.astuple()), same_lambda_is_plus) == [(False, [])]
+        est = chsh_same_lambda(cfg, 1_000_000, np.random.default_rng(24))
+        assert (est.mean, est.stderr, est.n_samples) == (-2.0, 0.0, 1_000_000)
 
     def test_estimate_matches_quadrature_combination(self):
         cfg = tsirelson_angles()

@@ -208,6 +208,13 @@ class TestSampling:
             with pytest.raises(ValueError, match="must be finite"):
                 sampler(law, 5, np.random.default_rng(0))
 
+    def test_negative_law_rejected_by_both_samplers(self):
+        # Finite and summing to 1, yet no law: unchecked, both samplers read mean 1.0.
+        law = PairOutcomeDistribution(probs={(1, 1): 0.6, (1, -1): -0.2, (-1, 1): -0.2, (-1, -1): 0.8})
+        for sampler in (sample_pairs, product_estimate):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                sampler(law, 5, np.random.default_rng(0))
+
 
 class TestPairCorrelationKernel:
     @given(angles, angles)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshlab import cli, lhv
+from chshlab import cli, kernels, lhv
 from chshlab.chsh_operator import t_distribution, t_estimate
 from chshlab.lhv import (
     AngleConfig,
@@ -18,11 +18,12 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, draw_uniforms, estimate_from_counts, stream_estimate
+from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_uniforms, estimate_from_counts, stream_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
     cos_sign_response,
+    cut_parity,
     dense_pair_products,
     dense_quantum_independent,
     dense_sign_correlation,
@@ -30,6 +31,7 @@ from oracles import (
     dense_sign_same_lambda,
     dense_two_point,
     raw_halves,
+    same_lambda_is_plus,
     signs,
     uniforms32,
 )
@@ -40,7 +42,8 @@ lambdas = st.lists(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True)
 
 
 def _response(angle, lam):
-    # A's +-1 response to lam in [0, pi), as the sign-model estimators compute it.
+    # A's +-1 response to lam in [0, pi), through the cut rule of the angle's
+    # flip points that every sign-model estimator combines into its outcomes.
     return signs(lhv._responders([angle])[0](lam))
 
 
@@ -157,7 +160,7 @@ class TestFlipPoints:
             assert 0 < len(calls) <= 10
 
     def test_rejects_angles_beyond_the_limit(self):
-        # Each sign-model entry point checks its angles in _responders; the
+        # Each sign-model entry point checks its angles in _rules; the
         # CLI's angle flags hold the same constant in their own unit.
         assert cli.MAX_ANGLE is lhv.MAX_ANGLE
         rng = np.random.default_rng(0)
@@ -176,16 +179,77 @@ class TestFlipPoints:
                     run(angle)
 
 
+class TestCutRules:
+    @settings(max_examples=200)
+    @given(st.booleans(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
+    def test_cut_mask_matches_parity(self, r0, cuts):
+        cuts = sorted(cuts)
+        mask = cut_mask(r0, cuts)
+        u = np.concatenate([np.linspace(0.0, 1.0, 1001)] + [_around(t, 4) for t in cuts])
+        got = mask(u)
+        assert got.dtype == np.bool_ and got.shape == u.shape
+        assert np.array_equal(got, cut_parity(r0, cuts, u))
+        for x in (0.0, 0.5, 1.0, *cuts):
+            got = mask(np.asarray(x))
+            assert got.shape == () and got == cut_parity(r0, cuts, x)
+
+    def test_empty_cuts_give_a_constant_mask(self):
+        u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        for r0 in (False, True):
+            got = cut_mask(r0, [])(u)
+            assert got.dtype == np.bool_ and got.shape == (3, 4) and np.all(got == r0)
+            assert cut_mask(r0, [])(np.asarray(0.5)).shape == ()
+
+    # The four pair products' +1 rules of the independent-pairs protocol.
+    PAIRS = staticmethod(lambda *a: [a[i] != a[j] for i, j in kernels.PAIRS])
+
+    def _check_combined(self, angles):
+        rules = lhv._rules(angles)
+        flips = [t for _, rule_flips in rules for t in rule_flips]
+        lam = np.concatenate([_around(0.0, 4), _around(lhv._TOP, 4)] + [_around(t, 4) for t in flips])
+        responses = [cos_sign_response(a, lam) == 1 for a in angles]
+        for f in (same_lambda_is_plus, self.PAIRS):
+            want = np.atleast_2d(f(*responses))
+            got = lhv._combined(rules, f)
+            assert len(got) == len(want)
+            for (r0, cuts), row in zip(got, want):
+                assert cuts == sorted(cuts) and all(0.0 < t < math.pi for t in cuts)
+                assert np.array_equal(cut_mask(r0, cuts)(lam), row)
+
+    def test_combined_random_configs(self):
+        rng = np.random.default_rng(24)
+        configs = [rng.uniform(-2 * math.pi, 2 * math.pi, (100, 4)), rng.uniform(-1e6, 1e6, (50, 4))]
+        for angles in np.concatenate(configs).tolist():
+            self._check_combined(angles)
+
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            [1e6, -1e6, 3.0, 1e-300],
+            [*TestFlipPoints.WRAPPED, 0.3, 1.2],
+            TestFlipPoints.THREE + [0.3],
+            [math.pi / 4, 0.0, math.pi / 8, 3 * math.pi / 8],
+            [0.3] * 4,
+            [0.6, 0.6, 0.1, 0.1],
+            # Consecutive doubles: their flips are adjacent doubles.
+            (np.float64(0.5).view(np.int64) + np.arange(4)).view(np.float64).tolist(),
+        ],
+    )
+    def test_combined_special_configs(self, angles):
+        self._check_combined(angles)
+
+
 @pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
 def test_pi_times_random_is_uniform(shape):
     # The sign model draws lambda as (pi 2^-32) k on the 32-bit halves k of
-    # the raw outputs, which is pi * u with u = k 2^-32 bit for bit. None
-    # draws a single lambda, of shape ().
+    # the raw outputs, which is pi * u with u = k 2^-32 bit for bit: the
+    # draw_uniforms call of rule_estimate at span pi. None draws a single
+    # lambda, of shape ().
     shape = () if shape is None else shape
     k = raw_halves(np.random.default_rng(7), math.prod(shape)).reshape(shape)
     want = np.asarray((math.pi * 2.0**-32) * k)
     assert np.array_equal(np.asarray(math.pi * (k * 2.0**-32)).view(np.int64), want.view(np.int64))
-    drawn = np.asarray(lhv._draw_lambda(np.random.default_rng(7), shape))
+    drawn = np.asarray(draw_uniforms(np.random.default_rng(7), shape, math.pi))
     assert drawn.shape == shape
     assert np.array_equal(drawn.view(np.int64), want.view(np.int64))
     if len(shape) == 2:
