@@ -186,7 +186,7 @@ def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> Correla
     kept: the mean is t0 times the exact sign mean. Raises ValueError for n < 2.
     """
     dist = t_distribution(config)
-    return rule_estimate(n, rng, (True, [dist.weight_plus]), scale=dist.t0)
+    return rule_estimate(n, rng, [(True, [dist.weight_plus])], scale=dist.t0)
 
 
 def singlet_overlaps(summary: TSpectralSummary) -> np.ndarray:

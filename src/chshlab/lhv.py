@@ -20,15 +20,15 @@ The quantum analogue of the independent-pairs protocol samples the four
 pair outcomes from the singlet joint law instead of a shared lambda; its
 mean converges to the sum of the four singlet correlations.
 
-Every estimator streams its trials through :mod:`chshlab.montecarlo`:
-MC_CHUNK trials at a time, each reduced to the index of its value in the
-protocol's value tuple and counted; the tuples below are the only place
-the values are written. Each response is a cut rule in lambda = pi * u
-whose cuts are the flips of the cosine rule, found once per run from one
-grid shared by all angles (:func:`_flip_points`); each pair product or
-same-lambda value is one cut rule read off those (:func:`_combined`), equal
-to the rule for every draw without a cosine per draw. Every angle must be
-finite with magnitude at most MAX_ANGLE; any other raises ValueError.
+Every estimator is one :func:`chshlab.montecarlo.rule_estimate` call on
+cut rules in lambda = pi * u, one per lambda a trial draws (the protocols
+differ only in that count, one or four); the value tuples below are the
+only place the values are written. Each response is a cut rule whose cuts
+are the flips of the cosine rule, found once per run from one grid shared
+by all angles (:func:`_flip_points`); each pair product or same-lambda
+value is one cut rule read off those (:func:`_combined`), equal to the
+rule for every draw without a cosine per draw. Every angle must be finite
+with magnitude at most MAX_ANGLE; any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .montecarlo import MC_CHUNK, CorrelationEstimate, cut_mask, draw_uniforms, rule_estimate, stream_estimate
+from .montecarlo import CorrelationEstimate, cut_mask, rule_estimate
 from .quantum import _product_rule, joint_distribution
 
 # Per-trial values of the two protocols.
@@ -155,8 +155,7 @@ def _combined(rules, f) -> list:
 def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n draws lambda ~ U[0, pi)."""
     # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
-    (rule,) = _combined(_rules([alpha, beta]), np.not_equal)
-    return rule_estimate(n, rng, rule, span=math.pi)
+    return rule_estimate(n, rng, _combined(_rules([alpha, beta]), np.not_equal), span=math.pi)
 
 
 def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000) -> float:
@@ -183,30 +182,8 @@ def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     a1 = a2 and 2 a1 b2 elsewhere, so +2 exactly where A(alpha1) differs from
     A(beta1), respectively A(beta2).
     """
-    (rule,) = _combined(_rules(config.astuple()), lambda a1, a2, b1, b2: a1 != np.where(a1 == a2, b1, b2))
-    return rule_estimate(n, rng, rule, _SAME_LAMBDA_VALUES, math.pi)
-
-
-def _independent_pairs(n: int, rng: np.random.Generator, plus, scale: float) -> CorrelationEstimate:
-    """Mean of p1 + p2 + p3 - p4 over n trials of four pairs, one uniform u[t, j] each.
-
-    p_j is +1 where the bool mask m_j = plus[j](scale * u[:, j]) is true,
-    so the value's index in _INDEPENDENT_VALUES is m1 + m2 + m3 - m4 + 1.
-    u[t, j] is entry 4 t + j of one trial-major draw_uniforms stream, and
-    scale * u[t, j] is drawn as (scale 2^-32) k, the same double.
-    """
-    # Each chunk's trial-major (size, 4) draws, times scale, go into one
-    # reused (4, size) buffer: contiguous per pair, allocated once.
-    # stream_estimate rejects n < 2.
-    buf = np.empty((4, max(0, min(n, MC_CHUNK))))
-
-    def draw_chunk(size):
-        u = buf[:, :size]
-        draw_uniforms(rng, (size, 4), scale, out=u.T)
-        p = [rule(u[j]).view(np.int8) for j, rule in enumerate(plus)]
-        return p[0] + p[1] + p[2] - p[3] + np.int8(1)
-
-    return stream_estimate(n, draw_chunk, _INDEPENDENT_VALUES)
+    rules = _combined(_rules(config.astuple()), lambda a1, a2, b1, b2: a1 != np.where(a1 == a2, b1, b2))
+    return rule_estimate(n, rng, rules, _SAME_LAMBDA_VALUES, math.pi)
 
 
 def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -215,19 +192,22 @@ def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     Trial t draws lambda_1..lambda_4 (trial-major stream order) and
     accumulates a1 b1 + a2 b2 + a3 b3 - a4 b4 with the station settings of
     :func:`angle_pairs`. Per-trial values lie in {-4, -2, 0, 2, 4}; the mean
-    is deterministically inside [-4, 4]. The same protocol with the four
+    is deterministically inside [-4, 4]. Its index counts the four pair
+    rules that hold, the fourth negated. The same protocol with the four
     pairs drawn from the singlet law is :func:`quantum_chsh_independent`.
     """
-    # A B = +1 where A(alpha) != A(beta), as in correlation_mc.
-    rules = _combined(_rules(config.astuple()), lambda *a: [a[i] != a[j] for i, j in kernels.PAIRS])
-    return _independent_pairs(n, rng, [cut_mask(*rule) for rule in rules], math.pi)
+    # a_j b_j = +1 (m_j) where A(alpha) != A(beta), as in correlation_mc; the
+    # index m1 + m2 + m3 - m4 + 1 is m1 + m2 + m3 + (1 - m4), so a2 == b2 last.
+    rules = _combined(_rules(config.astuple()), lambda a1, a2, b1, b2: [a1 != b1, a1 != b2, a2 != b1, a2 == b2])
+    return rule_estimate(n, rng, rules, _INDEPENDENT_VALUES, math.pi)
 
 
 def quantum_chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Quantum independent-pairs run: four singlet pairs sampled per trial.
 
     The mean converges to q1 + q2 + q3 - q4, the signed sum of the four
-    singlet correlations, whose magnitude never exceeds 2 sqrt(2).
+    singlet correlations, whose magnitude never exceeds 2 sqrt(2). Each pair
+    is its x*y = +1 cut rule, the last negated as in :func:`chsh_independent`.
     """
-    plus = [cut_mask(*_product_rule(joint_distribution(alpha, beta))) for alpha, beta in angle_pairs(config)]
-    return _independent_pairs(n, rng, plus, 1.0)
+    *rules, (r0, cuts) = [_product_rule(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
+    return rule_estimate(n, rng, [*rules, (not r0, cuts)], _INDEPENDENT_VALUES)

@@ -1,14 +1,13 @@
-"""Streaming Monte Carlo: fixed-size chunks and exact count-based estimates.
+"""Streaming Monte Carlo: one driver, fixed-size chunks, exact count-based estimates.
 
-Every per-trial value of the package's estimators takes one of a few
-values (+-1, +-2, {-4, ..., 4}, or +-t0), written once per estimator as a
-tuple, so a run reduces to a histogram: a chunk's draws give per trial
-the index of its value in that tuple, and only counts of indices are kept.
-Estimators draw MC_CHUNK trials at a time in the same trial-major order
-as one whole-run call, which keeps the draws identical to that call and
-memory O(MC_CHUNK) whatever the number of trials. Mean and variance then
-follow from Python-int counts. Every two-valued outcome is a step function
-of its one draw, a cut rule (r0, cuts) streamed by :func:`rule_estimate`.
+Every estimator of the package is one :func:`rule_estimate` call. A trial
+draws one uniform per cut rule (r0, cuts), a step function of its draw,
+and takes values[h], where h counts the rules that hold. The values (+-1,
++-2, {-4, ..., 4}, or +-t0) are written once per estimator as a tuple, and
+only the counts of each h are kept. Trials are drawn MC_CHUNK at a time in
+the same trial-major order as one whole-run call, which keeps the draws
+identical to that call and memory O(MC_CHUNK) whatever the number of
+trials. Mean and variance then follow from Python-int counts.
 
 Every Monte Carlo uniform comes from :func:`draw_uniforms`, 32 bits at a
 time: u = k 2^-32, where k runs through the low, then the high 32-bit half
@@ -128,10 +127,26 @@ def cut_mask(r0: bool, cuts: Sequence[float]) -> Callable[[np.ndarray], np.ndarr
 
 
 def rule_estimate(
-    n: int, rng: np.random.Generator, rule, values: Sequence[int] = (-1, 1), span: float = 1.0, scale: float = 1.0
+    n: int, rng: np.random.Generator, rules, values: Sequence[int] = (-1, 1), span: float = 1.0, scale: float = 1.0
 ) -> CorrelationEstimate:
-    """Estimate from n trials of ``rule``, each on one uniform of :func:`draw_uniforms`
-    in [0, span): values[1] where the rule's :func:`cut_mask` holds, else values[0].
+    """Estimate from n trials of the cut ``rules``, one uniform in [0, span) per rule.
+
+    Rule j of trial t reads entry d t + j, d = len(rules), of one trial-major
+    :func:`draw_uniforms` stream. The trial's value is values[h], h the number
+    of rules whose :func:`cut_mask` holds: one rule's bool mask, or their int8 sum.
     """
-    mask = cut_mask(*rule)
-    return stream_estimate(n, lambda size: mask(draw_uniforms(rng, size, span)), values, scale)
+    masks = [cut_mask(*rule) for rule in rules]
+    # Each chunk's trial-major (size, d) draws go into one reused (d, size)
+    # buffer: contiguous per rule, allocated once. stream_estimate rejects n < 2.
+    buf = np.empty((len(masks), max(0, min(n, MC_CHUNK))))
+
+    def draw_chunk(size):
+        u = buf[:, :size]
+        draw_uniforms(rng, (size, len(masks)), span, out=u.T)
+        first, *rest = [mask(row) for mask, row in zip(masks, u)]
+        h = first.view(np.int8) if rest else first
+        for m in rest:
+            h += m.view(np.int8)
+        return h
+
+    return stream_estimate(n, draw_chunk, values, scale)

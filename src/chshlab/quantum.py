@@ -104,12 +104,16 @@ def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
 def _cumulative(dist: PairOutcomeDistribution) -> np.ndarray:
     """Cumulative law in OUTCOME_ORDER: the table of the inverse CDF."""
     probs = dist.as_array()
-    cum = np.cumsum(probs)
-    if not np.all(np.isfinite(cum)):
+    # On Python floats: no warning, no numpy reduction. An inf, a NaN or an overflow reaches the total.
+    entries = probs.tolist()
+    total = sum(entries)
+    if not math.isfinite(total):
         raise ValueError("outcome probabilities must be finite")
-    if min(probs.tolist()) < 0.0:
+    if min(entries) < 0.0:
         raise ValueError("outcome probabilities must be nonnegative")
-    return cum
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError("outcome probabilities must sum to 1")
+    return np.cumsum(probs)
 
 
 def _product_rule(dist: PairOutcomeDistribution) -> tuple[bool, list]:
@@ -125,10 +129,10 @@ def sample_pairs(
 
     Inverse CDF over OUTCOME_ORDER, on the 32-bit uniforms u = k 2^-32 of
     :func:`chshlab.montecarlo.draw_uniforms`, so each outcome's probability
-    is met to within 2^-32. Raises ValueError for n < 1 or a non-finite or
-    negative law. Returns (x, y) integer arrays with entries in {-1, +1};
-    the empirical mean of x*y converges to :func:`singlet_correlation` at
-    the usual 1/sqrt(n) rate.
+    is met to within 2^-32. Raises ValueError for n < 1 or a law that is
+    non-finite, negative or more than 1e-12 from total 1. Returns (x, y)
+    integer arrays with entries in {-1, +1}; the empirical mean of x*y
+    converges to :func:`singlet_correlation` at the usual 1/sqrt(n) rate.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -146,4 +150,4 @@ def product_estimate(dist: PairOutcomeDistribution, n: int, rng: np.random.Gener
     of x*y over those samples exactly: x*y is the cut rule (True, [cum[0],
     cum[2]]) in u on the cumulative law, and only the count of +1 is kept.
     """
-    return rule_estimate(n, rng, _product_rule(dist))
+    return rule_estimate(n, rng, [_product_rule(dist)])

@@ -208,11 +208,30 @@ class TestSampling:
             with pytest.raises(ValueError, match="must be finite"):
                 sampler(law, 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "probs", [(0.5, 0.5, 0.0, math.nan), (math.inf, 0.0, -math.inf, 1.0), (1e308, 1e308, -1e308, -1e308)]
+    )
+    def test_non_finite_running_sum_rejected_by_both_samplers(self, probs):
+        # Only the total is checked: a NaN, an inf cancelled later, or a running sum that overflows all reach it.
+        law = PairOutcomeDistribution(probs=dict(zip(OUTCOME_ORDER, probs)))
+        for sampler in (sample_pairs, product_estimate):
+            with pytest.raises(ValueError, match="must be finite"):
+                sampler(law, 5, np.random.default_rng(0))
+
     def test_negative_law_rejected_by_both_samplers(self):
         # Finite and summing to 1, yet no law: unchecked, both samplers read mean 1.0.
         law = PairOutcomeDistribution(probs={(1, 1): 0.6, (1, -1): -0.2, (-1, 1): -0.2, (-1, -1): 0.8})
         for sampler in (sample_pairs, product_estimate):
             with pytest.raises(ValueError, match="must be nonnegative"):
+                sampler(law, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("total", [0.4, 1.0 + 2e-12, 1.0 - 2e-12, 2.0])
+    def test_law_not_summing_to_one_rejected_by_both_samplers(self, total):
+        # Unchecked, the inverse CDF gives the shortfall to (-1, -1): at total 0.4,
+        # product_estimate reads 0.603 and sample_pairs puts 70% of its samples there.
+        law = PairOutcomeDistribution(probs={o: total / 4 for o in OUTCOME_ORDER})
+        for sampler in (sample_pairs, product_estimate):
+            with pytest.raises(ValueError, match="must sum to 1"):
                 sampler(law, 5, np.random.default_rng(0))
 
 

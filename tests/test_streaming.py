@@ -1,6 +1,7 @@
 """Streaming Monte Carlo: the cosine-free sign response and its angle
 check, chunk boundaries, exact count-based estimates and bounded memory."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_uniforms, estimate_from_counts, stream_estimate
+from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_uniforms, estimate_from_counts, rule_estimate, stream_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -253,15 +254,16 @@ def test_pi_times_random_is_uniform(shape):
     assert drawn.shape == shape
     assert np.array_equal(drawn.view(np.int64), want.view(np.int64))
     if len(shape) == 2:
-        # The independent-pairs driver hands pair j column j of the
-        # trial-major draws: (scale 2^-32) k[:, j] at scale pi and at scale 1.
-        for scale in (math.pi, 1.0):
-            seen = [[] for _ in range(4)]
-            plus = [lambda u, rec=rec: rec.append(u.copy()) or u < 0.5 for rec in seen]
-            lhv._independent_pairs(shape[0], np.random.default_rng(7), plus, scale)
-            for j, rec in enumerate(seen):
-                col = (scale * 2.0**-32) * k[:, j]
-                assert np.array_equal(np.concatenate(rec).view(np.int64), col.view(np.int64))
+        # rule_estimate hands rule j column j of the trial-major draws,
+        # (span 2^-32) k[:, j] at span pi and at span 1, and values a trial
+        # by how many rules hold. Distinct cuts tell the columns apart.
+        values = (0, 1, 2, 3, 4)
+        for span in (math.pi, 1.0):
+            cuts = [span * c for c in (0.2, 0.45, 0.6, 0.85)]
+            held = sum(((span * 2.0**-32) * k[:, j] < c).astype(int) for j, c in enumerate(cuts))
+            dense = estimate_from_counts(values, np.bincount(held, minlength=len(values)).tolist())
+            rules = [(True, [c]) for c in cuts]
+            assert rule_estimate(shape[0], np.random.default_rng(7), rules, values, span) == dense
 
 
 class TestDrawUniforms:
@@ -409,6 +411,18 @@ class TestCountEstimate:
             with pytest.raises(ValueError, match="outside"):
                 stream_estimate(C + 1, draw_chunk, (-1, 1))
             assert sizes == [C, 1]
+
+    @pytest.mark.parametrize("holds", [h for d in range(1, 5) for h in itertools.product((False, True), repeat=d)])
+    def test_value_index_counts_the_rules_that_hold(self, holds):
+        # Constant rules hold on every draw or on none: each trial takes values[h].
+        values = (3, -1, 4, -5, 9)[: len(holds) + 1]
+        est = rule_estimate(C + 1, np.random.default_rng(0), [(r0, []) for r0 in holds], values)
+        assert (est.mean, est.stderr, est.n_samples) == (values[sum(holds)], 0.0, C + 1)
+
+    def test_rule_count_outside_the_values_raises(self):
+        # Four rules that always hold give index 4, which (-1, 1) lacks.
+        with pytest.raises(ValueError, match="outside"):
+            rule_estimate(C + 1, np.random.default_rng(0), [(True, [])] * 4)
 
 
 def test_independent_memory_is_bounded():
