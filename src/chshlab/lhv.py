@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .montecarlo import CorrelationEstimate, cut_mask, rule_estimate
-from .quantum import _product_rule, joint_distribution
+from .quantum import OUTCOME_ORDER, _product_rules
 
 # Per-trial values of the two protocols.
 _SAME_LAMBDA_VALUES = (-2, 2)
@@ -136,11 +136,6 @@ def _rules(angles) -> list:
     return _flip_points(angles)
 
 
-def _responders(angles) -> list:
-    """A's response mask for each angle: equal to :func:`_cos_rule` for every lam in [0, pi)."""
-    return [cut_mask(*rule) for rule in _rules(angles)]
-
-
 def _combined(rules, f) -> list:
     """The cut rule of each row (one mask or a list of them) of f(response masks).
 
@@ -156,22 +151,6 @@ def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) 
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n draws lambda ~ U[0, pi)."""
     # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
     return rule_estimate(n, rng, _combined(_rules([alpha, beta]), np.not_equal), span=math.pi)
-
-
-def correlation_quadrature(alpha: float, beta: float, grid_points: int = 100_000) -> float:
-    """Deterministic midpoint-rule average of A*B over lambda in [0, pi).
-
-    Serves as the analytic oracle for :func:`correlation_mc`. grid_points
-    must be at least 1000 to keep the midpoint error well under 1e-3 for
-    the piecewise-constant sign responses. :func:`_rules` checks the angles.
-    """
-    if grid_points < 1000:
-        raise ValueError("grid_points must be at least 1000")
-    lam = (np.arange(grid_points) + 0.5) * (math.pi / grid_points)
-    (rule,) = _combined(_rules([alpha, beta]), np.not_equal)
-    # The exact integer sum of the +-1 products, divided once, as np.mean.
-    plus = int(np.count_nonzero(cut_mask(*rule)(lam)))
-    return (2 * plus - grid_points) / grid_points
 
 
 def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -206,8 +185,12 @@ def quantum_chsh_independent(config: AngleConfig, n: int, rng: np.random.Generat
     """Quantum independent-pairs run: four singlet pairs sampled per trial.
 
     The mean converges to q1 + q2 + q3 - q4, the signed sum of the four
-    singlet correlations, whose magnitude never exceeds 2 sqrt(2). Each pair
-    is its x*y = +1 cut rule, the last negated as in :func:`chsh_independent`.
+    singlet correlations, whose magnitude never exceeds 2 sqrt(2). One
+    :func:`chshlab.kernels.q_quad` call gives the four pair laws
+    (1 + k l q)/4, one row each; each pair is its x*y = +1 cut rule, the last
+    negated as in :func:`chsh_independent`.
     """
-    *rules, (r0, cuts) = [_product_rule(joint_distribution(alpha, beta)) for alpha, beta in angle_pairs(config)]
+    q = np.array(kernels.q_quad(*config.astuple()))
+    k, l = np.array(OUTCOME_ORDER).T
+    *rules, (r0, cuts) = _product_rules(kernels.pair_probability(q[:, None], k, l))
     return rule_estimate(n, rng, [*rules, (not r0, cuts)], _INDEPENDENT_VALUES)

@@ -81,32 +81,6 @@ def estimate_from_counts(
     )
 
 
-def stream_estimate(
-    n: int, draw_chunk: Callable[[int], np.ndarray], values: Sequence[int], scale: float = 1.0
-) -> CorrelationEstimate:
-    """Estimate from n trials whose per-trial values come MC_CHUNK at a time.
-
-    ``draw_chunk(size)`` draws the next ``size`` trials and returns, per
-    trial, the index of its value in ``values``: a bool mask for two
-    values, int8 otherwise. Only the count of each index is kept; a mask
-    is counted once, its false entries being the rest of the chunk.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    counts = [0] * len(values)
-    for start in range(0, n, MC_CHUNK):
-        x = draw_chunk(min(MC_CHUNK, n - start))
-        if x.dtype == np.bool_:
-            ones = int(np.count_nonzero(x))
-            counts[0] += x.size - ones
-            counts[1] += ones
-        else:
-            counts = [c + int(np.count_nonzero(x == i)) for i, c in enumerate(counts)]
-    if sum(counts) != n:
-        raise ValueError(f"per-trial values outside {tuple(values)}")
-    return estimate_from_counts(values, counts, scale)
-
-
 def cut_mask(r0: bool, cuts: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
     """The bool mask u -> r0 XOR (an odd number of the sorted ``cuts`` <= u).
 
@@ -133,20 +107,31 @@ def rule_estimate(
 
     Rule j of trial t reads entry d t + j, d = len(rules), of one trial-major
     :func:`draw_uniforms` stream. The trial's value is values[h], h the number
-    of rules whose :func:`cut_mask` holds: one rule's bool mask, or their int8 sum.
+    of rules whose :func:`cut_mask` holds: one rule's bool mask, or their int8
+    sum. Only the count of each h is kept; a mask is counted once, its false
+    entries being the rest of the chunk. Raises ValueError before any draw
+    unless there is one value per h in 0..d.
     """
+    d = len(rules)
+    if len(values) != d + 1:
+        raise ValueError(f"{d} rules give value indices 0..{d}, outside or short of {tuple(values)}")
     masks = [cut_mask(*rule) for rule in rules]
     # Each chunk's trial-major (size, d) draws go into one reused (d, size)
-    # buffer: contiguous per rule, allocated once. stream_estimate rejects n < 2.
-    buf = np.empty((len(masks), max(0, min(n, MC_CHUNK))))
-
-    def draw_chunk(size):
+    # buffer: contiguous per rule, allocated once. estimate_from_counts rejects n < 2.
+    buf = np.empty((d, max(0, min(n, MC_CHUNK))))
+    counts = [0] * len(values)
+    for start in range(0, n, MC_CHUNK):
+        size = min(MC_CHUNK, n - start)
         u = buf[:, :size]
-        draw_uniforms(rng, (size, len(masks)), span, out=u.T)
+        draw_uniforms(rng, (size, d), span, out=u.T)
         first, *rest = [mask(row) for mask, row in zip(masks, u)]
-        h = first.view(np.int8) if rest else first
-        for m in rest:
-            h += m.view(np.int8)
-        return h
-
-    return stream_estimate(n, draw_chunk, values, scale)
+        if rest:
+            h = first.view(np.int8)
+            for m in rest:
+                h += m.view(np.int8)
+            counts = [c + int(np.count_nonzero(h == i)) for i, c in enumerate(counts)]
+        else:
+            ones = int(np.count_nonzero(first))
+            counts[0] += size - ones
+            counts[1] += ones
+    return estimate_from_counts(values, counts, scale)

@@ -24,12 +24,10 @@ from chshlab.constrained import (
 )
 from chshlab.lhv import (
     AngleConfig,
-    _responders,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,
-    correlation_quadrature,
     tsirelson_angles,
 )
 from chshlab.linalg import is_hermitian
@@ -37,7 +35,7 @@ from chshlab.quantum import commutator, joint_distribution, sample_pairs, single
 from chshlab.scan import grid_scan, verify_bound
 from chshlab import cli
 
-from oracles import chsh_square, signs, uniforms32
+from oracles import chsh_square, cos_sign_response, sign_model_sawtooth, uniforms32
 
 SQRT2 = math.sqrt(2.0)
 SQRT8 = 2.0 * SQRT2
@@ -117,7 +115,7 @@ def test_criterion_7_lhv_deterministic_bounds():
     ok = True
     for i, config in enumerate(_random_configs(seed=107, count=20)):
         lam = math.pi * uniforms32(np.random.default_rng(1000 + i), n)
-        a1, a2, b1, b2 = (signs(respond(lam)) for respond in _responders(config.astuple()))
+        a1, a2, b1, b2 = (cos_sign_response(angle, lam) for angle in config.astuple())
         b1, b2 = -b1, -b2
         per_trial = (a1 + a2) * b1 + (a1 - a2) * b2
         ok &= bool(np.all(np.abs(per_trial) == 2))
@@ -135,8 +133,7 @@ def test_criterion_8_monte_carlo_vs_analytic():
     for i in range(50):
         alpha, beta = (float(v) for v in rng_angles.uniform(0.0, math.pi, 2))
         est = correlation_mc(alpha, beta, 1_000_000, np.random.default_rng(3000 + i))
-        target = correlation_quadrature(alpha, beta, 100_000)
-        ok &= abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
+        ok &= abs(est.mean - sign_model_sawtooth(alpha, beta)) <= 4.0 * est.stderr + 1e-6
     for i in range(20):
         alpha, beta = (float(v) for v in rng_angles.uniform(0.0, math.pi, 2))
         dist = joint_distribution(alpha, beta)
@@ -144,7 +141,7 @@ def test_criterion_8_monte_carlo_vs_analytic():
         products = (x * y).astype(float)
         stderr = float(products.std(ddof=1)) / 1000.0
         ok &= abs(float(products.mean()) + math.cos(2.0 * (alpha - beta))) <= 4.0 * stderr
-    _report(8, "sign-model MC vs quadrature (50 pairs) and quantum sampling vs cosine law (20 pairs)", ok)
+    _report(8, "sign-model MC vs sawtooth (50 pairs) and quantum sampling vs cosine law (20 pairs)", ok)
 
 
 def test_criterion_9_spectral_suite():

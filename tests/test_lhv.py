@@ -3,27 +3,36 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from chshlab import lhv
 from chshlab.lhv import (
     AngleConfig,
     _combined,
-    _responders,
     _rules,
     angle_pairs,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,
-    correlation_quadrature,
     quantum_chsh_independent,
     tsirelson_angles,
 )
+from chshlab.montecarlo import cut_mask
+from chshlab.quantum import _product_rules, joint_distribution
 
-from oracles import parity_identity, same_lambda_is_plus, sign_model_sawtooth, signs, uniforms32
+from oracles import cos_sign_response, parity_identity, same_lambda_is_plus, sign_model_sawtooth, signs, uniforms32
 
-angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+
+def _response_masks(angles):
+    # A's response mask per angle: the package's own cut rule of the cosine rule.
+    return [cut_mask(*rule) for rule in _rules(angles)]
+
+
+def _sawtooth_sum(cfg):
+    # The analytic independent-pairs mean: s1 + s2 + s3 - s4 over angle_pairs.
+    s = [sign_model_sawtooth(alpha, beta) for alpha, beta in angle_pairs(cfg)]
+    return s[0] + s[1] + s[2] - s[3]
 
 
 def test_angle_pairs_assignment():
@@ -39,36 +48,21 @@ def test_tsirelson_angles():
 class TestSignModel:
     def test_responses_are_signs(self):
         lam = np.linspace(0.0, math.pi, 1001, endpoint=False)
-        for respond in _responders((-1.0, 0.0, 0.7, math.pi)):
+        for respond in _response_masks((-1.0, 0.0, 0.7, math.pi)):
             assert set(np.unique(signs(respond(lam)))) <= {-1, 1}
 
     def test_responses_deterministic(self):
         lam = np.array([0.1, 0.5, 2.0])
-        first, second = (_responders([0.3])[0] for _ in range(2))
+        first, second = (_response_masks([0.3])[0] for _ in range(2))
         assert np.array_equal(signs(first(lam)), signs(second(lam)))
 
     def test_sign_zero_convention(self):
         # cos(2(angle - lam)) == 0 must resolve to +1 for station A
-        assert signs(_responders([math.pi / 4])[0](np.asarray(0.0))) == 1
+        assert signs(_response_masks([math.pi / 4])[0](np.asarray(0.0))) == 1
 
     def test_perfect_anticorrelation_at_equal_angles(self):
-        # B = -A, so A B = -1 on every lambda, drawn or on the quadrature grid
-        assert correlation_quadrature(1.1, 1.1, 997_000) == -1.0
+        # B = -A, so A B = -1 on every drawn lambda
         assert correlation_mc(1.1, 1.1, 997, np.random.default_rng(0)).mean == -1.0
-
-    @given(angles, angles)
-    def test_quadrature_matches_sawtooth(self, alpha, beta):
-        got = correlation_quadrature(alpha, beta, grid_points=20_000)
-        assert got == pytest.approx(sign_model_sawtooth(alpha, beta), abs=2e-3)
-
-    def test_quadrature_reference_points(self):
-        assert correlation_quadrature(0.3, 0.3, 100_000) == pytest.approx(-1.0, abs=1e-6)
-        assert correlation_quadrature(math.pi / 4, 0.0, 100_000) == pytest.approx(0.0, abs=1e-3)
-        assert correlation_quadrature(math.pi / 8, 0.0, 100_000) == pytest.approx(-0.5, abs=1e-3)
-
-    def test_quadrature_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            correlation_quadrature(0.0, 0.0, grid_points=10)
 
 
 class TestCorrelationMC:
@@ -78,12 +72,11 @@ class TestCorrelationMC:
         assert est.stderr == 0.0
         assert est.n_samples == 1000
 
-    def test_against_quadrature(self):
+    def test_against_sawtooth(self):
         rng = np.random.default_rng(1)
         for alpha, beta in [(math.pi / 4, 0.0), (math.pi / 8, 0.0), (1.2, 0.5)]:
             est = correlation_mc(alpha, beta, 100_000, rng)
-            target = correlation_quadrature(alpha, beta, 100_000)
-            assert abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
+            assert abs(est.mean - sign_model_sawtooth(alpha, beta)) <= 4.0 * est.stderr + 1e-6
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
@@ -117,7 +110,7 @@ class TestSameLambda:
         n = 20_000
         # reproduce the estimator's draws: lambda = pi * u on 32-bit uniforms, B = -A
         lam = math.pi * uniforms32(np.random.default_rng(5), n)
-        a1, a2, b1, b2 = (signs(respond(lam)) for respond in _responders(cfg.astuple()))
+        a1, a2, b1, b2 = (cos_sign_response(angle, lam) for angle in cfg.astuple())
         b1, b2 = -b1, -b2
         s = (a1 + a2) * b1 + (a1 - a2) * b2
         assert set(np.unique(s)) <= {-2, 2}
@@ -137,19 +130,13 @@ class TestSameLambda:
     def test_estimate_matches_quadrature_combination(self):
         cfg = tsirelson_angles()
         est = chsh_same_lambda(cfg, 200_000, np.random.default_rng(6))
-        target = (
-            correlation_quadrature(cfg.alpha1, cfg.beta1, 100_000)
-            + correlation_quadrature(cfg.alpha1, cfg.beta2, 100_000)
-            + correlation_quadrature(cfg.alpha2, cfg.beta1, 100_000)
-            - correlation_quadrature(cfg.alpha2, cfg.beta2, 100_000)
-        )
-        assert abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
+        assert abs(est.mean - _sawtooth_sum(cfg)) <= 4.0 * est.stderr + 1e-6
 
     def test_degenerate_config_reduces_to_single_correlation(self):
         cfg = AngleConfig(0.6, 0.6, 0.1, 0.1)
         est = chsh_same_lambda(cfg, 100_000, np.random.default_rng(7))
-        target = 2.0 * correlation_quadrature(0.6, 0.1, 100_000)
-        assert abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
+        target = 2.0 * sign_model_sawtooth(0.6, 0.1)
+        assert abs(est.mean - target) <= 4.0 * est.stderr + 1e-6
 
 
 class TestIndependent:
@@ -158,9 +145,8 @@ class TestIndependent:
         n = 20_000
         lam = math.pi * uniforms32(np.random.default_rng(8), 4 * n).reshape(n, 4)
         pairs = angle_pairs(cfg)
-        respond = [_responders(pair) for pair in pairs]
-        a = [signs(respond[j][0](lam[:, j])) for j in range(4)]
-        b = [-signs(respond[j][1](lam[:, j])) for j in range(4)]
+        a = [cos_sign_response(pairs[j][0], lam[:, j]) for j in range(4)]
+        b = [-cos_sign_response(pairs[j][1], lam[:, j]) for j in range(4)]
         s = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
         assert set(np.unique(s)) <= {-4, -2, 0, 2, 4}
         est = chsh_independent(cfg, n, np.random.default_rng(8))
@@ -170,14 +156,7 @@ class TestIndependent:
     def test_factorizes_into_four_quadratures(self):
         cfg = AngleConfig(0.3, 1.1, 0.7, 2.0)
         est = chsh_independent(cfg, 400_000, np.random.default_rng(9))
-        pairs = angle_pairs(cfg)
-        target = (
-            correlation_quadrature(*pairs[0], 100_000)
-            + correlation_quadrature(*pairs[1], 100_000)
-            + correlation_quadrature(*pairs[2], 100_000)
-            - correlation_quadrature(*pairs[3], 100_000)
-        )
-        assert abs(est.mean - target) <= 4.0 * est.stderr + 1e-3
+        assert abs(est.mean - _sawtooth_sum(cfg)) <= 4.0 * est.stderr + 1e-6
 
 
 class TestQuantumIndependent:
@@ -202,3 +181,16 @@ class TestQuantumIndependent:
         with pytest.raises(ValueError):
             quantum_chsh_independent(tsirelson_angles(), 1, np.random.default_rng(0))
 
+    def test_rules_equal_the_per_pair_laws(self, monkeypatch):
+        # The four rules come from one q_quad call; each is bit-equal to the
+        # rule of its own pair's joint_distribution, the last negated.
+        seen = []
+        monkeypatch.setattr(lhv, "rule_estimate", lambda n, rng, rules, values: seen.append(rules))
+        rng = np.random.default_rng(26)
+        configs = [rng.uniform(-r, r, (150, 4)) for r in (math.pi, 4.0, 1e3, 1e6)]
+        configs.append(math.pi / 8 * rng.integers(-24, 25, (300, 4)))
+        for angles in np.concatenate(configs).tolist():
+            cfg = AngleConfig(*angles)
+            quantum_chsh_independent(cfg, 2, rng)
+            *rules, (r0, cuts) = (_product_rules(joint_distribution(*pair).as_array())[0] for pair in angle_pairs(cfg))
+            assert seen.pop() == [*rules, (not r0, cuts)]

@@ -19,7 +19,7 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_uniforms, estimate_from_counts, rule_estimate, stream_estimate
+from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_uniforms, estimate_from_counts, rule_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -45,7 +45,7 @@ lambdas = st.lists(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True)
 def _response(angle, lam):
     # A's +-1 response to lam in [0, pi), through the cut rule of the angle's
     # flip points that every sign-model estimator combines into its outcomes.
-    return signs(lhv._responders([angle])[0](lam))
+    return signs(cut_mask(*lhv._rules([angle])[0])(lam))
 
 
 class TestSignResponse:
@@ -167,7 +167,6 @@ class TestFlipPoints:
         rng = np.random.default_rng(0)
         entry_points = (
             lambda a: correlation_mc(a, 0.3, 1000, rng),
-            lambda a: lhv.correlation_quadrature(0.3, a, 1000),
             lambda a: chsh_same_lambda(AngleConfig(0.1, a, 0.3, 0.5), 1000, rng),
             lambda a: chsh_independent(AngleConfig(0.1, 0.2, 0.3, a), 1000, rng),
         )
@@ -371,7 +370,7 @@ class TestChunkBoundaries:
 class TestCountEstimate:
     @pytest.mark.parametrize("n", [1, 0, -1, -3])
     def test_requires_two_samples(self, n):
-        # Every estimator leaves the trial count to stream_estimate's one check.
+        # Every estimator leaves the trial count to estimate_from_counts's one check.
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             estimate_from_counts((-1, 1), (max(n, 0), 0))
@@ -399,18 +398,18 @@ class TestCountEstimate:
         est = estimate_from_counts((-1, 1), (0, 12345))
         assert (est.mean, est.stderr) == (1.0, 0.0)
 
-    def test_values_checked_on_every_chunk(self):
-        # The first chunk holds a valid index, the second one that indexes no value of (-1, 1).
-        for index in (2, -1):
-            sizes = []
-
-            def draw_chunk(size):
-                sizes.append(size)
-                return np.full(size, 1 if len(sizes) == 1 else index, dtype=np.int8)
-
-            with pytest.raises(ValueError, match="outside"):
-                stream_estimate(C + 1, draw_chunk, (-1, 1))
-            assert sizes == [C, 1]
+    @pytest.mark.parametrize(
+        "d, values",
+        [(1, (-1,)), (1, (-1, 0, 1)), (4, (-1, 1)), (2, (-2, 0, 2, 4))],
+        ids=["1-rule-1-value", "1-rule-3-values", "4-rules-2-values", "2-rules-4-values"],
+    )
+    def test_value_count_checked_before_any_draw(self, d, values):
+        # d rules give indices 0..d: one value short or over raises with the generator untouched.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="outside or short of"):
+            rule_estimate(C + 1, rng, [(True, [0.5])] * d, values)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("holds", [h for d in range(1, 5) for h in itertools.product((False, True), repeat=d)])
     def test_value_index_counts_the_rules_that_hold(self, holds):
