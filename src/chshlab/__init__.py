@@ -22,7 +22,7 @@ from .constrained import (
 )
 from .chsh_operator import ChshOperator, build_t, t_distribution, t_mean, t_spectrum
 from .linalg import SpectralDecomposition, hermitian_eigen
-from .scan import ScanReport, grid_scan, refine, verify_bound
+from .scan import ScanReport, grid_scan, verify_bound
 
 __all__ = [
     "__version__",
@@ -43,7 +43,6 @@ __all__ = [
     "hermitian_eigen",
     "joint_distribution",
     "quantum_eight_variable_sum",
-    "refine",
     "singlet_correlation",
     "t_distribution",
     "t_mean",

@@ -110,9 +110,11 @@ def rule_estimate(
     of rules whose :func:`cut_mask` holds: one rule's bool mask, or their int8
     sum. Only the count of each h is kept; a mask is counted once, its false
     entries being the rest of the chunk. Raises ValueError before any draw
-    unless there is one value per h in 0..d.
+    for an empty ``rules`` and unless there is one value per h in 0..d.
     """
     d = len(rules)
+    if not d:
+        raise ValueError("rules is empty: a trial needs at least one cut rule")
     if len(values) != d + 1:
         raise ValueError(f"{d} rules give value indices 0..{d}, outside or short of {tuple(values)}")
     masks = [cut_mask(*rule) for rule in rules]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import tensor_product
-from .montecarlo import CorrelationEstimate, draw_uniforms, rule_estimate
+from .montecarlo import CorrelationEstimate, cut_mask, draw_uniforms, rule_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -104,7 +104,7 @@ def joint_distribution(alpha: float, beta: float) -> PairOutcomeDistribution:
 def _cumulative(probs: np.ndarray) -> np.ndarray:
     """Cumulative laws along the last axis of ``probs`` (..., 4), in OUTCOME_ORDER.
 
-    These are the tables of the inverse CDF. Raises ValueError unless every law
+    Their entries are the cuts of the outcome rules. Raises ValueError unless every law
     is finite, nonnegative and within 1e-12 of total 1.
     """
     # On Python floats, law by law: no warning, and cheaper than numpy
@@ -123,7 +123,8 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
 def _product_rules(probs: np.ndarray) -> list:
     """The x*y = +1 cut rule (True, [cum[0], cum[2]]) of each law in ``probs`` (..., 4).
 
-    x*y == +1 where sample_pairs gives (1, 1), u < cum[0], or (-1, -1), u >= cum[2] >= cum[0].
+    It is X XNOR Y for the rules X and Y of :func:`sample_pairs`, with their
+    shared cum[1] cut cancelled: two compares per draw instead of four.
     """
     return [(True, [c0, c2]) for c0, _, c2, _ in _cumulative(probs).reshape(-1, 4).tolist()]
 
@@ -133,19 +134,20 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of ``n`` joint outcomes (one uniform per sample).
 
-    Inverse CDF over OUTCOME_ORDER, on the 32-bit uniforms u = k 2^-32 of
-    :func:`chshlab.montecarlo.draw_uniforms`, so each outcome's probability
-    is met to within 2^-32. Raises ValueError for n < 1 or a law that is
-    non-finite, negative or more than 1e-12 from total 1. Returns (x, y)
-    integer arrays with entries in {-1, +1}; the empirical mean of x*y
+    Both outcomes are cut rules on one :func:`chshlab.montecarlo.draw_uniforms`
+    array u = k 2^-32, on the cumulative law cum over OUTCOME_ORDER:
+    x = +1 is (True, [cum[1]]) and y = +1 is (True, [cum[0], cum[1], cum[2]]),
+    the inverse CDF's outcome read per coordinate, so each outcome's
+    probability is met to within 2^-32. Raises ValueError for n < 1 or a law
+    that is non-finite, negative or more than 1e-12 from total 1. Returns
+    (x, y) integer arrays with entries in {-1, +1}; the empirical mean of x*y
     converges to :func:`singlet_correlation` at the usual 1/sqrt(n) rate.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cum = _cumulative(dist.as_array())
-    idx = np.minimum(np.searchsorted(cum, draw_uniforms(rng, n), side="right"), 3)
-    table = np.array(OUTCOME_ORDER)
-    return table[idx, 0], table[idx, 1]
+    c0, c1, c2, _ = _cumulative(dist.as_array()).tolist()
+    u = draw_uniforms(rng, n)
+    return np.where(cut_mask(True, [c1])(u), 1, -1), np.where(cut_mask(True, [c0, c1, c2])(u), 1, -1)
 
 
 def product_estimate(dist: PairOutcomeDistribution, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -153,7 +155,8 @@ def product_estimate(dist: PairOutcomeDistribution, n: int, rng: np.random.Gener
 
     Consumes the same 32-bit uniforms u = k 2^-32, in the same order, as
     :func:`sample_pairs` with the same ``n``, and its mean equals the mean
-    of x*y over those samples exactly: x*y is the cut rule (True, [cum[0],
-    cum[2]]) in u on the cumulative law, and only the count of +1 is kept.
+    of x*y over those samples exactly: x*y = +1 is X XNOR Y, the cut rule
+    (True, [cum[0], cum[2]]) of :func:`_product_rules`, and only the count
+    of +1 is kept.
     """
     return rule_estimate(n, rng, _product_rules(dist.as_array()))

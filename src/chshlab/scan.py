@@ -73,10 +73,6 @@ class _Objective:
     default_bound: float
     two_sided: bool  # True: |v| <= bound; False: v >= bound
 
-    def evaluate(self, config: AngleConfig) -> float:
-        """The objective at one configuration (NaN where degenerate)."""
-        return float(self.values(*config.astuple()))
-
 
 OBJECTIVES: dict[str, _Objective] = {
     "constrained_e4": _Objective(
@@ -272,7 +268,7 @@ def _descend(values: Callable, starts, maximize):
     DEFAULT_TOL. Rows share only the array calls to ``values``: one on the
     n starts, then one per coordinate per sweep on 2n rows, the n +step
     candidates followed by the n -step candidates. Returns the final (n, 4)
-    angles and values.
+    angles and values; a returned value is never worse than its start.
     """
     x = np.array(starts, dtype=float).T
     n = x.shape[1]
@@ -304,25 +300,6 @@ def _descend(values: Callable, starts, maximize):
     return pair[:, :n].T.copy(), np.where(np.isneginf(best_s), start_values, sense * best_s)
 
 
-def refine(
-    objective: Union[str, _Objective],
-    start: AngleConfig,
-    maximize: bool = True,
-) -> tuple[AngleConfig, float]:
-    """Coordinate descent with step halving from ``start``.
-
-    Cycles the four angles with +step and -step from the same point in one
-    call; -step only where +step did not improve. A move is taken if it
-    strictly improves the objective; starts at step DEFAULT_STEP0, halves
-    the step once no coordinate improves and stops when it drops below
-    DEFAULT_TOL. The returned value is never worse than at the start.
-    ``objective`` is a name in OBJECTIVES or an ``_Objective``; degenerate
-    (NaN) evaluations count as non-improving.
-    """
-    angles, best = _descend(_lookup(objective).values, [start.astuple()], [maximize])
-    return AngleConfig(*angles[0].tolist()), float(best[0])
-
-
 def verify_bound(
     objective: Union[str, _Objective],
     bound: float,
@@ -336,8 +313,8 @@ def verify_bound(
     over the full resolution^4 lattice). Then refines from the
     N_GRID_STARTS best slab points in each relevant direction, merged from
     each block's best, and from ``n_random_restarts`` uniform random
-    configurations, all starts of both directions in lockstep under the
-    rule of :func:`refine`. The report is :func:`_report` of the slab fold
+    configurations, all starts of both directions in lockstep in one
+    :func:`_descend` call. The report is :func:`_report` of the slab fold
     with the refined rows folded in last.
     Deterministic in (objective, bound, resolution, n_random_restarts, seed).
     ``n_random_restarts`` must lie in [0, MAX_RESTARTS]; ValueError otherwise.

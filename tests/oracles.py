@@ -345,11 +345,26 @@ def singlet_cumulative(alpha: float, beta: float) -> np.ndarray:
     return np.cumsum([(1.0 - c) / 4.0, (1.0 + c) / 4.0, (1.0 + c) / 4.0, (1.0 - c) / 4.0])
 
 
+def inverse_cdf_pairs(cumulative, u: np.ndarray):
+    """Outcomes (x, y) drawn by inverse CDF over (1, 1), (1, -1), (-1, 1), (-1, -1), one uniform each.
+
+    A draw takes the outcome whose index counts the cumulative entries <= u,
+    capped at the last outcome.
+    """
+    table = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    idx = np.minimum(np.searchsorted(cumulative, u, side="right"), 3)
+    return table[idx, 0], table[idx, 1]
+
+
+def dense_singlet_pairs(alpha: float, beta: float, n: int, rng: np.random.Generator):
+    """(x, y) of n singlet pairs by inverse CDF on one whole-run draw of n uniforms."""
+    return inverse_cdf_pairs(singlet_cumulative(alpha, beta), uniforms32(rng, n))
+
+
 def dense_singlet_products(alpha: float, beta: float, u: np.ndarray) -> np.ndarray:
     """x*y of the singlet outcomes drawn by inverse CDF, one uniform each."""
-    table = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    idx = np.minimum(np.searchsorted(singlet_cumulative(alpha, beta), u, side="right"), 3)
-    return table[idx, 0] * table[idx, 1]
+    x, y = inverse_cdf_pairs(singlet_cumulative(alpha, beta), u)
+    return x * y
 
 
 def dense_pair_products(alpha: float, beta: float, n: int, rng: np.random.Generator):

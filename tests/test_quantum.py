@@ -17,6 +17,7 @@ from chshlab.quantum import (
     singlet_correlation,
     singlet_state,
 )
+from oracles import dense_singlet_pairs, inverse_cdf_pairs, uniforms32
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -193,6 +194,33 @@ class TestSampling:
         x, _ = sample_pairs(d, n, np.random.default_rng(8))
         freq = float(np.mean(x == 1))
         assert abs(freq - 0.5) <= 4.0 * 0.5 / math.sqrt(n)
+
+    @pytest.mark.parametrize("n", [1, 4099, (1 << 15) + 5])
+    def test_per_draw_equal_to_the_inverse_cdf(self, n):
+        # X = (True, [cum1]) and Y = (True, [cum0, cum1, cum2]) on one draw give the
+        # inverse CDF's outcome on every draw, also where cuts repeat or sit at 0, 1/2 and 1.
+        rng = np.random.default_rng(n)
+        configs = rng.uniform(-10.0, 10.0, (20, 2)).tolist()
+        configs += [(0.3, 0.3), (-7.1, -7.1), (math.pi / 2, 0.0), (0.0, math.pi / 2), (2.0 + math.pi / 2, 2.0)]
+        for seed, (alpha, beta) in enumerate(configs):
+            x, y = sample_pairs(joint_distribution(alpha, beta), n, np.random.default_rng(seed))
+            ref_x, ref_y = dense_singlet_pairs(alpha, beta, n, np.random.default_rng(seed))
+            assert (x.dtype, y.dtype) == (ref_x.dtype, ref_y.dtype)
+            assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+
+    @pytest.mark.parametrize("picks", [(3, 3, 7), (3, 7, 7), (0, 0, 0), (2, 5, 9)])
+    def test_cuts_on_draws_per_draw(self, picks):
+        # A hand-built law whose cumulative entries are draws of the run itself
+        # (dyadic, so every sum is exact): each cut meets a draw equal to it,
+        # and a repeated pick makes a zero middle entry.
+        n = 4099
+        u = uniforms32(np.random.default_rng(5), n)
+        c0, c1, c2 = np.sort(u[list(picks)]).tolist()
+        law = PairOutcomeDistribution(probs=dict(zip(OUTCOME_ORDER, (c0, c1 - c0, c2 - c1, 1.0 - c2))))
+        x, y = sample_pairs(law, n, np.random.default_rng(5))
+        ref_x, ref_y = inverse_cdf_pairs(np.cumsum(law.as_array()), u)
+        assert np.cumsum(law.as_array()).tolist() == [c0, c1, c2, 1.0]
+        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
 
     def test_outcome_order_fixed(self):
         assert OUTCOME_ORDER == ((1, 1), (1, -1), (-1, 1), (-1, -1))

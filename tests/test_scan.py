@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chshlab import scan
-from chshlab.lhv import AngleConfig, tsirelson_angles
+from chshlab.lhv import tsirelson_angles
 from chshlab.scan import (
     OBJECTIVES,
     DEFAULT_STEP0,
@@ -23,7 +23,6 @@ from chshlab.scan import (
     _descend,
     _extreme_indices,
     grid_scan,
-    refine,
     verify_bound,
 )
 from oracles import coordinate_descent, lattice_objective_values, running_extremes, stable_extremes
@@ -77,7 +76,7 @@ class TestGridScan:
 
     def test_argmax_reevaluates(self):
         report = grid_scan("eight_variable_sum", 12)
-        value = OBJECTIVES["eight_variable_sum"].evaluate(report.argmax)
+        value = float(OBJECTIVES["eight_variable_sum"].values(*report.argmax.astuple()))
         assert abs(value - report.max_value) <= 1e-12
 
     def test_unknown_objective(self):
@@ -108,7 +107,7 @@ class TestGridScan:
         report = grid_scan(holed, res)
         assert report.n_skipped == res**3
         assert (report.max_value, report.min_value) == (np.nanmax(flat), np.nanmin(flat))
-        assert holed.evaluate(report.argmax) == report.max_value
+        assert float(holed.values(*report.argmax.astuple())) == report.max_value
         refined = verify_bound(holed, SQRT8, resolution=res, n_random_restarts=2, seed=1)
         assert refined.n_skipped == res**3
         assert refined.max_value >= report.max_value and refined.min_value <= report.min_value
@@ -155,24 +154,26 @@ class TestGridScan:
 class TestRefine:
     def test_absolute_eight_sum_from_max_violation_angles(self):
         # the Tsirelson angles sit at the minimum -2 sqrt(2), where |sum| peaks
-        cfg, value = refine("eight_variable_sum", tsirelson_angles(), maximize=False)
-        assert abs(value + SQRT8) <= 1e-9
+        _, values = _descend(OBJECTIVES["eight_variable_sum"].values, [tsirelson_angles().astuple()], [False])
+        assert abs(values[0] + SQRT8) <= 1e-9
 
     def test_never_worse_than_start(self):
-        start = AngleConfig(0.3, 1.2, 0.8, 2.1)
-        f = OBJECTIVES["constrained_e4"].evaluate
-        _, value = refine("constrained_e4", start)
-        assert value >= f(start)
+        start = (0.3, 1.2, 0.8, 2.1)
+        f = OBJECTIVES["constrained_e4"].values
+        _, values = _descend(f, [start], [True])
+        assert values[0] >= f(*start)
 
     def test_maximize_constrained_stays_bounded(self):
-        for start in (AngleConfig(0.5, 1.0, 1.5, 2.0), AngleConfig(2.0, 0.1, 0.4, 3.0)):
-            _, value = refine("constrained_e4", start)
-            assert value <= 2.0 + 1e-9
+        for start in ((0.5, 1.0, 1.5, 2.0), (2.0, 0.1, 0.4, 3.0)):
+            _, values = _descend(OBJECTIVES["constrained_e4"].values, [start], [True])
+            assert values[0] <= 2.0 + 1e-9
 
     def test_minimize_direction(self):
-        _, value = refine("eight_variable_sum", AngleConfig(0.7, 0.1, 0.4, 1.2), maximize=False)
-        assert value >= -SQRT8 - 1e-9
-        assert value <= OBJECTIVES["eight_variable_sum"].evaluate(AngleConfig(0.7, 0.1, 0.4, 1.2))
+        start = (0.7, 0.1, 0.4, 1.2)
+        f = OBJECTIVES["eight_variable_sum"].values
+        _, values = _descend(f, [start], [False])
+        assert values[0] >= -SQRT8 - 1e-9
+        assert values[0] <= f(*start)
 
     def test_plateau_terminates(self):
         flat = lambda a1, a2, b1, b2: np.full_like(a1, 1.5)
@@ -196,23 +197,23 @@ class TestRefine:
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     def test_lockstep_rows_match_single_runs_and_oracle(self, name):
         # Rows of one batch, with mixed senses, must not share step or
-        # improvement state: each equals its own refine run and the scalar rule.
+        # improvement state: each equals its own single-row run and the scalar rule.
         obj = OBJECTIVES[name]
         rng = np.random.default_rng(20)
         starts = rng.uniform(0.0, math.pi, (12, 4))
         maximize = np.arange(12) % 3 != 0
         angles, values = _descend(obj.values, starts, maximize)
-        scalar = lambda t: obj.evaluate(AngleConfig(*t))
+        scalar = lambda t: float(obj.values(*t))
         for start, mx, row, value in zip(starts, maximize, angles, values):
-            start_cfg = AngleConfig(*map(float, start))
-            cfg, alone = refine(name, start_cfg, maximize=bool(mx))
-            assert np.max(np.abs(row - cfg.astuple())) <= 1e-12
-            assert abs(value - alone) <= 1e-12
-            ref_angles, ref_value = coordinate_descent(scalar, start_cfg.astuple(), DEFAULT_STEP0, DEFAULT_TOL, bool(mx))
+            start = tuple(map(float, start))
+            row_alone, alone = _descend(obj.values, [start], [bool(mx)])
+            assert np.max(np.abs(row - row_alone[0])) <= 1e-12
+            assert abs(value - alone[0]) <= 1e-12
+            ref_angles, ref_value = coordinate_descent(scalar, start, DEFAULT_STEP0, DEFAULT_TOL, bool(mx))
             assert np.max(np.abs(row - ref_angles)) <= 1e-12
             assert abs(value - ref_value) <= 1e-12
             sense = 1.0 if mx else -1.0
-            assert sense * value >= sense * scalar(start_cfg.astuple())
+            assert sense * value >= sense * scalar(start)
 
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -220,7 +221,7 @@ class TestRefine:
         # +step and -step share one call of 2n rows, so after the initial
         # call there are half as many calls as the scalar rule's evaluations.
         obj = OBJECTIVES[name]
-        scalar = lambda t: obj.evaluate(AngleConfig(*t))
+        scalar = lambda t: float(obj.values(*t))
         rng = np.random.default_rng(31)
         for start, maximize in zip(rng.uniform(0.0, math.pi, (4, 4)), [True, False, True, False]):
             rows = []
@@ -304,9 +305,9 @@ class TestVerifyBound:
 
     def test_violations_reevaluate(self):
         report = verify_bound("eight_variable_sum", 2.0, resolution=8, n_random_restarts=2, seed=3)
-        f = OBJECTIVES["eight_variable_sum"].evaluate
+        f = OBJECTIVES["eight_variable_sum"].values
         for config, value in report.violations[:50]:
-            assert abs(f(config) - value) <= 1e-12
+            assert abs(f(*config.astuple()) - value) <= 1e-12
 
     def test_deterministic(self):
         kwargs = dict(resolution=6, n_random_restarts=4, seed=9)

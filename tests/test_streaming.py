@@ -411,6 +411,14 @@ class TestCountEstimate:
             rule_estimate(C + 1, rng, [(True, [0.5])] * d, values)
         assert rng.bit_generator.state == state
 
+    def test_empty_rule_list_raises_before_any_draw(self):
+        # With no rules and one value the value count matches; the empty list is named instead.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rules is empty"):
+            rule_estimate(5, rng, [], (1,))
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("holds", [h for d in range(1, 5) for h in itertools.product((False, True), repeat=d)])
     def test_value_index_counts_the_rules_that_hold(self, holds):
         # Constant rules hold on every draw or on none: each trial takes values[h].
