@@ -180,9 +180,9 @@ def t_distribution(config: AngleConfig) -> TOutcomeDistribution:
 def t_estimate(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of n single-shot outcomes on the singlet, in bounded memory.
 
-    One 32-bit uniform u = k 2^-32 of :func:`chshlab.montecarlo.draw_uniforms`
-    per draw, read by the cut rule (True, [weight_plus]): +t0 for u below
-    weight_plus, else -t0, within 2^-32 of the weights. Only the +t0 count is
+    One 32-bit half k of :func:`chshlab.montecarlo.draw_raw32` per draw, read
+    by the integer cut rule (True, [weight_plus]) on u = k 2^-32: +t0 for u
+    below weight_plus, else -t0, within 2^-32 of the weights. Only the +t0 count is
     kept: the mean is t0 times the exact sign mean. Raises ValueError for n < 2.
     """
     dist = t_distribution(config)

@@ -114,18 +114,6 @@ SCAN_COLUMNS = (
 )
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value!r}")
-        return f"{value:.17g}"
-    if value is None:
-        return ""
-    return str(value)
-
-
 # json.dumps(indent=2) puts each key of a row on its own line, six spaces in.
 _ROW_ITEM = ",\n      "
 _ROW_BREAK = "},\n      {"
@@ -162,12 +150,19 @@ def _render(config: dict, columns: tuple, rows: list[dict], status: str, fmt: st
     buf.write("# status: " + status + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    # Only the keys a row holds are formatted; its other columns stay empty.
+    # Absent columns stay empty; csv writes str(v), and "" for None, so only floats and bools are formatted.
     blank = dict.fromkeys(columns, "")
     for row in rows:
-        cells = blank.copy()
+        cells, text = {**blank, **row}, ""
         for k, v in row.items():
-            cells[k] = _fmt(v)
+            if isinstance(v, float):
+                cells[k] = f"{v:.17g}"
+                text += cells[k]
+            elif isinstance(v, bool):
+                cells[k] = "true" if v else "false"
+        if "n" in text:  # finite .17g text holds no "n"; inf and NaN do
+            bad = next(v for v in row.values() if isinstance(v, float) and not math.isfinite(v))
+            raise ValueError(f"non-finite value {bad!r}")
         writer.writerow(cells.values())
     return buf.getvalue()
 

@@ -9,11 +9,10 @@ the same trial-major order as one whole-run call, which keeps the draws
 identical to that call and memory O(MC_CHUNK) whatever the number of
 trials. Mean and variance then follow from Python-int counts.
 
-Every Monte Carlo uniform comes from :func:`draw_uniforms`, 32 bits at a
-time: u = k 2^-32, where k runs through the low, then the high 32-bit half
-of each 64-bit output of the generator's bit generator. Each outcome law is
-thus met to within 2^-32 (about 2.3e-10), far below any standard error a
-run can reach, and one 64-bit output serves two outcomes.
+Every draw is a 32-bit half k of :func:`draw_raw32`, for the uniform u = fl(k c) in
+[0, span), c = span 2^-32: each outcome law is met to within 2^-32 (about 2.3e-10),
+far below any standard error a run can reach. u is never formed: once per run each
+cut becomes an integer threshold on k (:func:`_threshold`), and the rules compare k.
 """
 
 from __future__ import annotations
@@ -38,24 +37,41 @@ class CorrelationEstimate:
     n_samples: int
 
 
-def draw_uniforms(rng: np.random.Generator, shape, scale: float = 1.0, out=None) -> np.ndarray:
-    """The next uniforms of ``rng`` in [0, scale), as an array of ``shape``.
+def draw_raw32(rng: np.random.Generator, shape) -> np.ndarray:
+    """The next 32-bit halves of ``rng``'s raw outputs, as a uint32 array of ``shape``.
 
-    Entry i (in C order) is (scale 2^-32) k_i, where k_0, k_1, ... are the
-    low, then the high 32-bit half of each ``rng.bit_generator.random_raw``
-    output in turn. A count of entries c takes ceil(c / 2) outputs; an odd c
-    drops the last high half. Scaling by a power of two is exact, so the
-    result equals scale * (k 2^-32) bit for bit. ``out`` (any array of
-    ``shape``, such as a transposed view) receives the result in one pass.
-    Raises ValueError for MT19937, whose raw outputs hold only 32 bits.
+    In C order: the low, then the high half of each ``rng.bit_generator.random_raw``
+    output in turn; an odd count drops the last high half, so one 64-bit
+    output serves two draws. Raises ValueError for MT19937, whose raw outputs hold 32 bits.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
-        raise ValueError("draw_uniforms needs 64-bit raw outputs; MT19937 gives 32")
+        raise ValueError("draw_raw32 needs 64-bit raw outputs; MT19937 gives 32")
     count = math.prod(shape) if isinstance(shape, tuple) else shape
     raw = rng.bit_generator.random_raw((count + 1) // 2)
     # As little-endian bytes, each 64-bit output is its low half, then its high half.
-    k = raw.astype("<u8", copy=False).view("<u4")[:count].reshape(shape)
-    return np.multiply(k, scale * 2.0**-32, out=out)
+    return raw.astype("<u8", copy=False).view("<u4")[:count].reshape(shape)
+
+
+def _threshold(t: float, c: float) -> int:
+    """K(t) = min{k in [0, 2^32) : fl(k c) >= t}, or 2^32 where there is none (NaN t too).
+
+    Rounding is monotone, so fl(k c) never decreases as k grows: u >= t on u = fl(k c)
+    holds exactly where k >= K(t). Python's int * float rounds k c as numpy's uint32 * float64 does.
+    """
+    k = math.ceil(max(0.0, min(2.0**32, t / c)))
+    while k and (k - 1) * c >= t:
+        k -= 1
+    while k < 1 << 32 and k * c < t:
+        k += 1
+    return k
+
+
+def int_rule(r0: bool, cuts: Sequence[float], span: float = 1.0) -> tuple:
+    """The cut rule (r0, cuts) on u = fl(k span 2^-32), as a rule on the raw half k.
+
+    A threshold 0 toggles r0 and one of 2^32 never holds: both are dropped."""
+    ks = [_threshold(t, span * 2.0**-32) for t in cuts]
+    return r0 ^ (ks.count(0) % 2 == 1), [k for k in ks if 0 < k < 1 << 32]
 
 
 def estimate_from_counts(
@@ -106,7 +122,7 @@ def rule_estimate(
     """Estimate from n trials of the cut ``rules``, one uniform in [0, span) per rule.
 
     Rule j of trial t reads entry d t + j, d = len(rules), of one trial-major
-    :func:`draw_uniforms` stream. The trial's value is values[h], h the number
+    :func:`draw_raw32` stream. The trial's value is values[h], h the number
     of rules whose :func:`cut_mask` holds: one rule's bool mask, or their int8
     sum. Only the count of each h is kept; a mask is counted once, its false
     entries being the rest of the chunk. Raises ValueError before any draw
@@ -117,16 +133,16 @@ def rule_estimate(
         raise ValueError("rules is empty: a trial needs at least one cut rule")
     if len(values) != d + 1:
         raise ValueError(f"{d} rules give value indices 0..{d}, outside or short of {tuple(values)}")
-    masks = [cut_mask(*rule) for rule in rules]
-    # Each chunk's trial-major (size, d) draws go into one reused (d, size)
+    masks = [cut_mask(*int_rule(*rule, span)) for rule in rules]
+    # Each chunk's trial-major (size, d) draws go into one reused uint32 (d, size)
     # buffer: contiguous per rule, allocated once. estimate_from_counts rejects n < 2.
-    buf = np.empty((d, max(0, min(n, MC_CHUNK))))
+    buf = np.empty((d, max(0, min(n, MC_CHUNK))), np.uint32)
     counts = [0] * len(values)
     for start in range(0, n, MC_CHUNK):
         size = min(MC_CHUNK, n - start)
-        u = buf[:, :size]
-        draw_uniforms(rng, (size, d), span, out=u.T)
-        first, *rest = [mask(row) for mask, row in zip(masks, u)]
+        k = buf[:, :size]
+        np.copyto(k.T, draw_raw32(rng, (size, d)))
+        first, *rest = [mask(row) for mask, row in zip(masks, k)]
         if rest:
             h = first.view(np.int8)
             for m in rest:
@@ -134,6 +150,5 @@ def rule_estimate(
             counts = [c + int(np.count_nonzero(h == i)) for i, c in enumerate(counts)]
         else:
             ones = int(np.count_nonzero(first))
-            counts[0] += size - ones
-            counts[1] += ones
+            counts = [counts[0] + size - ones, counts[1] + ones]
     return estimate_from_counts(values, counts, scale)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import tensor_product
-from .montecarlo import CorrelationEstimate, cut_mask, draw_uniforms, rule_estimate
+from .montecarlo import CorrelationEstimate, cut_mask, draw_raw32, int_rule, rule_estimate
 
 # Joint outcomes enumerated in a fixed order; samplers and tables rely on it.
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -134,8 +134,8 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampling of ``n`` joint outcomes (one uniform per sample).
 
-    Both outcomes are cut rules on one :func:`chshlab.montecarlo.draw_uniforms`
-    array u = k 2^-32, on the cumulative law cum over OUTCOME_ORDER:
+    Both outcomes are integer cut rules on one :func:`chshlab.montecarlo.draw_raw32`
+    array k (u = k 2^-32), on the cumulative law cum over OUTCOME_ORDER:
     x = +1 is (True, [cum[1]]) and y = +1 is (True, [cum[0], cum[1], cum[2]]),
     the inverse CDF's outcome read per coordinate, so each outcome's
     probability is met to within 2^-32. Raises ValueError for n < 1 or a law
@@ -146,14 +146,14 @@ def sample_pairs(
     if n < 1:
         raise ValueError("n must be positive")
     c0, c1, c2, _ = _cumulative(dist.as_array()).tolist()
-    u = draw_uniforms(rng, n)
-    return np.where(cut_mask(True, [c1])(u), 1, -1), np.where(cut_mask(True, [c0, c1, c2])(u), 1, -1)
+    k = draw_raw32(rng, n)
+    return tuple(np.where(cut_mask(*int_rule(True, cuts))(k), 1, -1) for cuts in ([c1], [c0, c1, c2]))
 
 
 def product_estimate(dist: PairOutcomeDistribution, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of x*y over ``n`` sampled pairs, in bounded memory.
 
-    Consumes the same 32-bit uniforms u = k 2^-32, in the same order, as
+    Consumes the same 32-bit halves k, in the same order, as
     :func:`sample_pairs` with the same ``n``, and its mean equals the mean
     of x*y over those samples exactly: x*y = +1 is X XNOR Y, the cut rule
     (True, [cum[0], cum[2]]) of :func:`_product_rules`, and only the count

@@ -312,9 +312,18 @@ def raw_halves(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()[:n]
 
 
+def uniform_law(k, span: float = 1.0) -> np.ndarray:
+    """The uniforms u = fl(k c) in [0, span), c = span 2^-32, that 32-bit halves k stand for.
+
+    The Monte Carlo estimators compare k with integer thresholds and never
+    form u; their cut rules must read on k exactly as on this float law.
+    """
+    return np.multiply(k, span * 2.0**-32)
+
+
 def uniforms32(rng: np.random.Generator, n: int) -> np.ndarray:
     """The Monte Carlo estimators' n uniforms k 2^-32 in [0, 1), k from :func:`raw_halves`."""
-    return raw_halves(rng, n) * 2.0**-32
+    return uniform_law(raw_halves(rng, n))
 
 
 def dense_sign_correlation(alpha: float, beta: float, n: int, rng: np.random.Generator):

@@ -1,6 +1,7 @@
 """Streaming Monte Carlo: the cosine-free sign response and its angle
 check, chunk boundaries, exact count-based estimates and bounded memory."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshlab import cli, kernels, lhv
+from chshlab import cli, kernels, lhv, montecarlo
 from chshlab.chsh_operator import t_distribution, t_estimate
 from chshlab.lhv import (
     AngleConfig,
@@ -19,7 +20,7 @@ from chshlab.lhv import (
     correlation_mc,
     quantum_chsh_independent,
 )
-from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_uniforms, estimate_from_counts, rule_estimate
+from chshlab.montecarlo import MC_CHUNK, cut_mask, draw_raw32, estimate_from_counts, int_rule, rule_estimate
 from chshlab.quantum import joint_distribution, product_estimate
 
 from oracles import (
@@ -34,6 +35,7 @@ from oracles import (
     raw_halves,
     same_lambda_is_plus,
     signs,
+    uniform_law,
     uniforms32,
 )
 
@@ -241,17 +243,17 @@ class TestCutRules:
 
 @pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
 def test_pi_times_random_is_uniform(shape):
-    # The sign model draws lambda as (pi 2^-32) k on the 32-bit halves k of
+    # The sign model reads lambda as (pi 2^-32) k on the 32-bit halves k of
     # the raw outputs, which is pi * u with u = k 2^-32 bit for bit: the
-    # draw_uniforms call of rule_estimate at span pi. None draws a single
-    # lambda, of shape ().
+    # float law of the draw_raw32 halves of rule_estimate at span pi. None
+    # draws a single lambda, of shape ().
     shape = () if shape is None else shape
     k = raw_halves(np.random.default_rng(7), math.prod(shape)).reshape(shape)
     want = np.asarray((math.pi * 2.0**-32) * k)
     assert np.array_equal(np.asarray(math.pi * (k * 2.0**-32)).view(np.int64), want.view(np.int64))
-    drawn = np.asarray(draw_uniforms(np.random.default_rng(7), shape, math.pi))
-    assert drawn.shape == shape
-    assert np.array_equal(drawn.view(np.int64), want.view(np.int64))
+    drawn = draw_raw32(np.random.default_rng(7), shape)
+    assert drawn.shape == shape and drawn.dtype == np.uint32
+    assert np.array_equal(np.asarray(uniform_law(drawn, math.pi)).view(np.int64), want.view(np.int64))
     if len(shape) == 2:
         # rule_estimate hands rule j column j of the trial-major draws,
         # (span 2^-32) k[:, j] at span pi and at span 1, and values a trial
@@ -266,31 +268,97 @@ def test_pi_times_random_is_uniform(shape):
 
 
 class TestDrawUniforms:
+    # Every Monte Carlo uniform is the float law oracles.uniform_law of one
+    # 32-bit half k of draw_raw32; the estimators read k itself.
     def test_first_uniforms_are_the_raw_halves(self):
         # Raw PCG64 streams are stable across numpy versions (NEP 19): the
         # first two outputs of seed 7, low half first.
         first = [0xA00641A9F1E54A8B, 0xE5AFCDBCAF266A95]
         assert np.random.default_rng(7).bit_generator.random_raw(2).tolist() == first
         halves = [h for x in first for h in (x & 0xFFFFFFFF, x >> 32)]
-        got = draw_uniforms(np.random.default_rng(7), 4)
-        assert got.tolist() == [h * 2.0**-32 for h in halves]
-        assert np.array_equal(got, uniforms32(np.random.default_rng(7), 4))
-        scaled = draw_uniforms(np.random.default_rng(7), (2, 2), math.pi)
-        assert scaled.ravel().tolist() == [math.pi * (h * 2.0**-32) for h in halves]
+        got = draw_raw32(np.random.default_rng(7), 4)
+        assert got.dtype == np.uint32 and got.tolist() == halves
+        assert uniform_law(got).tolist() == [h * 2.0**-32 for h in halves]
+        assert np.array_equal(uniform_law(got), uniforms32(np.random.default_rng(7), 4))
+        shaped = draw_raw32(np.random.default_rng(7), (2, 2))
+        assert shaped.shape == (2, 2) and shaped.ravel().tolist() == halves
+        assert uniform_law(shaped, math.pi).ravel().tolist() == [math.pi * (h * 2.0**-32) for h in halves]
 
     def test_odd_count_drops_the_last_half(self):
-        # 3 uniforms take two outputs and drop the high half of the second;
+        # 3 halves take two outputs and drop the high half of the second;
         # the next draw starts on the low half of the third.
-        rng, want = np.random.default_rng(7), raw_halves(np.random.default_rng(7), 6) * 2.0**-32
-        assert np.array_equal(draw_uniforms(rng, 3), want[:3])
-        assert np.array_equal(draw_uniforms(rng, 2), want[4:])
+        rng, want = np.random.default_rng(7), raw_halves(np.random.default_rng(7), 6)
+        assert np.array_equal(draw_raw32(rng, 3), want[:3])
+        assert np.array_equal(draw_raw32(rng, 2), want[4:])
 
     def test_rejects_32_bit_raw_outputs(self):
         rng = np.random.Generator(np.random.MT19937(7))
         with pytest.raises(ValueError, match="MT19937"):
-            draw_uniforms(rng, 4)
+            draw_raw32(rng, 4)
         with pytest.raises(ValueError, match="MT19937"):
             chsh_same_lambda(CFG, 1000, rng)
+
+
+@functools.cache
+def _neighbourhood(span: float, seed: int) -> list:
+    # Random cuts in [0, span), the edges 0, -0.0, span and beyond, and
+    # fl(k c) and one ulp either side of it for random and extreme k.
+    rng = np.random.default_rng(seed)
+    k = np.concatenate([rng.integers(0, 2**32, 8000), [0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]])
+    on = uniform_law(k.astype(np.uint32), span)
+    edges = [0.0, -0.0, -1e-300, -span, span, math.nextafter(span, 0.0), 2 * span, math.inf, -math.inf]
+    return rng.uniform(0.0, span, 4000).tolist() + edges + [
+        float(x) for u in on for x in (np.nextafter(u, -np.inf), u, np.nextafter(u, np.inf))
+    ]
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("span", [1.0, math.pi])
+    def test_threshold_brackets_each_cut(self, span):
+        # fl((K - 1) c) < t <= fl(K c) on the float law, where K - 1, resp.
+        # K, is a 32-bit half. fl(k c) never decreases in k, so every k < K
+        # gives u < t and every k >= K gives u >= t: the check is exact.
+        cuts = _neighbourhood(span, 28)
+        ks = np.array([montecarlo._threshold(t, span * 2.0**-32) for t in cuts])
+        cuts = np.array(cuts)
+        assert ((ks >= 0) & (ks <= 2**32)).all()
+        below, reached = ks > 0, ks < 2**32
+        assert (uniform_law((ks[below] - 1).astype(np.uint32), span) < cuts[below]).all()
+        assert (uniform_law(ks[reached].astype(np.uint32), span) >= cuts[reached]).all()
+        assert (ks[cuts <= 0.0] == 0).all() and (ks[cuts >= span] == 2**32).all()
+        assert montecarlo._threshold(math.nan, span * 2.0**-32) == 2**32
+
+    @pytest.mark.parametrize("span", [1.0, math.pi])
+    @settings(max_examples=100)
+    @given(r0=st.booleans(), picks=st.lists(st.integers(0, 10**6), max_size=5))
+    def test_int_rule_reads_k_as_the_float_rule_reads_u(self, span, r0, picks):
+        # Cuts from the neighbourhood list, edges included; k at, and one
+        # either side of, each kept threshold, and the extreme halves.
+        pool = _neighbourhood(span, 29)
+        cuts = sorted(pool[i % len(pool)] for i in picks)
+        r, ks = int_rule(r0, cuts, span)
+        assert all(type(x) is int and 0 < x < 2**32 for x in ks)
+        near = {x + j for x in ks for j in (-1, 0, 1)} | {0, 1, 2**32 - 1}
+        k = np.array(sorted(x for x in near if x < 2**32), dtype=np.uint32)
+        assert np.array_equal(cut_mask(r, ks)(k), cut_parity(r0, cuts, uniform_law(k, span)))
+
+    @pytest.mark.parametrize(
+        "r0, cuts",
+        [(True, [0.0]), (False, [-0.0]), (True, [-0.5, 0.3]), (True, [1.0]), (False, [1.5]),
+         (True, [0.0, 0.2, 1.0]), (False, [0.4, 0.4]), (True, [-1.0, 0.0, 2.0, math.inf])],
+        ids=["0", "-0.0", "below-0", "span", "past-span", "0-and-span", "twice", "edges-only"],
+    )
+    def test_cuts_outside_the_draws_against_the_float_oracle(self, r0, cuts):
+        # A cut <= 0 holds on every draw, one >= span on none: int_rule drops
+        # both, so each compare is against a uint32, and rule_estimate counts
+        # as the float rule on oracles.uniform_law does, at span pi as at 1.
+        n, values = C + 1, (-1, 1)
+        for span in (1.0, math.pi):
+            scaled = [span * t for t in cuts]
+            held = cut_parity(r0, scaled, uniform_law(raw_halves(np.random.default_rng(n), n), span))
+            dense = estimate_from_counts(values, [n - int(held.sum()), int(held.sum())])
+            assert rule_estimate(n, np.random.default_rng(n), [(r0, scaled)], values, span) == dense
+            assert all(0 < x < 2**32 for x in int_rule(r0, scaled, span)[1])
 
 
 C = MC_CHUNK
