@@ -21,14 +21,14 @@ pair outcomes from the singlet joint law instead of a shared lambda; its
 mean converges to the sum of the four singlet correlations.
 
 Every estimator is one :func:`chshlab.montecarlo.rule_estimate` call on
-cut rules in lambda = pi * u, one per lambda a trial draws (the protocols
+cut rules in u, lambda = pi u, one per lambda a trial draws (the protocols
 differ only in that count, one or four); the value tuples below are the
 only place the values are written. Each response is a cut rule whose cuts
-are the flips of the cosine rule, found once per run from one grid shared
-by all angles (:func:`_flip_points`); each pair product or same-lambda
-value is one cut rule read off those (:func:`_combined`), equal to the
-rule for every draw without a cosine per draw. Every angle must be finite
-with magnitude at most MAX_ANGLE; any other raises ValueError.
+are the draws at which the cosine rule flips, found once per run from one
+grid shared by all angles (:func:`_flip_points`); each pair product or
+same-lambda value is one cut rule read off those (:func:`_combined`), equal
+to the rule for every draw without a cosine per draw. Every angle must be
+finite with magnitude at most MAX_ANGLE; any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .montecarlo import CorrelationEstimate, cut_mask, rule_estimate
+from .montecarlo import DRAW_STEP, CorrelationEstimate, cut_mask, rule_estimate
 from .quantum import OUTCOME_ORDER, _product_rules
 
 # Per-trial values of the two protocols.
@@ -79,8 +79,8 @@ def angle_pairs(config: AngleConfig) -> tuple[tuple[float, float], ...]:
 # 1.3e-10 from its analytic endpoint there.
 MAX_ANGLE = 1e6
 _FLIP_SPLIT = np.arange(129) / 128.0
-_TOP = math.nextafter(math.pi, 0.0)  # largest double in [0, pi)
-_FLIP_GRID = np.minimum(_FLIP_SPLIT * math.pi, _TOP)  # k pi / 128 for k < 128, then _TOP
+# The draws j 2^25 (lambda = j pi / 128) for j < 128, then the last draw.
+_FLIP_GRID = np.minimum(_FLIP_SPLIT * 2.0**32, 2.0**32 - 1)
 
 
 def _cos_rule(angle, lam) -> np.ndarray:
@@ -89,26 +89,27 @@ def _cos_rule(angle, lam) -> np.ndarray:
 
 
 def _flip_points(angles: list) -> list:
-    """The flips of the cosine rule in lam over [0, pi), per angle.
+    """The flips of the cosine rule on the draw grid lam = pi (k DRAW_STEP), per angle.
 
-    Returns, per angle, the cut rule (r0, flips) of the rule on every double
-    in [0, pi): its value at 0 and the sorted doubles at which it changes.
-    The first pass evaluates the rule on _FLIP_GRID, which all angles share;
-    a gap across which the rule changes is split 128-fold per pass until the
-    change lies between adjacent doubles. Each pass is one rule call for all
-    angles. No flip is missed, because no grid gap holds two flips. The
+    Returns, per angle, the cut rule (r0, flips) of the rule on every draw
+    k in [0, 2^32): its value at k = 0 and the sorted u = k DRAW_STEP in
+    (0, 1) of the draws k at which it changes. lam is the one the sign-model
+    estimators read, bit for bit. The first pass evaluates the rule on the
+    draws of _FLIP_GRID, which all angles share; a gap across which the rule
+    changes is split 128-fold (exactly: a gap spans at most 2^25 draws) per
+    pass until the change lies between adjacent draws, so a call makes at
+    most 5 passes, each one rule call for all angles. No flip is missed,
+    because no grid gap holds two flips. lam never decreases in k, and the
     rule's argument is monotone in lam, so the flips lie within 1.3e-10 of
     the analytic endpoints (angle -+ pi/4) mod pi. Those are pi/2 apart mod
     pi, so flips of different endpoints are too far apart to share a pi/128
     gap. Only an endpoint within rounding of 0 or pi can flip both just
-    above 0 and just below pi, and the grid's first and last gaps keep
-    those two flips apart. Doubles in [0, pi) are stepped through as their
-    int64 bit patterns, which are consecutive for consecutive doubles; a gap
-    spans fewer than 2^63 of them, so a call makes at most 10 passes.
+    above 0 and just below pi, and the grid's first and last gaps keep those
+    two flips apart.
     """
     rule_angles = np.array(angles, dtype=float)[:, None]
-    grid = np.broadcast_to(_FLIP_GRID.view(np.int64), (len(angles), _FLIP_GRID.size))
-    rule = _cos_rule(rule_angles, _FLIP_GRID)
+    grid = np.broadcast_to(_FLIP_GRID, (len(angles), _FLIP_GRID.size))
+    rule = _cos_rule(rule_angles, math.pi * (_FLIP_GRID * DRAW_STEP))
     r0 = rule[:, 0].tolist()
     owner = np.arange(len(angles))
     flips = [[] for _ in angles]
@@ -116,16 +117,14 @@ def _flip_points(angles: list) -> list:
         rows, cols = np.nonzero(rule[:, 1:] != rule[:, :-1])
         lo, hi = grid[rows, cols], grid[rows, cols + 1]
         pinned = hi - lo == 1
-        for k, flip in zip(owner[rows[pinned]].tolist(), hi[pinned].view(np.float64).tolist()):
+        for k, flip in zip(owner[rows[pinned]].tolist(), (hi[pinned] * DRAW_STEP).tolist()):
             flips[k].append(flip)
         if pinned.all():
             return [(r0[k], sorted(t)) for k, t in enumerate(flips)]
         rows, lo, span = rows[~pinned], lo[~pinned, None], (hi - lo)[~pinned, None]
         owner, rule_angles = owner[rows], rule_angles[rows]
-        offsets = (span * _FLIP_SPLIT).astype(np.int64)
-        offsets[:, -1:] = span  # span * 1.0 may round when span > 2^53
-        grid = lo + offsets
-        rule = _cos_rule(rule_angles, grid.view(np.float64))
+        grid = lo + np.floor(span * _FLIP_SPLIT)
+        rule = _cos_rule(rule_angles, math.pi * (grid * DRAW_STEP))
 
 
 def _rules(angles) -> list:
@@ -140,7 +139,7 @@ def _combined(rules, f) -> list:
     """The cut rule of each row (one mask or a list of them) of f(response masks).
 
     Every response, so every row, is constant from 0 or a flip up to the next
-    flip: f is read there, and a row's rule is exact on [0, pi).
+    flip: f is read there, and a row's rule is exact on every draw.
     """
     points = np.array([0.0, *sorted({t for _, flips in rules for t in flips})])
     rows = np.atleast_2d(f(*(cut_mask(*rule)(points) for rule in rules)))
@@ -150,7 +149,7 @@ def _combined(rules, f) -> list:
 def correlation_mc(alpha: float, beta: float, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo mean of A(alpha, lambda) B(beta, lambda) over n draws lambda ~ U[0, pi)."""
     # A(alpha) B(beta) = +1 exactly where A(alpha) != A(beta), since B = -A.
-    return rule_estimate(n, rng, _combined(_rules([alpha, beta]), np.not_equal), span=math.pi)
+    return rule_estimate(n, rng, _combined(_rules([alpha, beta]), np.not_equal))
 
 
 def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -162,7 +161,7 @@ def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     A(beta1), respectively A(beta2).
     """
     rules = _combined(_rules(config.astuple()), lambda a1, a2, b1, b2: a1 != np.where(a1 == a2, b1, b2))
-    return rule_estimate(n, rng, rules, _SAME_LAMBDA_VALUES, math.pi)
+    return rule_estimate(n, rng, rules, _SAME_LAMBDA_VALUES)
 
 
 def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
@@ -178,7 +177,7 @@ def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> C
     # a_j b_j = +1 (m_j) where A(alpha) != A(beta), as in correlation_mc; the
     # index m1 + m2 + m3 - m4 + 1 is m1 + m2 + m3 + (1 - m4), so a2 == b2 last.
     rules = _combined(_rules(config.astuple()), lambda a1, a2, b1, b2: [a1 != b1, a1 != b2, a2 != b1, a2 == b2])
-    return rule_estimate(n, rng, rules, _INDEPENDENT_VALUES, math.pi)
+    return rule_estimate(n, rng, rules, _INDEPENDENT_VALUES)
 
 
 def quantum_chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:

@@ -9,10 +9,11 @@ the same trial-major order as one whole-run call, which keeps the draws
 identical to that call and memory O(MC_CHUNK) whatever the number of
 trials. Mean and variance then follow from Python-int counts.
 
-Every draw is a 32-bit half k of :func:`draw_raw32`, for the uniform u = fl(k c) in
-[0, span), c = span 2^-32: each outcome law is met to within 2^-32 (about 2.3e-10),
-far below any standard error a run can reach. u is never formed: once per run each
-cut becomes an integer threshold on k (:func:`_threshold`), and the rules compare k.
+Every draw is a 32-bit half k of :func:`draw_raw32`. It stands for the uniform
+u = k DRAW_STEP in [0, 1), DRAW_STEP = 2^-32, so each outcome law is met to within
+2^-32 (about 2.3e-10), far below any standard error a run can reach. u is never
+formed: once per run each cut becomes an integer threshold on k (:func:`int_rule`),
+and the rules compare k.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import numpy as np
 # Trials drawn and reduced per chunk. Even, so that a chunked run draws
 # whole 64-bit outputs until its last chunk, as one whole-run call does.
 MC_CHUNK = 1 << 15
+# The draw grid: draw k stands for u = k DRAW_STEP, exactly.
+DRAW_STEP = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -52,25 +55,14 @@ def draw_raw32(rng: np.random.Generator, shape) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u4")[:count].reshape(shape)
 
 
-def _threshold(t: float, c: float) -> int:
-    """K(t) = min{k in [0, 2^32) : fl(k c) >= t}, or 2^32 where there is none (NaN t too).
+def int_rule(r0: bool, cuts: Sequence[float]) -> tuple:
+    """The cut rule (r0, cuts) on u = k DRAW_STEP, as a rule on the raw half k.
 
-    Rounding is monotone, so fl(k c) never decreases as k grows: u >= t on u = fl(k c)
-    holds exactly where k >= K(t). Python's int * float rounds k c as numpy's uint32 * float64 does.
+    u >= t holds exactly where k >= ceil(t / DRAW_STEP): both scalings by 2^32
+    are exact. The threshold is clipped to [0, 2^32], NaN and +inf to 2^32. A
+    threshold 0 toggles r0 and one of 2^32 never holds: both are dropped.
     """
-    k = math.ceil(max(0.0, min(2.0**32, t / c)))
-    while k and (k - 1) * c >= t:
-        k -= 1
-    while k < 1 << 32 and k * c < t:
-        k += 1
-    return k
-
-
-def int_rule(r0: bool, cuts: Sequence[float], span: float = 1.0) -> tuple:
-    """The cut rule (r0, cuts) on u = fl(k span 2^-32), as a rule on the raw half k.
-
-    A threshold 0 toggles r0 and one of 2^32 never holds: both are dropped."""
-    ks = [_threshold(t, span * 2.0**-32) for t in cuts]
+    ks = [math.ceil(max(0.0, min(2.0**32, t / DRAW_STEP))) for t in cuts]
     return r0 ^ (ks.count(0) % 2 == 1), [k for k in ks if 0 < k < 1 << 32]
 
 
@@ -117,9 +109,9 @@ def cut_mask(r0: bool, cuts: Sequence[float]) -> Callable[[np.ndarray], np.ndarr
 
 
 def rule_estimate(
-    n: int, rng: np.random.Generator, rules, values: Sequence[int] = (-1, 1), span: float = 1.0, scale: float = 1.0
+    n: int, rng: np.random.Generator, rules, values: Sequence[int] = (-1, 1), scale: float = 1.0
 ) -> CorrelationEstimate:
-    """Estimate from n trials of the cut ``rules``, one uniform in [0, span) per rule.
+    """Estimate from n trials of the cut ``rules``, one uniform in [0, 1) per rule.
 
     Rule j of trial t reads entry d t + j, d = len(rules), of one trial-major
     :func:`draw_raw32` stream. The trial's value is values[h], h the number
@@ -133,7 +125,7 @@ def rule_estimate(
         raise ValueError("rules is empty: a trial needs at least one cut rule")
     if len(values) != d + 1:
         raise ValueError(f"{d} rules give value indices 0..{d}, outside or short of {tuple(values)}")
-    masks = [cut_mask(*int_rule(*rule, span)) for rule in rules]
+    masks = [cut_mask(*int_rule(*rule)) for rule in rules]
     # Each chunk's trial-major (size, d) draws go into one reused uint32 (d, size)
     # buffer: contiguous per rule, allocated once. estimate_from_counts rejects n < 2.
     buf = np.empty((d, max(0, min(n, MC_CHUNK))), np.uint32)

@@ -41,46 +41,60 @@ from oracles import (
 
 moderate = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 angles = st.one_of(moderate, st.floats(min_value=-lhv.MAX_ANGLE, max_value=lhv.MAX_ANGLE))
-lambdas = st.lists(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True), min_size=1, max_size=50)
+draws = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=50)
+LAST = 2**32 - 1  # the last draw
 
 
-def _response(angle, lam):
-    # A's +-1 response to lam in [0, pi), through the cut rule of the angle's
+def _response(angle, k):
+    # A's +-1 response to the draws k, through the cut rule of the angle's
     # flip points that every sign-model estimator combines into its outcomes.
-    return signs(cut_mask(*lhv._rules([angle])[0])(lam))
+    return signs(cut_mask(*lhv._rules([angle])[0])(uniform_law(k)))
+
+
+def _want(angle, k):
+    # The cosine rule itself at lambda = pi (k 2^-32), the lambda of draw k.
+    return cos_sign_response(angle, uniform_law(k, math.pi))
+
+
+def _draws_near(k0: int, w: int) -> np.ndarray:
+    # The 2w + 1 consecutive draws centred on k0 that lie in [0, 2^32).
+    k = k0 + np.arange(-w, w + 1, dtype=np.int64)
+    return k[(k >= 0) & (k <= LAST)]
+
+
+def _around(x: float, k: int) -> np.ndarray:
+    # The 2k + 1 consecutive doubles centred on x >= 0 that lie in [0, pi).
+    lam = (np.asarray(x, dtype=float).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+    return lam[(lam >= 0.0) & (lam < math.pi)]
 
 
 class TestSignResponse:
-    @given(angles, lambdas)
-    def test_matches_cos_rule(self, angle, lam):
-        lam = np.array(lam)
-        got = _response(angle, lam)
+    @given(angles, draws)
+    def test_matches_cos_rule(self, angle, k):
+        k = np.array(k, dtype=np.uint32)
+        got = _response(angle, k)
         assert got.dtype == np.int8
-        assert np.array_equal(got, cos_sign_response(angle, lam))
+        assert np.array_equal(got, _want(angle, k))
 
     @settings(max_examples=200)
     @given(moderate)
     def test_arc_endpoints_to_the_ulp(self, angle):
-        # lambda at each arc endpoint angle +- pi/4 (+ j pi), walked k ulp
-        # either way, where it lies in [0, pi).
-        lam = []
+        # The draws within 256 of each arc endpoint angle +- pi/4 (+ j pi)
+        # that lies in [0, pi): one draw either way is the grid's ulp.
+        ks = []
         for edge in (angle - math.pi / 4, angle + math.pi / 4):
             for j in range(-2, 3):
                 for center in (edge + j * math.pi, edge % math.pi):
-                    below = above = center
-                    lam.append(center)
-                    for _ in range(4):
-                        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
-                        lam += [below, above]
-        lam = np.array(lam)
-        lam = lam[(lam >= 0.0) & (lam < math.pi)]
-        assert np.array_equal(_response(angle, lam), cos_sign_response(angle, lam))
+                    if 0.0 <= center < math.pi:
+                        ks.append(_draws_near(int(center / math.pi * 2**32), 256))
+        k = np.concatenate([_draws_near(0, 4), *ks])
+        assert np.array_equal(_response(angle, k), _want(angle, k))
 
     def test_scalar_and_shaped_lambda(self):
-        lam = np.linspace(0.0, math.pi, 24, endpoint=False).reshape(2, 3, 4)
-        assert np.array_equal(_response(0.7, lam), cos_sign_response(0.7, lam))
-        assert _response(math.pi / 4, np.asarray(0.0)) == 1
-        assert _response(math.pi / 4, np.asarray(0.0)).shape == ()
+        k = (np.arange(24, dtype=np.uint32) * np.uint32(178_956_971)).reshape(2, 3, 4)
+        assert np.array_equal(_response(0.7, k), _want(0.7, k))
+        assert _response(math.pi / 4, np.uint32(0)) == 1
+        assert _response(math.pi / 4, np.uint32(0)).shape == ()
 
     def test_cos_rule_runs_only_near_endpoints(self, monkeypatch):
         # The rule runs only while the flip points are derived, on the shared
@@ -90,44 +104,40 @@ class TestSignResponse:
         for angle in (1.3, math.pi / 4, -2.0, 1e6, math.radians(4455), *TestFlipPoints.WRAPPED):
             points = []
             for n in (100_000, 1_000_000):
-                lam = np.random.default_rng(0).uniform(0.0, math.pi, n)
+                k = draw_raw32(np.random.default_rng(0), n)
                 seen = []
 
                 def counted(a, x):
-                    assert not np.shares_memory(x, lam)
+                    assert not np.shares_memory(x, k)
                     seen.append(np.broadcast(np.asarray(a), np.asarray(x)).size)
                     return cos_rule(a, x)
 
                 monkeypatch.setattr(lhv, "_cos_rule", counted)
-                got = _response(angle, lam)
+                got = _response(angle, k)
                 monkeypatch.setattr(lhv, "_cos_rule", cos_rule)
-                assert np.array_equal(got, cos_sign_response(angle, lam))
+                assert np.array_equal(got, _want(angle, k))
                 points.append(sum(seen))
             assert 0 < points[0] == points[1] < 10_000
 
 
-def _around(x: float, k: int) -> np.ndarray:
-    # The 2k + 1 consecutive doubles centred on x >= 0 that lie in [0, pi).
-    lam = (np.asarray(x, dtype=float).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
-    return lam[(lam >= 0.0) & (lam < math.pi)]
-
-
 class TestFlipPoints:
-    GRID = np.arange(20_000) * (math.pi / 20_000)
+    GRID = np.arange(20_000, dtype=np.int64) * 214_749  # a dense grid of draws up to the last
     # Endpoints within rounding of pi whose flip rounding moved to near 0.
     WRAPPED = [-117.0243263462198, -60.47565858160352]
-    # Endpoints within rounding of 0 whose rule flips just above 0 and, as
-    # fl(angle - lam) rounds, again just below pi.
+    # Endpoints within rounding of 0 whose rule, on the doubles, flips just
+    # above 0 and, as fl(angle - lam) rounds, again just below pi.
     THREE = [-5214 * math.pi / 8, math.radians(4455), math.radians(-6435)]
 
     def _check(self, angle):
         r0, flips = lhv._flip_points([angle])[0]
-        assert flips == sorted(flips) and all(0.0 < t < math.pi for t in flips)
+        assert flips == sorted(flips) and all(0.0 < t < 1.0 for t in flips)
+        ks = [t * 2**32 for t in flips]
+        assert all(k == int(k) for k in ks)  # each flip is u = k 2^-32 of a draw k
         assert lhv._cos_rule(angle, 0.0) == r0
-        lam = [self.GRID, _around(0.0, 256), _around(lhv._TOP, 256)]
-        lam = np.concatenate(lam + [_around(t, 256) for t in flips])
-        assert np.array_equal(_response(angle, lam), cos_sign_response(angle, lam))
-        return flips
+        near = [_draws_near(int(x), 256) for x in (0, LAST, *ks)]
+        k = np.concatenate([self.GRID, *near])
+        assert np.array_equal(_response(angle, k), _want(angle, k))
+        return [int(x) for x in ks]
 
     def test_multiples_of_pi_over_8(self):
         # Multiples of pi/8 put flips on lambda = 0 (alpha1 = pi/4 of the
@@ -141,16 +151,18 @@ class TestFlipPoints:
 
     @pytest.mark.parametrize("angle", THREE)
     def test_three_flips(self, angle):
-        assert len(self._check(angle)) == 3
+        # The third flip of these angles lies above the last draw, whose
+        # lambda is about 7.3e-10 below pi: on the draws they flip twice.
+        assert self._check(angle) == [1, 2**31 + 1]
 
     def test_random_angles(self):
         rng = np.random.default_rng(20)
         for angle in np.concatenate([rng.uniform(-2 * math.pi, 2 * math.pi, 500), rng.uniform(-1e6, 1e6, 500)]):
             self._check(float(angle))
 
-    def test_at_most_ten_rule_calls(self, monkeypatch):
-        # Each pass narrows every gap 128-fold, and a gap spans fewer than
-        # 2^63 doubles: one call for the grid and at most 9 to split them.
+    def test_at_most_five_rule_calls(self, monkeypatch):
+        # Each pass narrows every gap 128-fold, and a grid gap spans at most
+        # 2^25 draws: one call for the grid and at most 4 to split them.
         calls = []
         cos_rule = lhv._cos_rule
         monkeypatch.setattr(lhv, "_cos_rule", lambda a, lam: calls.append(1) or cos_rule(a, lam))
@@ -160,7 +172,7 @@ class TestFlipPoints:
         for angles in np.concatenate(configs).tolist() + [self.WRAPPED, self.THREE]:
             calls.clear()
             lhv._flip_points(angles)
-            assert 0 < len(calls) <= 10
+            assert 0 < len(calls) <= 5
 
     def test_rejects_angles_beyond_the_limit(self):
         # Each sign-model entry point checks its angles in _rules; the
@@ -207,16 +219,16 @@ class TestCutRules:
 
     def _check_combined(self, angles):
         rules = lhv._rules(angles)
-        flips = [t for _, rule_flips in rules for t in rule_flips]
-        lam = np.concatenate([_around(0.0, 4), _around(lhv._TOP, 4)] + [_around(t, 4) for t in flips])
-        responses = [cos_sign_response(a, lam) == 1 for a in angles]
+        flips = [int(t * 2**32) for _, rule_flips in rules for t in rule_flips]
+        k = np.concatenate([_draws_near(0, 4), _draws_near(LAST, 4)] + [_draws_near(x, 4) for x in flips])
+        responses = [_want(a, k) == 1 for a in angles]
         for f in (same_lambda_is_plus, self.PAIRS):
             want = np.atleast_2d(f(*responses))
             got = lhv._combined(rules, f)
             assert len(got) == len(want)
             for (r0, cuts), row in zip(got, want):
-                assert cuts == sorted(cuts) and all(0.0 < t < math.pi for t in cuts)
-                assert np.array_equal(cut_mask(r0, cuts)(lam), row)
+                assert cuts == sorted(cuts) and all(0.0 < t < 1.0 for t in cuts)
+                assert np.array_equal(cut_mask(r0, cuts)(uniform_law(k)), row)
 
     def test_combined_random_configs(self):
         rng = np.random.default_rng(24)
@@ -233,7 +245,7 @@ class TestCutRules:
             [math.pi / 4, 0.0, math.pi / 8, 3 * math.pi / 8],
             [0.3] * 4,
             [0.6, 0.6, 0.1, 0.1],
-            # Consecutive doubles: their flips are adjacent doubles.
+            # Consecutive doubles: their flips share draws or are adjacent draws.
             (np.float64(0.5).view(np.int64) + np.arange(4)).view(np.float64).tolist(),
         ],
     )
@@ -243,10 +255,11 @@ class TestCutRules:
 
 @pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
 def test_pi_times_random_is_uniform(shape):
-    # The sign model reads lambda as (pi 2^-32) k on the 32-bit halves k of
-    # the raw outputs, which is pi * u with u = k 2^-32 bit for bit: the
-    # float law of the draw_raw32 halves of rule_estimate at span pi. None
-    # draws a single lambda, of shape ().
+    # The sign model derives its flips at lambda = pi (k 2^-32) on the 32-bit
+    # halves k of the raw outputs, which is (pi 2^-32) k bit for bit: the
+    # float law at span pi of the draw_raw32 halves that rule_estimate reads.
+    # None draws a single lambda, of shape ().
+    assert lhv.DRAW_STEP is montecarlo.DRAW_STEP == 2.0**-32
     shape = () if shape is None else shape
     k = raw_halves(np.random.default_rng(7), math.prod(shape)).reshape(shape)
     want = np.asarray((math.pi * 2.0**-32) * k)
@@ -256,15 +269,14 @@ def test_pi_times_random_is_uniform(shape):
     assert np.array_equal(np.asarray(uniform_law(drawn, math.pi)).view(np.int64), want.view(np.int64))
     if len(shape) == 2:
         # rule_estimate hands rule j column j of the trial-major draws,
-        # (span 2^-32) k[:, j] at span pi and at span 1, and values a trial
-        # by how many rules hold. Distinct cuts tell the columns apart.
+        # u = 2^-32 k[:, j], and values a trial by how many rules hold.
+        # Distinct cuts tell the columns apart.
         values = (0, 1, 2, 3, 4)
-        for span in (math.pi, 1.0):
-            cuts = [span * c for c in (0.2, 0.45, 0.6, 0.85)]
-            held = sum(((span * 2.0**-32) * k[:, j] < c).astype(int) for j, c in enumerate(cuts))
-            dense = estimate_from_counts(values, np.bincount(held, minlength=len(values)).tolist())
-            rules = [(True, [c]) for c in cuts]
-            assert rule_estimate(shape[0], np.random.default_rng(7), rules, values, span) == dense
+        cuts = [0.2, 0.45, 0.6, 0.85]
+        held = sum((2.0**-32 * k[:, j] < c).astype(int) for j, c in enumerate(cuts))
+        dense = estimate_from_counts(values, np.bincount(held, minlength=len(values)).tolist())
+        rules = [(True, [c]) for c in cuts]
+        assert rule_estimate(shape[0], np.random.default_rng(7), rules, values) == dense
 
 
 class TestDrawUniforms:
@@ -300,47 +312,52 @@ class TestDrawUniforms:
 
 
 @functools.cache
-def _neighbourhood(span: float, seed: int) -> list:
-    # Random cuts in [0, span), the edges 0, -0.0, span and beyond, and
-    # fl(k c) and one ulp either side of it for random and extreme k.
+def _neighbourhood(seed: int) -> list:
+    # Random cuts in [0, 1), the edges 0, -0.0, 1 and beyond, and k 2^-32
+    # and one ulp either side of it for random and extreme k.
     rng = np.random.default_rng(seed)
     k = np.concatenate([rng.integers(0, 2**32, 8000), [0, 1, 2, 2**31, 2**32 - 2, 2**32 - 1]])
-    on = uniform_law(k.astype(np.uint32), span)
-    edges = [0.0, -0.0, -1e-300, -span, span, math.nextafter(span, 0.0), 2 * span, math.inf, -math.inf]
-    return rng.uniform(0.0, span, 4000).tolist() + edges + [
+    on = uniform_law(k.astype(np.uint32))
+    edges = [0.0, -0.0, -1e-300, -1.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 2.0]
+    edges += [math.inf, -math.inf]
+    return rng.uniform(0.0, 1.0, 4000).tolist() + edges + [
         float(x) for u in on for x in (np.nextafter(u, -np.inf), u, np.nextafter(u, np.inf))
     ]
 
 
+def _threshold(t: float) -> int:
+    # K(t) of int_rule's one-cut rule: 0 where it toggles r0, 2^32 where it drops the cut.
+    r, ks = int_rule(False, [t])
+    return ks[0] if ks else 0 if r else 2**32
+
+
 class TestThresholds:
-    @pytest.mark.parametrize("span", [1.0, math.pi])
-    def test_threshold_brackets_each_cut(self, span):
-        # fl((K - 1) c) < t <= fl(K c) on the float law, where K - 1, resp.
-        # K, is a 32-bit half. fl(k c) never decreases in k, so every k < K
+    def test_threshold_brackets_each_cut(self):
+        # (K - 1) 2^-32 < t <= K 2^-32 on the float law, where K - 1, resp.
+        # K, is a 32-bit half. u = k 2^-32 increases with k, so every k < K
         # gives u < t and every k >= K gives u >= t: the check is exact.
-        cuts = _neighbourhood(span, 28)
-        ks = np.array([montecarlo._threshold(t, span * 2.0**-32) for t in cuts])
+        cuts = _neighbourhood(28)
+        ks = np.array([_threshold(t) for t in cuts])
         cuts = np.array(cuts)
         assert ((ks >= 0) & (ks <= 2**32)).all()
         below, reached = ks > 0, ks < 2**32
-        assert (uniform_law((ks[below] - 1).astype(np.uint32), span) < cuts[below]).all()
-        assert (uniform_law(ks[reached].astype(np.uint32), span) >= cuts[reached]).all()
-        assert (ks[cuts <= 0.0] == 0).all() and (ks[cuts >= span] == 2**32).all()
-        assert montecarlo._threshold(math.nan, span * 2.0**-32) == 2**32
+        assert (uniform_law((ks[below] - 1).astype(np.uint32)) < cuts[below]).all()
+        assert (uniform_law(ks[reached].astype(np.uint32)) >= cuts[reached]).all()
+        assert (ks[cuts <= 0.0] == 0).all() and (ks[cuts > 1.0 - 2.0**-32] == 2**32).all()
+        assert _threshold(math.nan) == 2**32
 
-    @pytest.mark.parametrize("span", [1.0, math.pi])
     @settings(max_examples=100)
     @given(r0=st.booleans(), picks=st.lists(st.integers(0, 10**6), max_size=5))
-    def test_int_rule_reads_k_as_the_float_rule_reads_u(self, span, r0, picks):
+    def test_int_rule_reads_k_as_the_float_rule_reads_u(self, r0, picks):
         # Cuts from the neighbourhood list, edges included; k at, and one
         # either side of, each kept threshold, and the extreme halves.
-        pool = _neighbourhood(span, 29)
+        pool = _neighbourhood(29)
         cuts = sorted(pool[i % len(pool)] for i in picks)
-        r, ks = int_rule(r0, cuts, span)
+        r, ks = int_rule(r0, cuts)
         assert all(type(x) is int and 0 < x < 2**32 for x in ks)
         near = {x + j for x in ks for j in (-1, 0, 1)} | {0, 1, 2**32 - 1}
         k = np.array(sorted(x for x in near if x < 2**32), dtype=np.uint32)
-        assert np.array_equal(cut_mask(r, ks)(k), cut_parity(r0, cuts, uniform_law(k, span)))
+        assert np.array_equal(cut_mask(r, ks)(k), cut_parity(r0, cuts, uniform_law(k)))
 
     @pytest.mark.parametrize(
         "r0, cuts",
@@ -349,16 +366,14 @@ class TestThresholds:
         ids=["0", "-0.0", "below-0", "span", "past-span", "0-and-span", "twice", "edges-only"],
     )
     def test_cuts_outside_the_draws_against_the_float_oracle(self, r0, cuts):
-        # A cut <= 0 holds on every draw, one >= span on none: int_rule drops
+        # A cut <= 0 holds on every draw, one >= 1 on none: int_rule drops
         # both, so each compare is against a uint32, and rule_estimate counts
-        # as the float rule on oracles.uniform_law does, at span pi as at 1.
+        # as the float rule on oracles.uniform_law does.
         n, values = C + 1, (-1, 1)
-        for span in (1.0, math.pi):
-            scaled = [span * t for t in cuts]
-            held = cut_parity(r0, scaled, uniform_law(raw_halves(np.random.default_rng(n), n), span))
-            dense = estimate_from_counts(values, [n - int(held.sum()), int(held.sum())])
-            assert rule_estimate(n, np.random.default_rng(n), [(r0, scaled)], values, span) == dense
-            assert all(0 < x < 2**32 for x in int_rule(r0, scaled, span)[1])
+        held = cut_parity(r0, cuts, uniform_law(raw_halves(np.random.default_rng(n), n)))
+        dense = estimate_from_counts(values, [n - int(held.sum()), int(held.sum())])
+        assert rule_estimate(n, np.random.default_rng(n), [(r0, cuts)], values) == dense
+        assert all(0 < x < 2**32 for x in int_rule(r0, cuts)[1])
 
 
 C = MC_CHUNK

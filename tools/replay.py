@@ -20,6 +20,11 @@ argvs:
   the ``chshlab ...`` invocations of README.md;
 * the CLI fuzz draws of ``tests/test_cli.py`` (``fuzz_argv``), drawn with
   hypothesis derandomized;
+* a seeded sign-model sweep, so that replay checks any change to the flip
+  search: both sign protocols of ``chsh`` at SWEEP_TRIALS trials on 61
+  angle configs, uniform in +-2 pi and +-10^6 radians, +-10^6 with
+  ``--degrees``, multiples of 22.5 degrees, the wrapped and three-flip
+  angles of ``tests/test_streaming.py``, and angles that flip just below pi;
 * boundary argvs: a NUL byte, an empty path and a missing directory as
   ``--out``, ``--restarts`` at ``scan.MAX_RESTARTS`` and one above, and
   the argvs that ``cli`` leaves to the top-level parser or reports under
@@ -47,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 FUZZ_EXAMPLES = 100
+SWEEP_TRIALS = 4099
 
 
 def ci_argvs() -> list[list[str]]:
@@ -86,6 +92,28 @@ def fuzz_argvs() -> list[list[str]]:
     return draws
 
 
+def sign_sweep_argvs() -> list[list[str]]:
+    """Both sign protocols on 61 seeded angle configs, each with its own seed."""
+    import numpy as np
+    from test_streaming import TestFlipPoints
+
+    rng = np.random.default_rng(29)
+    radians = [*rng.uniform(-2 * np.pi, 2 * np.pi, (20, 4)), *rng.uniform(-1e6, 1e6, (16, 4))]
+    wrapped, three = TestFlipPoints.WRAPPED, TestFlipPoints.THREE
+    radians += [[*wrapped, 0.3, 1.2], [*three, 0.3], [three[0], *wrapped, three[1]], [*three[1:], *wrapped]]
+    # Three angles that flip within pi / 128 below pi, in the flip grid's last gap.
+    radians.append([0.75 * np.pi - 0.01, 0.25 * np.pi - 0.001, -0.25 * np.pi - 0.02, 1.3])
+    degrees = [*rng.uniform(-1e6, 1e6, (10, 4)), *(22.5 * rng.integers(-16, 17, (10, 4)))]
+    configs = [(a, []) for a in radians] + [(a, ["--degrees"]) for a in degrees]
+    names = ("alpha1", "alpha2", "beta1", "beta2")
+    return [
+        ["chsh", "--mode", mode, "--model", "sign", *(f"--{name}={float(x)!r}" for name, x in zip(names, angles)),
+         *flags, "--trials", str(SWEEP_TRIALS), "--seed", str(seed)]
+        for (angles, flags), seed in zip(configs, rng.integers(0, 2**31, len(configs)).tolist())
+        for mode in ("same-lambda", "independent")
+    ]
+
+
 def boundary_argvs(missing_dir: Path) -> list[list[str]]:
     from chshlab.scan import MAX_RESTARTS
 
@@ -111,7 +139,8 @@ def boundary_argvs(missing_dir: Path) -> list[list[str]]:
 def corpus(missing_dir: Path) -> list[list[str]]:
     """The argvs, built from this checkout (its chshlab, tests and perfbench)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
-    return workload_argvs() + ci_argvs() + readme_argvs() + fuzz_argvs() + boundary_argvs(missing_dir)
+    return (workload_argvs() + ci_argvs() + readme_argvs() + fuzz_argvs() + sign_sweep_argvs()
+            + boundary_argvs(missing_dir))
 
 
 def run_side(src: str) -> None:
