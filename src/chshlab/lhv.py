@@ -142,7 +142,7 @@ def _combined(rules, f) -> list:
     flip: f is read there, and a row's rule is exact on every draw.
     """
     points = np.array([0.0, *sorted({t for _, flips in rules for t in flips})])
-    rows = np.atleast_2d(f(*(cut_mask(*rule)(points) for rule in rules)))
+    rows = np.atleast_2d(f(*(cut_mask(*rule, points) for rule in rules)))
     return [(bool(row[0]), points[1:][row[1:] != row[:-1]].tolist()) for row in rows]
 
 

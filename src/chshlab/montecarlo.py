@@ -4,10 +4,11 @@ Every estimator of the package is one :func:`rule_estimate` call. A trial
 draws one uniform per cut rule (r0, cuts), a step function of its draw,
 and takes values[h], where h counts the rules that hold. The values (+-1,
 +-2, {-4, ..., 4}, or +-t0) are written once per estimator as a tuple, and
-only the counts of each h are kept. Trials are drawn MC_CHUNK at a time in
-the same trial-major order as one whole-run call, which keeps the draws
-identical to that call and memory O(MC_CHUNK) whatever the number of
-trials. Mean and variance then follow from Python-int counts.
+only the number of trials with h > i is kept, for each i. Trials are drawn
+MC_CHUNK at a time in the same trial-major order as one whole-run call,
+which keeps the draws identical to that call and memory O(MC_CHUNK)
+whatever the number of trials. Mean and variance then follow from
+Python-int counts.
 
 Every draw is a 32-bit half k of :func:`draw_raw32`. It stands for the uniform
 u = k DRAW_STEP in [0, 1), DRAW_STEP = 2^-32, so each outcome law is met to within
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,19 +41,18 @@ class CorrelationEstimate:
     n_samples: int
 
 
-def draw_raw32(rng: np.random.Generator, shape) -> np.ndarray:
-    """The next 32-bit halves of ``rng``'s raw outputs, as a uint32 array of ``shape``.
+def draw_raw32(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit halves of ``rng``'s raw outputs, as a flat uint32 array.
 
-    In C order: the low, then the high half of each ``rng.bit_generator.random_raw``
+    The low, then the high half of each ``rng.bit_generator.random_raw``
     output in turn; an odd count drops the last high half, so one 64-bit
     output serves two draws. Raises ValueError for MT19937, whose raw outputs hold 32 bits.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("draw_raw32 needs 64-bit raw outputs; MT19937 gives 32")
-    count = math.prod(shape) if isinstance(shape, tuple) else shape
     raw = rng.bit_generator.random_raw((count + 1) // 2)
     # As little-endian bytes, each 64-bit output is its low half, then its high half.
-    return raw.astype("<u8", copy=False).view("<u4")[:count].reshape(shape)
+    return raw.astype("<u8", copy=False).view("<u4")[:count]
 
 
 def int_rule(r0: bool, cuts: Sequence[float]) -> tuple:
@@ -89,23 +89,18 @@ def estimate_from_counts(
     )
 
 
-def cut_mask(r0: bool, cuts: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """The bool mask u -> r0 XOR (an odd number of the sorted ``cuts`` <= u).
+def cut_mask(r0: bool, cuts: Sequence[float], u) -> np.ndarray:
+    """The bool mask r0 XOR (an odd number of the sorted ``cuts`` <= u), of u's shape.
 
     One comparison per cut, each after the first applied in place. Without
-    cuts the mask is r0 everywhere, as a bool array of u's shape.
+    cuts the mask is r0 everywhere.
     """
     if not cuts:
-        return lambda u: np.full(np.shape(u), r0)
-    first, *rest = cuts
-
-    def mask(u):
-        out = u < first if r0 else u >= first
-        for t in rest:
-            out ^= u >= t
-        return out
-
-    return mask
+        return np.full(np.shape(u), r0)
+    out = u < cuts[0] if r0 else u >= cuts[0]
+    for t in cuts[1:]:
+        out ^= u >= t
+    return out
 
 
 def rule_estimate(
@@ -114,10 +109,11 @@ def rule_estimate(
     """Estimate from n trials of the cut ``rules``, one uniform in [0, 1) per rule.
 
     Rule j of trial t reads entry d t + j, d = len(rules), of one trial-major
-    :func:`draw_raw32` stream. The trial's value is values[h], h the number
-    of rules whose :func:`cut_mask` holds: one rule's bool mask, or their int8
-    sum. Only the count of each h is kept; a mask is counted once, its false
-    entries being the rest of the chunk. Raises ValueError before any draw
+    :func:`draw_raw32` stream of d n draws. The trial's value is values[h], h
+    the number of rules whose :func:`cut_mask` holds. Per chunk, h starts as
+    the first rule's mask, and each further rule's mask is added to it as
+    int8; only above[i], the number of trials with h > i, is kept, and the
+    count of each h is their difference. Raises ValueError before any draw
     for an empty ``rules`` and unless there is one value per h in 0..d.
     """
     d = len(rules)
@@ -125,22 +121,19 @@ def rule_estimate(
         raise ValueError("rules is empty: a trial needs at least one cut rule")
     if len(values) != d + 1:
         raise ValueError(f"{d} rules give value indices 0..{d}, outside or short of {tuple(values)}")
-    masks = [cut_mask(*int_rule(*rule)) for rule in rules]
+    first, *rest = [int_rule(*rule) for rule in rules]
     # Each chunk's trial-major (size, d) draws go into one reused uint32 (d, size)
     # buffer: contiguous per rule, allocated once. estimate_from_counts rejects n < 2.
     buf = np.empty((d, max(0, min(n, MC_CHUNK))), np.uint32)
-    counts = [0] * len(values)
+    above = [0] * d
     for start in range(0, n, MC_CHUNK):
         size = min(MC_CHUNK, n - start)
         k = buf[:, :size]
-        np.copyto(k.T, draw_raw32(rng, (size, d)))
-        first, *rest = [mask(row) for mask, row in zip(masks, k)]
-        if rest:
-            h = first.view(np.int8)
-            for m in rest:
-                h += m.view(np.int8)
-            counts = [c + int(np.count_nonzero(h == i)) for i, c in enumerate(counts)]
-        else:
-            ones = int(np.count_nonzero(first))
-            counts = [counts[0] + size - ones, counts[1] + ones]
+        np.copyto(k.T, draw_raw32(rng, size * d).reshape(size, d))
+        h = cut_mask(*first, k[0])
+        for rule, row in zip(rest, k[1:]):
+            h = h.view(np.int8)
+            h += cut_mask(*rule, row).view(np.int8)
+        above = [a + int(np.count_nonzero(h > i if i else h)) for i, a in enumerate(above)]
+    counts = [a - b for a, b in zip([n, *above], [*above, 0])]
     return estimate_from_counts(values, counts, scale)

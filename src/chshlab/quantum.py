@@ -147,7 +147,7 @@ def sample_pairs(
         raise ValueError("n must be positive")
     c0, c1, c2, _ = _cumulative(dist.as_array()).tolist()
     k = draw_raw32(rng, n)
-    return tuple(np.where(cut_mask(*int_rule(True, cuts))(k), 1, -1) for cuts in ([c1], [c0, c1, c2]))
+    return tuple(np.where(cut_mask(*int_rule(True, cuts), k), 1, -1) for cuts in ([c1], [c0, c1, c2]))
 
 
 def product_estimate(dist: PairOutcomeDistribution, n: int, rng: np.random.Generator) -> CorrelationEstimate:

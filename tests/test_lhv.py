@@ -24,9 +24,9 @@ from oracles import cos_sign_response, parity_identity, same_lambda_is_plus, sig
 SQRT8 = 2.0 * math.sqrt(2.0)
 
 
-def _response_masks(angles):
-    # A's response mask per angle: the package's own cut rule of the cosine rule.
-    return [cut_mask(*rule) for rule in _rules(angles)]
+def _response_masks(angles, lam):
+    # A's response mask per angle at lam: the package's own cut rule of the cosine rule.
+    return [cut_mask(*rule, lam) for rule in _rules(angles)]
 
 
 def _sawtooth_sum(cfg):
@@ -48,17 +48,17 @@ def test_tsirelson_angles():
 class TestSignModel:
     def test_responses_are_signs(self):
         lam = np.linspace(0.0, math.pi, 1001, endpoint=False)
-        for respond in _response_masks((-1.0, 0.0, 0.7, math.pi)):
-            assert set(np.unique(signs(respond(lam)))) <= {-1, 1}
+        for mask in _response_masks((-1.0, 0.0, 0.7, math.pi), lam):
+            assert set(np.unique(signs(mask))) <= {-1, 1}
 
     def test_responses_deterministic(self):
         lam = np.array([0.1, 0.5, 2.0])
-        first, second = (_response_masks([0.3])[0] for _ in range(2))
-        assert np.array_equal(signs(first(lam)), signs(second(lam)))
+        first, second = (_response_masks([0.3], lam)[0] for _ in range(2))
+        assert np.array_equal(signs(first), signs(second))
 
     def test_sign_zero_convention(self):
         # cos(2(angle - lam)) == 0 must resolve to +1 for station A
-        assert signs(_response_masks([math.pi / 4])[0](np.asarray(0.0))) == 1
+        assert signs(_response_masks([math.pi / 4], np.asarray(0.0))[0]) == 1
 
     def test_perfect_anticorrelation_at_equal_angles(self):
         # B = -A, so A B = -1 on every drawn lambda

@@ -48,7 +48,7 @@ LAST = 2**32 - 1  # the last draw
 def _response(angle, k):
     # A's +-1 response to the draws k, through the cut rule of the angle's
     # flip points that every sign-model estimator combines into its outcomes.
-    return signs(cut_mask(*lhv._rules([angle])[0])(uniform_law(k)))
+    return signs(cut_mask(*lhv._rules([angle])[0], uniform_law(k)))
 
 
 def _want(angle, k):
@@ -198,21 +198,20 @@ class TestCutRules:
     @given(st.booleans(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
     def test_cut_mask_matches_parity(self, r0, cuts):
         cuts = sorted(cuts)
-        mask = cut_mask(r0, cuts)
         u = np.concatenate([np.linspace(0.0, 1.0, 1001)] + [_around(t, 4) for t in cuts])
-        got = mask(u)
+        got = cut_mask(r0, cuts, u)
         assert got.dtype == np.bool_ and got.shape == u.shape
         assert np.array_equal(got, cut_parity(r0, cuts, u))
         for x in (0.0, 0.5, 1.0, *cuts):
-            got = mask(np.asarray(x))
+            got = cut_mask(r0, cuts, np.asarray(x))
             assert got.shape == () and got == cut_parity(r0, cuts, x)
 
     def test_empty_cuts_give_a_constant_mask(self):
         u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
         for r0 in (False, True):
-            got = cut_mask(r0, [])(u)
+            got = cut_mask(r0, [], u)
             assert got.dtype == np.bool_ and got.shape == (3, 4) and np.all(got == r0)
-            assert cut_mask(r0, [])(np.asarray(0.5)).shape == ()
+            assert cut_mask(r0, [], np.asarray(0.5)).shape == ()
 
     # The four pair products' +1 rules of the independent-pairs protocol.
     PAIRS = staticmethod(lambda *a: [a[i] != a[j] for i, j in kernels.PAIRS])
@@ -228,7 +227,7 @@ class TestCutRules:
             assert len(got) == len(want)
             for (r0, cuts), row in zip(got, want):
                 assert cuts == sorted(cuts) and all(0.0 < t < 1.0 for t in cuts)
-                assert np.array_equal(cut_mask(r0, cuts)(uniform_law(k)), row)
+                assert np.array_equal(cut_mask(r0, cuts, uniform_law(k)), row)
 
     def test_combined_random_configs(self):
         rng = np.random.default_rng(24)
@@ -264,9 +263,9 @@ def test_pi_times_random_is_uniform(shape):
     k = raw_halves(np.random.default_rng(7), math.prod(shape)).reshape(shape)
     want = np.asarray((math.pi * 2.0**-32) * k)
     assert np.array_equal(np.asarray(math.pi * (k * 2.0**-32)).view(np.int64), want.view(np.int64))
-    drawn = draw_raw32(np.random.default_rng(7), shape)
-    assert drawn.shape == shape and drawn.dtype == np.uint32
-    assert np.array_equal(np.asarray(uniform_law(drawn, math.pi)).view(np.int64), want.view(np.int64))
+    drawn = draw_raw32(np.random.default_rng(7), k.size)
+    assert drawn.shape == (k.size,) and drawn.dtype == np.uint32
+    assert np.array_equal(np.asarray(uniform_law(drawn.reshape(shape), math.pi)).view(np.int64), want.view(np.int64))
     if len(shape) == 2:
         # rule_estimate hands rule j column j of the trial-major draws,
         # u = 2^-32 k[:, j], and values a trial by how many rules hold.
@@ -292,9 +291,7 @@ class TestDrawUniforms:
         assert got.dtype == np.uint32 and got.tolist() == halves
         assert uniform_law(got).tolist() == [h * 2.0**-32 for h in halves]
         assert np.array_equal(uniform_law(got), uniforms32(np.random.default_rng(7), 4))
-        shaped = draw_raw32(np.random.default_rng(7), (2, 2))
-        assert shaped.shape == (2, 2) and shaped.ravel().tolist() == halves
-        assert uniform_law(shaped, math.pi).ravel().tolist() == [math.pi * (h * 2.0**-32) for h in halves]
+        assert uniform_law(got, math.pi).tolist() == [math.pi * (h * 2.0**-32) for h in halves]
 
     def test_odd_count_drops_the_last_half(self):
         # 3 halves take two outputs and drop the high half of the second;
@@ -357,7 +354,7 @@ class TestThresholds:
         assert all(type(x) is int and 0 < x < 2**32 for x in ks)
         near = {x + j for x in ks for j in (-1, 0, 1)} | {0, 1, 2**32 - 1}
         k = np.array(sorted(x for x in near if x < 2**32), dtype=np.uint32)
-        assert np.array_equal(cut_mask(r, ks)(k), cut_parity(r0, cuts, uniform_law(k)))
+        assert np.array_equal(cut_mask(r, ks, k), cut_parity(r0, cuts, uniform_law(k)))
 
     @pytest.mark.parametrize(
         "r0, cuts",
@@ -509,11 +506,52 @@ class TestCountEstimate:
         est = rule_estimate(C + 1, np.random.default_rng(0), [(r0, []) for r0 in holds], values)
         assert (est.mean, est.stderr, est.n_samples) == (values[sum(holds)], 0.0, C + 1)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_rule_sets_against_a_dense_count(self, n, d):
+        # No estimator runs 2 or 3 rules: random sets, with repeated cuts and
+        # the edges 0.0 and 1.0, against a per-trial count on the float law.
+        rng = np.random.default_rng(1000 * d + n)
+        pool = [0.0, 1.0, *rng.uniform(0.0, 1.0, 3)]
+        fixed = [(True, [0.0, 0.3, 0.3]), (False, [0.25, 1.0]), (True, [0.5, 0.5, 1.0])][:d]
+        rule_sets = [fixed] + [
+            [(bool(rng.integers(2)), sorted(rng.choice(pool, rng.integers(0, 5)).tolist())) for _ in range(d)]
+            for _ in range(3)
+        ]
+        u = uniform_law(raw_halves(np.random.default_rng(n), d * n)).reshape(n, d)
+        for rules in rule_sets:
+            values = tuple((rng.permutation(9)[: d + 1] - 4).tolist())
+            held = sum(cut_parity(r0, cuts, u[:, j]).astype(int) for j, (r0, cuts) in enumerate(rules))
+            dense = estimate_from_counts(values, np.bincount(held, minlength=d + 1).tolist())
+            assert rule_estimate(n, np.random.default_rng(n), rules, values) == dense
+
     def test_rule_count_outside_the_values_raises(self):
         # Four rules that always hold give index 4, which (-1, 1) lacks.
         with pytest.raises(ValueError, match="outside"):
             rule_estimate(C + 1, np.random.default_rng(0), [(True, [])] * 4)
 
+
+
+@pytest.mark.parametrize("n", [C - 1, C + 1, 3 * C + 5])
+@pytest.mark.parametrize(
+    "d, run",
+    [
+        (1, lambda n, rng: correlation_mc(0.4, 1.9, n, rng)),
+        (1, lambda n, rng: chsh_same_lambda(CFG, n, rng)),
+        (1, lambda n, rng: product_estimate(joint_distribution(0.4, 1.9), n, rng)),
+        (1, lambda n, rng: t_estimate(T_CFG, n, rng)),
+        (4, lambda n, rng: chsh_independent(CFG, n, rng)),
+        (4, lambda n, rng: quantum_chsh_independent(CFG, n, rng)),
+    ],
+    ids=["correlation_mc", "chsh_same_lambda", "product_estimate", "t_estimate", "chsh_independent", "quantum"],
+)
+def test_estimators_leave_the_stream_after_d_n_draws(n, d, run):
+    # A run of n trials of d rules leaves rng where one draw_raw32 of d n
+    # halves does, whatever its chunks: simulate's pairs read one stream back to back.
+    rng, copy = np.random.default_rng(n), np.random.default_rng(n)
+    run(n, rng)
+    draw_raw32(copy, d * n)
+    assert rng.bit_generator.state == copy.bit_generator.state
 
 def test_independent_memory_is_bounded():
     n = 4_000_000
