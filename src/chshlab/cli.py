@@ -225,7 +225,7 @@ def _full_angles(args) -> AngleConfig:
     return AngleConfig(*_angles([getattr(args, k) for k in FOUR_ANGLES], args.degrees))
 
 
-def cmd_correlate(args, parser) -> int:
+def cmd_correlate(args) -> int:
     alpha, beta = _angles((args.alpha, args.beta), args.degrees)
     dist = joint_distribution(alpha, beta)
     row = {
@@ -242,16 +242,16 @@ def cmd_correlate(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_chsh(args, parser) -> int:
+def cmd_chsh(args) -> int:
     config = _full_angles(args)
     mode = args.mode
     model_name = args.model
     if mode in ("same-lambda", "independent") and model_name is None:
-        parser.error(f"--model is required for mode {mode}")
+        args.parser.error(f"--model is required for mode {mode}")
     if mode == "quantum" and model_name is not None:
-        parser.error("--model is not accepted in quantum mode")
+        args.parser.error("--model is not accepted in quantum mode")
     if mode == "same-lambda" and model_name == "quantum-mimic":
-        parser.error("same-lambda mode requires a local-hidden-variable model, not quantum-mimic")
+        args.parser.error("same-lambda mode requires a local-hidden-variable model, not quantum-mimic")
 
     rng = component_stream(args.seed, f"chsh/{mode}")
     if model_name == "sign":
@@ -299,16 +299,16 @@ def _constrained_rows(quad: CorrelationQuad) -> tuple[list[dict], str]:
     return rows + [summary], "ok"
 
 
-def cmd_constrained(args, parser) -> int:
+def cmd_constrained(args) -> int:
     given = [f"--{k}" for k in FOUR_ANGLES if getattr(args, k) is not None]
     if args.q is not None:
         extra = given + (["--degrees"] if args.degrees else [])
         if extra:
-            parser.error(f"argument --q: not allowed with {', '.join(extra)}")
+            args.parser.error(f"argument --q: not allowed with {', '.join(extra)}")
         quad, echo = args.q, {"q": list(args.q.astuple())}
     elif len(given) < 4:
         missing = [f"--{k}" for k in FOUR_ANGLES if getattr(args, k) is None]
-        parser.error(f"the following arguments are required without --q: {', '.join(missing)}")
+        args.parser.error(f"the following arguments are required without --q: {', '.join(missing)}")
     else:
         config = _full_angles(args)
         quad, echo = correlation_quad(config), vars(config)
@@ -317,7 +317,7 @@ def cmd_constrained(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, parser) -> int:
+def cmd_spectrum(args) -> int:
     config = _full_angles(args)
     op = build_t(config)
     summary = t_spectrum(op)
@@ -361,7 +361,7 @@ def _simulate_row(est, analytic: float, **fields) -> dict:
     }
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args) -> int:
     config = _full_angles(args)
     n = args.trials
     rows = []
@@ -386,7 +386,7 @@ def cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-def _run_scan(args, parser) -> int:
+def _run_scan(args) -> int:
     name = args.objective
     bound = args.bound if args.bound is not None else OBJECTIVES[name].default_bound
     report = verify_bound(
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
         except ValueError as exc:  # a NUL byte in the path
             raise OSError(exc) from exc
         with out as args.stream:
-            return args.func(args, args.parser)
+            return args.func(args)
     except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
         # a library failure: degenerate conditioning or spectrum, a

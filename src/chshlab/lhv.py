@@ -25,7 +25,7 @@ cut rules in u, lambda = pi u, one per lambda a trial draws (the protocols
 differ only in that count, one or four); the value tuples below are the
 only place the values are written. Each response is a cut rule whose cuts
 are the draws at which the cosine rule flips, found once per run from one
-grid shared by all angles (:func:`_flip_points`); each pair product or
+grid shared by all angles (:func:`_rules`); each pair product or
 same-lambda value is one cut rule read off those (:func:`_combined`), equal
 to the rule for every draw without a cosine per draw. Every angle must be
 finite with magnitude at most MAX_ANGLE; any other raises ValueError.
@@ -88,9 +88,10 @@ def _cos_rule(angle, lam) -> np.ndarray:
     return np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0
 
 
-def _flip_points(angles: list) -> list:
-    """The flips of the cosine rule on the draw grid lam = pi (k DRAW_STEP), per angle.
+def _rules(angles) -> list:
+    """A's cosine rule per angle, with its flips on the draw grid lam = pi (k DRAW_STEP).
 
+    Raises ValueError unless each angle is finite with |angle| <= MAX_ANGLE.
     Returns, per angle, the cut rule (r0, flips) of the rule on every draw
     k in [0, 2^32): its value at k = 0 and the sorted u = k DRAW_STEP in
     (0, 1) of the draws k at which it changes. lam is the one the sign-model
@@ -107,7 +108,10 @@ def _flip_points(angles: list) -> list:
     above 0 and just below pi, and the grid's first and last gaps keep those
     two flips apart.
     """
-    rule_angles = np.array(angles, dtype=float)[:, None]
+    angles = [float(a) for a in angles]
+    if not all(abs(a) <= MAX_ANGLE for a in angles):
+        raise ValueError(f"angles must be finite with |angle| <= {MAX_ANGLE:g}, got {angles}")
+    rule_angles = np.array(angles)[:, None]
     grid = np.broadcast_to(_FLIP_GRID, (len(angles), _FLIP_GRID.size))
     rule = _cos_rule(rule_angles, math.pi * (_FLIP_GRID * DRAW_STEP))
     r0 = rule[:, 0].tolist()
@@ -125,14 +129,6 @@ def _flip_points(angles: list) -> list:
         owner, rule_angles = owner[rows], rule_angles[rows]
         grid = lo + np.floor(span * _FLIP_SPLIT)
         rule = _cos_rule(rule_angles, math.pi * (grid * DRAW_STEP))
-
-
-def _rules(angles) -> list:
-    """A's rule (r0, flips) per angle; ValueError unless each is finite, |angle| <= MAX_ANGLE."""
-    angles = [float(a) for a in angles]
-    if not all(abs(a) <= MAX_ANGLE for a in angles):
-        raise ValueError(f"angles must be finite with |angle| <= {MAX_ANGLE:g}, got {angles}")
-    return _flip_points(angles)
 
 
 def _combined(rules, f) -> list:

@@ -129,7 +129,7 @@ class TestFlipPoints:
     THREE = [-5214 * math.pi / 8, math.radians(4455), math.radians(-6435)]
 
     def _check(self, angle):
-        r0, flips = lhv._flip_points([angle])[0]
+        r0, flips = lhv._rules([angle])[0]
         assert flips == sorted(flips) and all(0.0 < t < 1.0 for t in flips)
         ks = [t * 2**32 for t in flips]
         assert all(k == int(k) for k in ks)  # each flip is u = k 2^-32 of a draw k
@@ -171,7 +171,7 @@ class TestFlipPoints:
         configs.append(np.radians(22.5 * rng.integers(-16, 17, (50, 4))))
         for angles in np.concatenate(configs).tolist() + [self.WRAPPED, self.THREE]:
             calls.clear()
-            lhv._flip_points(angles)
+            lhv._rules(angles)
             assert 0 < len(calls) <= 5
 
     def test_rejects_angles_beyond_the_limit(self):

@@ -11,13 +11,18 @@ recording the exit code, stdout and stderr. The script prints the argv
 count and each argv whose exit code, stdout or stderr moved, with the first
 field that differs. It exits 1 when anything moved.
 
+CI runs ``python tools/replay.py HEAD`` as its one byte-identity gate:
+each side is a fresh interpreter, so it checks that every argv gives the
+same exit code, stdout and stderr across processes.
+
 The corpus is built once, from this checkout, so both sides run the same
-argvs:
+argvs, each distinct argv once, in first-seen order:
 
 * every op of ``perfbench.workloads.generate``: each workload, seeds 0-2,
   tiny and full;
-* the byte-identical rerun lines of ``.github/workflows/tests.yml`` and
-  the ``chshlab ...`` invocations of README.md;
+* the rerun lines RERUNS below, which cover every subcommand at its README
+  invocation and at edge configs, and the ``chshlab ...`` invocations of
+  README.md;
 * the CLI fuzz draws of ``tests/test_cli.py`` (``fuzz_argv``), drawn with
   hypothesis derandomized;
 * a seeded sign-model sweep, so that replay checks any change to the flip
@@ -41,7 +46,6 @@ import argparse
 import contextlib
 import io
 import json
-import re
 import shlex
 import subprocess
 import sys
@@ -55,13 +59,72 @@ FUZZ_EXAMPLES = 100
 SWEEP_TRIALS = 4099
 
 
-def ci_argvs() -> list[list[str]]:
-    """The argvs of the CI byte-identical rerun loop, with $A expanded."""
-    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    variables = dict(re.findall(r'^\s*(\w+)="([^"]*)"\s*$', text, re.M))
-    body = re.search(r"<<EOF\n(.*?)\n\s*EOF\n", text, re.S).group(1)
-    expand = lambda line: re.sub(r"\$(\w+)", lambda m: variables[m.group(1)], line)
-    return [shlex.split(expand(line)) for line in body.splitlines() if line.strip()]
+# The Tsirelson angles, (pi/4, 0, pi/8, 3 pi/8) in radians.
+A = "--alpha1 0.7853981633974483 --alpha2 0 --beta1 0.39269908169872414 --beta2 1.1780972450961724"
+# Every subcommand at its README invocation and at edge configs: angles at
+# +-1e6 and in degrees, Monte Carlo chunk boundaries, a zero-weight
+# t-observable, scans at resolution 2 to 128. tests/test_replay.py runs
+# each once and asserts exit 0.
+RERUNS = [shlex.split(line) for line in f"""
+correlate --alpha 0.7853981633974483 --beta 0.39269908169872414
+correlate --alpha 1e6 --beta=-1e6
+correlate --alpha 1e6 --beta 3 --degrees
+correlate --alpha 0.7853981633974483 --beta 0.39269908169872414 --format json
+chsh --mode same-lambda --model sign {A} --trials 1000000 --seed 1
+chsh --mode quantum {A} --trials 1000000 --seed 1
+chsh --mode independent --model sign {A} --trials 200000 --seed 2
+chsh --mode independent --model quantum-mimic {A} --trials 200000 --seed 2
+chsh --mode independent --model sign {A} --trials 200000 --seed 2 --format json
+chsh --mode quantum {A} --trials 200000 --seed 1 --format json
+chsh --mode same-lambda --model sign --alpha1 1e6 --alpha2=-1e6 --beta1 3 --beta2 1e-300 --trials 200000 --seed 4
+chsh --mode independent --model sign --alpha1 1e6 --alpha2=-1e6 --beta1 3 --beta2 1e-300 --trials 200000 --seed 4
+chsh --mode independent --model sign --alpha1 45 --alpha2 0 --beta1 22.5 --beta2 67.5 --degrees --trials 1000000 --seed 3
+chsh --mode same-lambda --model sign --alpha1 45 --alpha2 0 --beta1 22.5 --beta2 67.5 --degrees --trials 1000000 --seed 3
+chsh --mode independent --model sign --alpha1=-45 --alpha2 90 --beta1 157.5 --beta2=-67.5 --degrees --trials 200000 --seed 5
+chsh --mode same-lambda --model sign --alpha1=-45 --alpha2 90 --beta1 157.5 --beta2=-67.5 --degrees --trials 200000 --seed 5
+chsh --mode same-lambda --model sign --alpha1 4455 --alpha2 0 --beta1 22.5 --beta2 67.5 --degrees --trials 200000 --seed 6
+chsh --mode same-lambda --model sign --alpha1 1e6 --alpha2=-1e6 --beta1 999999.5 --beta2=-1e6 --degrees --trials 200000 --seed 8
+chsh --mode independent --model sign --alpha1 1e6 --alpha2=-1e6 --beta1 999999.5 --beta2=-1e6 --degrees --trials 200000 --seed 8
+chsh --mode same-lambda --model sign --alpha1=-117.0243263462198 --alpha2=-60.47565858160352 --beta1 0.3 --beta2 1.2 --trials 200000 --seed 10
+chsh --mode independent --model sign --alpha1=-117.0243263462198 --alpha2=-60.47565858160352 --beta1 0.3 --beta2 1.2 --trials 200000 --seed 10
+simulate --alpha1 0.9 --alpha2 0.1 --beta1 0.4 --beta2 1.3 --trials 100000 --seed 7
+simulate --alpha1 0.9 --alpha2 0.1 --beta1 0.4 --beta2 1.3 --trials 100000 --seed 7 --format json
+chsh --mode independent --model quantum-mimic {A} --trials 65537 --seed 11
+chsh --mode independent --model sign {A} --trials 65537 --seed 11
+chsh --mode same-lambda --model sign {A} --trials 65537 --seed 11
+simulate --alpha1 0.9 --alpha2 0.1 --beta1 0.4 --beta2 1.3 --trials 32769 --seed 12
+chsh --mode quantum {A} --trials 3 --seed 13
+chsh --mode independent --model sign {A} --trials 3 --seed 13
+chsh --mode same-lambda --model sign {A} --trials 3 --seed 13
+simulate --alpha1 0.9 --alpha2 0.1 --beta1 0.4 --beta2 1.3 --trials 3 --seed 13
+chsh --mode independent --model sign --alpha1 0.3 --alpha2 0.3 --beta1 0.3 --beta2 0.3 --trials 65537 --seed 14
+chsh --mode same-lambda --model sign --alpha1 0.3 --alpha2 0.3 --beta1 0.3 --beta2 0.3 --trials 65537 --seed 14
+simulate --alpha1 0.3 --alpha2 0.3 --beta1 0.3 --beta2 1.8707963267948966 --trials 65537 --seed 14
+chsh --mode quantum --alpha1 0.3 --alpha2 0.3 --beta1 0.3 --beta2 1.8707963267948966 --trials 65537 --seed 14
+chsh --mode quantum --alpha1 1e6 --alpha2=-1e6 --beta1 3 --beta2 1e-300 --trials 65537 --seed 15
+chsh --mode independent --model quantum-mimic --alpha1 1e6 --alpha2=-1e6 --beta1 3 --beta2 1e-300 --trials 65537 --seed 15
+simulate {A} --trials 65537 --seed 16
+spectrum {A}
+spectrum {A} --format json
+spectrum --alpha1 1e6 --alpha2=-1e6 --beta1 3 --beta2 1e-300
+spectrum --alpha1 1e6 --alpha2=-1e6 --beta1 999999.5 --beta2=-1e6 --degrees
+spectrum --alpha1=-1e6 --alpha2 1e6 --beta1=-1e6 --beta2 1e6
+constrained eval {A}
+constrained eval --q=0,0,0,0
+constrained eval --q=0.5,-0.2,0.3,0.1 --format json
+constrained scan --resolution 16 --restarts 4 --seed 1
+scan --objective eight_variable_sum --resolution 24 --restarts 20 --seed 0
+scan --objective constrained_e4 --resolution 40 --restarts 20 --seed 3
+scan --objective t_validity_margin --resolution 32 --restarts 20 --seed 5
+scan --objective eight_variable_sum --resolution 8 --restarts 2 --bound 2 --seed 2 --format json
+scan --objective constrained_e4 --resolution 2 --restarts 0 --seed 0
+scan --objective t_validity_margin --resolution 3 --restarts 0 --format json
+scan --objective eight_variable_sum --resolution 24 --restarts 20 --bound 1 --seed 9
+scan --objective eight_variable_sum --resolution 7 --restarts 3 --bound 2.5 --seed 9
+scan --objective constrained_e4 --resolution 128 --restarts 20 --seed 3
+scan --objective t_validity_margin --resolution 97 --restarts 5 --bound 0.5 --seed 4
+constrained scan --resolution 4 --restarts 0
+""".strip().splitlines()]
 
 
 def readme_argvs() -> list[list[str]]:
@@ -137,10 +200,11 @@ def boundary_argvs(missing_dir: Path) -> list[list[str]]:
 
 
 def corpus(missing_dir: Path) -> list[list[str]]:
-    """The argvs, built from this checkout (its chshlab, tests and perfbench)."""
+    """The distinct argvs in first-seen order, built from this checkout (its chshlab, tests and perfbench)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
-    return (workload_argvs() + ci_argvs() + readme_argvs() + fuzz_argvs() + sign_sweep_argvs()
-            + boundary_argvs(missing_dir))
+    argvs = (workload_argvs() + RERUNS + readme_argvs() + fuzz_argvs() + sign_sweep_argvs()
+             + boundary_argvs(missing_dir))
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
 def run_side(src: str) -> None:
