@@ -388,10 +388,9 @@ def cmd_simulate(args) -> int:
 
 def _run_scan(args) -> int:
     name = args.objective
-    bound = args.bound if args.bound is not None else OBJECTIVES[name].default_bound
     report = verify_bound(
         name,
-        bound=bound,
+        bound=args.bound,
         resolution=args.resolution,
         n_random_restarts=args.restarts,
         seed=args.seed,
@@ -414,7 +413,7 @@ def _run_scan(args) -> int:
         {"kind": "violation", **vars(config), "value": value} for config, value in report.violations
     ]
     status = "ok" if report.n_violations == 0 else "violations"
-    echo = {"objective": name, "bound": bound, "resolution": args.resolution,
+    echo = {"objective": name, "bound": report.bound, "resolution": args.resolution,
             "restarts": args.restarts, "seed": args.seed}
     _emit(args, "scan", echo, SCAN_COLUMNS, [summary, *violations], status)
     return EXIT_OK

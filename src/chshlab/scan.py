@@ -175,12 +175,15 @@ class _Fold:
         self.n_bad += bad.size
 
 
-def _scan_slab(obj: _Objective, resolution: int, bound: float, k: int = 0):
-    """The alpha2 = 0 slab, folded with ``k`` in blocks of whole alpha1-planes, and the lattice axis."""
+def _scan_slab(obj: _Objective, resolution: int, bound: float | None, k: int = 0):
+    """The alpha2 = 0 slab, folded with ``k`` in blocks of whole alpha1-planes, and the lattice axis.
+
+    A ``bound`` of None stands for the objective's ``default_bound``.
+    """
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}]")
     ax = (np.arange(resolution) / resolution) * math.pi
-    fold = _Fold(obj, bound)
+    fold = _Fold(obj, obj.default_bound if bound is None else bound)
     planes = max(1, SLAB_BLOCK // resolution**2)
     for lo in range(0, resolution, planes):
         fold.add(obj.values(ax[lo : lo + planes, None, None], 0.0, ax[None, :, None], ax[None, None, :]).ravel(), k)
@@ -229,10 +232,7 @@ def grid_scan(objective: Union[str, _Objective], resolution: int, bound: float |
     index, whatever SLAB_BLOCK is. ValueError unless ``resolution`` lies in
     [2, MAX_RESOLUTION], and if every slab value is NaN.
     """
-    obj = _lookup(objective)
-    if bound is None:
-        bound = obj.default_bound
-    fold, ax = _scan_slab(obj, resolution, bound)
+    fold, ax = _scan_slab(_lookup(objective), resolution, bound)
     return _report(fold, resolution, ax, np.empty((0, 4)), np.empty(0))
 
 
@@ -302,7 +302,7 @@ def _descend(values: Callable, starts, maximize):
 
 def verify_bound(
     objective: Union[str, _Objective],
-    bound: float,
+    bound: float | None,
     resolution: int,
     n_random_restarts: int,
     seed: int = 0,
@@ -315,7 +315,8 @@ def verify_bound(
     each block's best, and from ``n_random_restarts`` uniform random
     configurations, all starts of both directions in lockstep in one
     :func:`_descend` call. The report is :func:`_report` of the slab fold
-    with the refined rows folded in last.
+    with the refined rows folded in last. A ``bound`` of None stands for
+    the objective's ``default_bound``, as in :func:`grid_scan`.
     Deterministic in (objective, bound, resolution, n_random_restarts, seed).
     ``n_random_restarts`` must lie in [0, MAX_RESTARTS]; ValueError otherwise.
     """

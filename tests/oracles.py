@@ -151,14 +151,6 @@ def sign_model_sawtooth(alpha: float, beta: float) -> float:
     return -1.0 + 4.0 * d / math.pi
 
 
-def parity_identity(a1: int, a2: int, b1: int, b2: int) -> int:
-    """(a1 + a2) b1 + (a1 - a2) b2, which equals +-2 for all sign choices."""
-    for v in (a1, a2, b1, b2):
-        if v not in (-1, 1):
-            raise ValueError(f"inputs must be -1 or +1, got {v!r}")
-    return (a1 + a2) * b1 + (a1 - a2) * b2
-
-
 def e4_expression(q1, q2, q3, q4, threshold: float):
     """The conditioned four-variable expectation, each product written out.
 

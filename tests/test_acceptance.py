@@ -24,7 +24,6 @@ from chshlab.constrained import (
 )
 from chshlab.lhv import (
     AngleConfig,
-    angle_pairs,
     chsh_independent,
     chsh_same_lambda,
     correlation_mc,

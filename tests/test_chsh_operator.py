@@ -21,7 +21,6 @@ from chshlab.chsh_operator import (
     t_mean,
     t_spectrum,
 )
-from chshlab.constrained import correlation_quad, quantum_eight_variable_sum
 from chshlab.lhv import AngleConfig, tsirelson_angles
 from chshlab.linalg import SpectralDecomposition, is_hermitian, tensor_product
 from chshlab.quantum import analyzer_operator, singlet_state
@@ -253,24 +252,6 @@ class TestMeanValue:
 
     def test_all_equal_angles(self):
         assert t_mean(AngleConfig(0.4, 0.4, 0.4, 0.4)) == pytest.approx(-2.0, abs=1e-15)
-
-    def test_three_routes_agree(self):
-        psi = singlet_state()
-        rng = np.random.default_rng(25)
-        for _ in range(100):
-            cfg = random_config(rng)
-            formula = t_mean(cfg)
-            matrix = float((psi.conj() @ build_t(cfg).matrix @ psi).real)
-            dist = t_distribution(cfg)
-            from_law = dist.t0 * dist.weight_plus - dist.t0 * dist.weight_minus
-            assert abs(formula - matrix) <= 1e-12
-            assert abs(formula - from_law) <= 1e-12
-
-    def test_equals_quad_sum(self):
-        rng = np.random.default_rng(26)
-        for _ in range(50):
-            cfg = random_config(rng)
-            assert abs(t_mean(cfg) - quantum_eight_variable_sum(correlation_quad(cfg))) <= 1e-12
 
 
 class TestOutcomeDistribution:

@@ -177,10 +177,6 @@ class TestExpectations:
         dist = build_constrained_from_quad(CorrelationQuad(0.0, 0.0, 0.0, 0.0))
         assert constrained_expectation_bruteforce(dist) == pytest.approx(0.0, abs=1e-15)
 
-    def test_worked_value_closed(self):
-        quad = CorrelationQuad(-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2)
-        assert constrained_expectation_closed(quad) == pytest.approx(TARGET, abs=1e-12)
-
     def test_worked_value_bruteforce_from_angles(self):
         dist = build_constrained(tsirelson_angles())
         assert constrained_expectation_bruteforce(dist) == pytest.approx(TARGET, abs=1e-12)
@@ -193,15 +189,6 @@ class TestExpectations:
         assert constrained_expectation_closed(quad) == pytest.approx(-2.0, abs=1e-15)
         dist = build_constrained_from_quad(quad)
         assert constrained_expectation_bruteforce(dist) == pytest.approx(-2.0, abs=1e-15)
-
-    def test_closed_matches_bruteforce_on_random_configs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(300):
-            cfg = random_config(rng)
-            quad = correlation_quad(cfg)
-            closed = constrained_expectation_closed(quad)
-            brute = constrained_expectation_bruteforce(build_constrained(cfg))
-            assert abs(closed - brute) <= 1e-12
 
     def test_matches_eight_variable_conditioning_oracle(self):
         rng = np.random.default_rng(7)

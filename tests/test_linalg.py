@@ -28,24 +28,6 @@ def random_hermitian(rng, n):
     return (x + x.conj().T) / 2.0
 
 
-class TestComplexCarrier:
-    """The scalar carrier (builtin complex / complex128) behaves like a field
-    to floating-point accuracy; these identities document that assumption."""
-
-    @given(st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-           st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-           st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
-    def test_ring_identities(self, a, b, c):
-        assert abs((a + b) + c - (a + (b + c))) <= 1e-14 * (1 + abs(a) + abs(b) + abs(c))
-        assert abs(a * (b + c) - (a * b + a * c)) <= 1e-12 * (1 + abs(a)) * (1 + abs(b) + abs(c))
-        assert a + 0 == a and a * 1 == a
-
-    @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
-                              allow_nan=False, allow_infinity=False))
-    def test_multiplicative_inverse(self, a):
-        assert abs(a * (1 / a) - 1) <= 1e-14
-
-
 class TestMatMul:
     """Matrix-product identities of the package's operators (numpy ``@``)."""
 

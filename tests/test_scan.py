@@ -315,6 +315,11 @@ class TestVerifyBound:
         b = verify_bound("eight_variable_sum", SQRT8, **kwargs)
         assert a == b
 
+    def test_none_bound_is_the_default_bound(self):
+        kwargs = dict(resolution=6, n_random_restarts=2, seed=9)
+        for name, obj in OBJECTIVES.items():
+            assert verify_bound(name, None, **kwargs) == verify_bound(name, obj.default_bound, **kwargs)
+
     def test_validity_margin_refinement(self):
         report = verify_bound("t_validity_margin", 0.0, resolution=8, n_random_restarts=3, seed=4)
         assert report.n_violations == 0
