@@ -84,7 +84,13 @@ _FLIP_GRID = np.minimum(_FLIP_SPLIT * 2.0**32, 2.0**32 - 1)
 
 
 def _cos_rule(angle, lam) -> np.ndarray:
-    """A's response rule as a mask: cos 2(angle - lam) >= 0."""
+    """A's response rule as a mask: cos 2(angle - lam) >= 0.
+
+    The sign(0) := +1 convention of ">=" never applies, so ">" gives the
+    same masks: the argument is a double, no double is an odd multiple of
+    pi/2, and the nearest any double comes to a multiple of pi/2 (about
+    4.7e-19, the worst case of argument reduction) keeps |cos| far above 0.
+    """
     return np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0
 
 

@@ -266,7 +266,12 @@ def signs(mask) -> np.ndarray:
 
 
 def cos_sign_response(angle, lam) -> np.ndarray:
-    """The sign model's response rule, sign(cos 2(angle - lam)) with sign(0) := +1."""
+    """The sign model's response rule, sign(cos 2(angle - lam)) with sign(0) := +1.
+
+    The convention never applies: cos of a double argument is never exactly 0
+    (see lhv._cos_rule), so ">=" and ">" give the same responses and no test
+    can tell them apart.
+    """
     return np.where(np.cos(2.0 * (np.asarray(angle) - lam)) >= 0.0, 1, -1)
 
 
