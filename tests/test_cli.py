@@ -449,8 +449,22 @@ NON_FINITE = [  # (words, argv with {} for the angle, the angle's flag)
 # argv stands for the Tsirelson angles. Stderr is the usage line of the parser
 # that rejected the argv, then "chshlab <words>: error: <message>". A flag
 # its command does not take is left over, and the top-level parser reports
-# it, under words "".
+# it, under words "", as it reports a missing or unknown command.
 USAGE_ERRORS = [
+    # commands, actions and choices
+    ("", "", "the following arguments are required: subcommand"),
+    ("", "bogus", "argument subcommand: invalid choice: 'bogus'"),
+    ("constrained", "constrained", "the following arguments are required: action"),
+    ("constrained", "constrained bogus", "argument action: invalid choice: 'bogus'"),
+    ("chsh", "chsh MAXV", "the following arguments are required: --mode"),
+    ("chsh", "chsh --mode bogus MAXV", "argument --mode: invalid choice: 'bogus'"),
+    ("scan", "scan --objective bogus", "argument --objective: invalid choice: 'bogus'"),
+    *[(words, f"{words} {flags} --format xml", "argument --format: invalid choice: 'xml'")
+      for words, flags in [("correlate", "--alpha 0 --beta 0"), ("chsh", "--mode quantum MAXV"),
+                           ("constrained eval", "--q=0,0,0,0"), ("constrained scan", "--resolution 2"),
+                           ("spectrum", "MAXV"), ("simulate", "MAXV"), ("scan", "--resolution 2")]],
+    ("correlate", "correlate --alpha 0 --beta 0 --out", "argument --out: expected one argument"),
+    # required flags
     ("correlate", "correlate --alpha 0.1", "the following arguments are required: --beta"),
     ("chsh", "chsh --mode quantum --alpha1 0.7853981633974483 --alpha2 0 --beta1 0.39269908169872414",
      "the following arguments are required: --beta2"),
@@ -464,6 +478,7 @@ USAGE_ERRORS = [
      "the following arguments are required without --q: --alpha1, --alpha2, --beta1, --beta2"),
     # the chsh model rules
     ("chsh", "chsh --mode same-lambda MAXV", "--model is required for mode same-lambda"),
+    ("chsh", "chsh --mode independent MAXV", "--model is required for mode independent"),
     ("chsh", "chsh --mode same-lambda --model bogus MAXV", "argument --model: invalid choice: 'bogus'"),
     ("chsh", "chsh --mode quantum --model sign MAXV", "--model is not accepted in quantum mode"),
     ("chsh", "chsh --mode same-lambda --model quantum-mimic MAXV",
@@ -478,11 +493,18 @@ USAGE_ERRORS = [
      "argument --q: not allowed with --alpha1, --alpha2, --beta1, --beta2"),
     ("constrained eval", "constrained eval --alpha1 1 --q=0,0,0,0", "argument --q: not allowed with --alpha1"),
     ("constrained eval", "constrained eval --q=0,0,0,0 --degrees", "argument --q: not allowed with --degrees"),
+    ("constrained eval", "constrained eval --beta2 1 --degrees --q=0,0,0,0",
+     "argument --q: not allowed with --beta2, --degrees"),
     # counts and bounds
     *[(words, f"{head} MAXV --trials {trials}", "argument --trials: must lie in [2, inf]")
       for words, head in [("chsh", "chsh --mode quantum"), ("chsh", "chsh --mode same-lambda --model sign"),
                           ("simulate", "simulate")]
       for trials in ("1", "0", "-5")],
+    *[(words, f"{head} MAXV {flag} {value}", f"argument {flag}: invalid integer value: '{value}'")
+      for words, head, flag, value in [("chsh", "chsh --mode quantum", "--trials", "2.5"),
+                                       ("simulate", "simulate", "--trials", "x"),
+                                       ("chsh", "chsh --mode quantum", "--seed", "x"),
+                                       ("simulate", "simulate", "--seed", "1.5")]],
     *[(head, f"{head} {flag} {value}", f"argument {flag}: {message}")
       for head in ("scan", "constrained scan")
       for flag, value, message in [
@@ -506,6 +528,9 @@ USAGE_ERRORS = [
     *[(words, argv.format(bad), f"argument {flag}: expected a finite real, got '{bad}'")
       for words, argv, flag in NON_FINITE for bad in ("nan", "inf")],
     *[(words, argv.format("-inf"), f"argument {flag}: expected one argument") for words, argv, flag in NON_FINITE],
+    ("correlate", "correlate --alpha x --beta 0", "argument --alpha: expected a finite real, got 'x'"),
+    ("spectrum", "spectrum --alpha1= --alpha2 0 --beta1 0 --beta2 0",
+     "argument --alpha1: expected a finite real, got ''"),
     ("correlate", "correlate --alpha=-1e308 --beta=1e308",
      "argument --alpha: |angle| must be at most 1e+06, got '-1e308'"),
     ("correlate", "correlate --alpha 1000000.0000001 --beta 0",
@@ -525,6 +550,9 @@ USAGE_ERRORS = [
       for flag in ("--alpha1 1", "--q=0,0,0,0", "--degrees")],
     ("", "scan --resolution 8 --restarts 2 --degrees", "unrecognized arguments: --degrees"),
     ("", "spectrum MAXV --seed 1", "unrecognized arguments: --seed 1"),
+    ("", "spectrum MAXV --trials 5", "unrecognized arguments: --trials 5"),
+    ("", "correlate --alpha 0 --beta 0 --seed 1", "unrecognized arguments: --seed 1"),
+    ("", "correlate --alpha 0 --beta 0 --bogus", "unrecognized arguments: --bogus"),
     ("constrained", "constrained --format json eval MAXV", "argument action: invalid choice: 'json'"),
 ]
 # What each command computes once its flags are settled; a usage error comes before all of it.
@@ -558,7 +586,8 @@ NUMERICAL_FAILURES = [
 
 
 class TestInputBoundary:
-    @pytest.mark.parametrize("words, argv, fragment", USAGE_ERRORS, ids=[argv for _, argv, _ in USAGE_ERRORS])
+    @pytest.mark.parametrize("words, argv, fragment", USAGE_ERRORS,
+                             ids=[argv or "(empty)" for _, argv, _ in USAGE_ERRORS])
     def test_usage_error_exits_2(self, capsys, monkeypatch, words, argv, fragment):
         for name in WORK:
             monkeypatch.setattr(cli, name, fails_with(AssertionError(f"{name} ran before the flags were settled")))
