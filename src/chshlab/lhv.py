@@ -169,7 +169,7 @@ def chsh_same_lambda(config: AngleConfig, n: int, rng: np.random.Generator) -> C
 def chsh_independent(config: AngleConfig, n: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Independent-pairs protocol: four fresh lambdas per trial.
 
-    Trial t draws lambda_1..lambda_4 (trial-major stream order) and
+    Trial t draws lambda_1..lambda_4 (laid out as in ``rule_estimate``) and
     accumulates a1 b1 + a2 b2 + a3 b3 - a4 b4 with the station settings of
     :func:`angle_pairs`. Per-trial values lie in {-4, -2, 0, 2, 4}; the mean
     is deterministically inside [-4, 4]. Its index counts the four pair
@@ -189,7 +189,7 @@ def quantum_chsh_independent(config: AngleConfig, n: int, rng: np.random.Generat
     singlet correlations, whose magnitude never exceeds 2 sqrt(2). One
     :func:`chshlab.kernels.q_quad` call gives the four pair laws
     (1 + k l q)/4, one row each; each pair is its x*y = +1 cut rule, the last
-    negated as in :func:`chsh_independent`.
+    negated as in :func:`chsh_independent`, whose draw layout it shares.
     """
     q = np.array(kernels.q_quad(*config.astuple()))
     k, l = np.array(OUTCOME_ORDER).T

@@ -5,8 +5,8 @@ draws one uniform per cut rule (r0, cuts), a step function of its draw,
 and takes values[h], where h counts the rules that hold. The values (+-1,
 +-2, {-4, ..., 4}, or +-t0) are written once per estimator as a tuple, and
 only the number of trials with h > i is kept, for each i. Trials are drawn
-MC_CHUNK at a time in the same trial-major order as one whole-run call,
-which keeps the draws identical to that call and memory O(MC_CHUNK)
+in blocks of MC_CHUNK, each block's draws rule-major: a block is read as
+one contiguous row of draws per rule, and memory stays O(MC_CHUNK)
 whatever the number of trials. Mean and variance then follow from
 Python-int counts.
 
@@ -25,8 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-# Trials drawn and reduced per chunk. Even, so that a chunked run draws
-# whole 64-bit outputs until its last chunk, as one whole-run call does.
+# Trials per chunk, and per block of rule_estimate's rule-major draw layout:
+# changing it moves every multi-rule estimate. Even, so that a chunked run
+# draws whole 64-bit outputs until its last chunk.
 MC_CHUNK = 1 << 15
 # The draw grid: draw k stands for u = k DRAW_STEP, exactly.
 DRAW_STEP = 2.0**-32
@@ -108,13 +109,15 @@ def rule_estimate(
 ) -> CorrelationEstimate:
     """Estimate from n trials of the cut ``rules``, one uniform in [0, 1) per rule.
 
-    Rule j of trial t reads entry d t + j, d = len(rules), of one trial-major
-    :func:`draw_raw32` stream of d n draws. The trial's value is values[h], h
-    the number of rules whose :func:`cut_mask` holds. Per chunk, h starts as
-    the first rule's mask, and each further rule's mask is added to it as
-    int8; only above[i], the number of trials with h > i, is kept, and the
-    count of each h is their difference. Raises ValueError before any draw
-    for an empty ``rules`` and unless there is one value per h in 0..d.
+    The run reads one :func:`draw_raw32` stream of d n draws, d = len(rules),
+    rule-major in blocks of MC_CHUNK trials: in the block of b trials from
+    trial s, rule j of trial t reads entry d s + j b + (t - s), so a chunk is
+    a (d, b) view. A trial's value is values[h], h the number of rules whose
+    :func:`cut_mask` holds: h starts as the first rule's mask, and each further
+    mask is added to it as int8; only above[i], the number of trials with
+    h > i, is kept, and the count of each h is their difference. Raises
+    ValueError before any draw for an empty ``rules`` and unless there is
+    one value per h in 0..d.
     """
     d = len(rules)
     if not d:
@@ -122,14 +125,10 @@ def rule_estimate(
     if len(values) != d + 1:
         raise ValueError(f"{d} rules give value indices 0..{d}, outside or short of {tuple(values)}")
     first, *rest = [int_rule(*rule) for rule in rules]
-    # Each chunk's trial-major (size, d) draws go into one reused uint32 (d, size)
-    # buffer: contiguous per rule, allocated once. estimate_from_counts rejects n < 2.
-    buf = np.empty((d, max(0, min(n, MC_CHUNK))), np.uint32)
     above = [0] * d
     for start in range(0, n, MC_CHUNK):
         size = min(MC_CHUNK, n - start)
-        k = buf[:, :size]
-        np.copyto(k.T, draw_raw32(rng, size * d).reshape(size, d))
+        k = draw_raw32(rng, size * d).reshape(d, size)
         h = cut_mask(*first, k[0])
         for rule, row in zip(rest, k[1:]):
             h = h.view(np.int8)

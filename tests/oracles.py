@@ -309,6 +309,25 @@ def raw_halves(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).ravel()[:n]
 
 
+# Trials per block of the estimators' draw layout, written out here rather
+# than read from chshlab.montecarlo.MC_CHUNK, so that a changed chunk shows.
+DRAW_BLOCK = 2**15
+
+
+def trials_by_rule(k: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d) per-trial draws of a whole-run draw ``k`` of d n entries.
+
+    The run is read in blocks of DRAW_BLOCK trials, rule-major within a block:
+    in a block of b trials starting at trial s, rule j of trial t reads entry
+    d s + j b + (t - s). The index is formed entry by entry from that formula.
+    """
+    n = len(k) // d
+    t = np.arange(n)[:, None]
+    s = t - t % DRAW_BLOCK
+    b = np.minimum(DRAW_BLOCK, n - s)
+    return np.asarray(k)[d * s + np.arange(d) * b + (t - s)]
+
+
 def uniform_law(k, span: float = 1.0) -> np.ndarray:
     """The uniforms u = fl(k c) in [0, span), c = span 2^-32, that 32-bit halves k stand for.
 
@@ -339,8 +358,8 @@ def dense_sign_same_lambda(config, n: int, rng: np.random.Generator):
 
 
 def dense_sign_independent(config, n: int, rng: np.random.Generator):
-    """Sign model, independent pairs: an (n, 4) trial-major lambda draw, pair j on column j."""
-    lam = math.pi * uniforms32(rng, 4 * n).reshape(n, 4)
+    """Sign model, independent pairs: one whole-run draw of 4n lambdas, pair j on column j of :func:`trials_by_rule`."""
+    lam = math.pi * trials_by_rule(uniforms32(rng, 4 * n), 4)
     p = [cos_sign_response(a, lam[:, j]) * -cos_sign_response(b, lam[:, j]) for j, (a, b) in enumerate(_pairs(config))]
     return _dense_estimate((p[0] + p[1] + p[2] - p[3]).astype(float))
 
@@ -379,8 +398,8 @@ def dense_pair_products(alpha: float, beta: float, n: int, rng: np.random.Genera
 
 
 def dense_quantum_independent(config, n: int, rng: np.random.Generator):
-    """Quantum independent pairs: an (n, 4) trial-major uniform draw, pair j on column j."""
-    u = uniforms32(rng, 4 * n).reshape(n, 4)
+    """Quantum independent pairs: one whole-run draw of 4n uniforms, pair j on column j of :func:`trials_by_rule`."""
+    u = trials_by_rule(uniforms32(rng, 4 * n), 4)
     p = [dense_singlet_products(a, b, u[:, j]) for j, (a, b) in enumerate(_pairs(config))]
     return _dense_estimate((p[0] + p[1] + p[2] - p[3]).astype(float))
 

@@ -35,6 +35,7 @@ from oracles import (
     raw_halves,
     same_lambda_is_plus,
     signs,
+    trials_by_rule,
     uniform_law,
     uniforms32,
 )
@@ -252,7 +253,7 @@ class TestCutRules:
         self._check_combined(angles)
 
 
-@pytest.mark.parametrize("shape", [None, (1000,), (1000, 4)])
+@pytest.mark.parametrize("shape", [None, (1000,), (2**15 + 5, 4)])
 def test_pi_times_random_is_uniform(shape):
     # The sign model derives its flips at lambda = pi (k 2^-32) on the 32-bit
     # halves k of the raw outputs, which is (pi 2^-32) k bit for bit: the
@@ -267,15 +268,21 @@ def test_pi_times_random_is_uniform(shape):
     assert drawn.shape == (k.size,) and drawn.dtype == np.uint32
     assert np.array_equal(np.asarray(uniform_law(drawn.reshape(shape), math.pi)).view(np.int64), want.view(np.int64))
     if len(shape) == 2:
-        # rule_estimate hands rule j column j of the trial-major draws,
-        # u = 2^-32 k[:, j], and values a trial by how many rules hold.
-        # Distinct cuts tell the columns apart.
+        # rule_estimate reads the draws in blocks of 2^15 trials, rule-major
+        # within a block: here one whole block, then a partial one of 5
+        # trials. Rule j reads row j of each block, u = 2^-32 k, and a trial
+        # is valued by how many rules hold. Distinct cuts tell the rows apart.
+        assert MC_CHUNK == 2**15
+        n, d = shape
+        flat = k.ravel()
+        by_rule = np.concatenate([flat[: d * 2**15].reshape(d, 2**15), flat[d * 2**15 :].reshape(d, 5)], axis=1)
+        assert np.array_equal(trials_by_rule(flat, d), by_rule.T)
         values = (0, 1, 2, 3, 4)
         cuts = [0.2, 0.45, 0.6, 0.85]
-        held = sum((2.0**-32 * k[:, j] < c).astype(int) for j, c in enumerate(cuts))
+        held = sum((2.0**-32 * by_rule[j] < c).astype(int) for j, c in enumerate(cuts))
         dense = estimate_from_counts(values, np.bincount(held, minlength=len(values)).tolist())
         rules = [(True, [c]) for c in cuts]
-        assert rule_estimate(shape[0], np.random.default_rng(7), rules, values) == dense
+        assert rule_estimate(n, np.random.default_rng(7), rules, values) == dense
 
 
 class TestDrawUniforms:
@@ -518,7 +525,7 @@ class TestCountEstimate:
             [(bool(rng.integers(2)), sorted(rng.choice(pool, rng.integers(0, 5)).tolist())) for _ in range(d)]
             for _ in range(3)
         ]
-        u = uniform_law(raw_halves(np.random.default_rng(n), d * n)).reshape(n, d)
+        u = uniform_law(trials_by_rule(raw_halves(np.random.default_rng(n), d * n), d))
         for rules in rule_sets:
             values = tuple((rng.permutation(9)[: d + 1] - 4).tolist())
             held = sum(cut_parity(r0, cuts, u[:, j]).astype(int) for j, (r0, cuts) in enumerate(rules))
