@@ -419,17 +419,17 @@ def _run_scan(args) -> int:
     return EXIT_OK
 
 
-def _add_angles(parser: argparse.ArgumentParser, names=FOUR_ANGLES, required: bool = True) -> None:
+def _add_angles(flag, names=FOUR_ANGLES, required: bool = True) -> None:
     for name in names:
-        parser.add_argument(f"--{name}", type=_angle, required=required)
-    parser.add_argument("--degrees", action="store_true", help="interpret angle flags as degrees")
+        flag(f"--{name}", type=_angle, required=required)
+    flag("--degrees", action="store_true", help="interpret angle flags as degrees")
 
 
-def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--resolution", type=_int_range(2, MAX_RESOLUTION), default=24)
-    parser.add_argument("--restarts", type=_int_range(0, MAX_RESTARTS), default=20)
-    parser.add_argument("--bound", type=_finite)
-    parser.add_argument("--seed", type=_int_range(0), default=0)
+def _add_scan_flags(flag) -> None:
+    flag("--resolution", type=_int_range(2, MAX_RESOLUTION), default=24)
+    flag("--restarts", type=_int_range(0, MAX_RESTARTS), default=20)
+    flag("--bound", type=_finite)
+    flag("--seed", type=_int_range(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,49 +437,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     trials, seed = _int_range(2), _int_range(0)
-    parser.commands = {}  # each command's parser under the argv words that name it, for _parse
+    # Each command's flag table under the argv words that name it, for _read_flags:
+    # (its actions by option string, the required dests, the namespace its
+    # parse starts from).
+    parser.commands = {}
 
-    def command(group, words: tuple, func, help: str, **defaults) -> argparse.ArgumentParser:
+    def command(group, words: tuple, func, help: str, **defaults):
         # Every command takes --format and --out, and reports usage errors
         # under its own usage line. Its defaults name the command as the
-        # subparser actions do, so its own parser fills the same namespace.
+        # subparser actions do, so they fill the whole namespace.
         p = group.add_parser(words[-1], help=help)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.set_defaults(func=func, parser=p, **dict(zip(("subcommand", "action"), words)), **defaults)
-        parser.commands[words] = p
-        return p
+        defaults.update(func=func, parser=p, **dict(zip(("subcommand", "action"), words)))
+        p.set_defaults(**defaults)
+        actions, required = {}, set()
+        parser.commands[words] = (actions, required, defaults)
 
-    p = command(sub, ("correlate",), cmd_correlate, "pair correlation and joint outcome law")
-    _add_angles(p, ("alpha", "beta"))
+        def flag(name: str, **kwargs) -> None:
+            action = actions[name] = p.add_argument(name, **kwargs)
+            defaults[action.dest] = p.get_default(action.dest)
+            if action.required:
+                required.add(action.dest)
 
-    p = command(sub, ("chsh",), cmd_chsh, "CHSH estimate in one of the three modes")
-    p.add_argument("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
-    p.add_argument("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
-    _add_angles(p)
-    p.add_argument("--trials", type=trials, default=100_000)
-    p.add_argument("--seed", type=seed, default=0)
+        flag("--format", choices=["csv", "json"], default="csv")
+        flag("--out", help="write output to this path instead of stdout")
+        return flag
+
+    flag = command(sub, ("correlate",), cmd_correlate, "pair correlation and joint outcome law")
+    _add_angles(flag, ("alpha", "beta"))
+
+    flag = command(sub, ("chsh",), cmd_chsh, "CHSH estimate in one of the three modes")
+    flag("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
+    flag("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
+    _add_angles(flag)
+    flag("--trials", type=trials, default=100_000)
+    flag("--seed", type=seed, default=0)
 
     p = sub.add_parser("constrained", help="conditioned four-variable table and expectations")
     actions = p.add_subparsers(dest="action", required=True)
-    p = command(actions, ("constrained", "eval"), cmd_constrained, "the 16-cell table at four angles or at --q")
-    _add_angles(p, required=False)
-    p.add_argument("--q", type=_quad, help="4 comma-separated correlations, instead of the angles")
-    p = command(actions, ("constrained", "scan"), _run_scan, "scan --objective constrained_e4",
-                objective="constrained_e4")
-    _add_scan_flags(p)
+    flag = command(actions, ("constrained", "eval"), cmd_constrained, "the 16-cell table at four angles or at --q")
+    _add_angles(flag, required=False)
+    flag("--q", type=_quad, help="4 comma-separated correlations, instead of the angles")
+    flag = command(actions, ("constrained", "scan"), _run_scan, "scan --objective constrained_e4",
+                   objective="constrained_e4")
+    _add_scan_flags(flag)
 
-    p = command(sub, ("spectrum",), cmd_spectrum, "eigenstructure of the CHSH observable")
-    _add_angles(p)
+    flag = command(sub, ("spectrum",), cmd_spectrum, "eigenstructure of the CHSH observable")
+    _add_angles(flag)
 
-    p = command(sub, ("simulate",), cmd_simulate, "Monte Carlo sampling vs analytic values")
-    _add_angles(p)
-    p.add_argument("--trials", type=trials, default=100_000)
-    p.add_argument("--seed", type=seed, default=0)
+    flag = command(sub, ("simulate",), cmd_simulate, "Monte Carlo sampling vs analytic values")
+    _add_angles(flag)
+    flag("--trials", type=trials, default=100_000)
+    flag("--seed", type=seed, default=0)
 
-    p = command(sub, ("scan",), _run_scan, "bound verification for a named objective")
-    p.add_argument("--objective", choices=sorted(OBJECTIVES), default="constrained_e4")
-    _add_scan_flags(p)
+    flag = command(sub, ("scan",), _run_scan, "bound verification for a named objective")
+    flag("--objective", choices=sorted(OBJECTIVES), default="constrained_e4")
+    _add_scan_flags(flag)
 
     return parser
 
@@ -492,26 +504,59 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse(argv) -> argparse.Namespace:
-    """_parser().parse_args(argv), with a command's flags parsed by its own parser alone.
+def _read_flags(table, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace parse_args gives a command's flag tokens, or None to leave them to argparse.
 
-    The parsers above a command only match each argument against their own
-    options. That changes the outcome only for an argument opening with
-    "--=", which the top-level parser reports as ambiguous (--help or
-    --version), so argv holding one, and argv that does not open with a
-    command's words, take parse_args. Leftovers are reported as parse_args
-    reports them, under the top-level usage line.
+    Reads only exact option strings of the command's table: a flag that
+    takes a value as "--name value" or "--name=value", where a separate value
+    does not open with "-", and a bare --degrees. Each value must pass the
+    flag's type and choices, a repeated flag keeps its last value, and every
+    required flag must be given. Anything else (an abbreviation, -h, --, a
+    rejected value, a missing flag, a stray token) gives None, and argparse
+    reports it.
+    """
+    actions, required, defaults = table
+    values, seen, i = dict(defaults), set(), 0
+    while i < len(tokens):
+        name, eq, text = tokens[i].partition("=")
+        action = actions.get(name)
+        i += 1
+        if action is None or (eq and action.nargs == 0):
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            if not eq:
+                # argparse reads a separate "-..." as an option unless it is
+                # a plain negative number; either way it decides.
+                if i == len(tokens) or tokens[i].startswith("-"):
+                    return None
+                text, i = tokens[i], i + 1
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+def _parse(argv) -> argparse.Namespace:
+    """_parser().parse_args(argv), with well-formed command flags read from the command's flag table.
+
+    An argv that opens with a command's words and whose remaining tokens
+    _read_flags accepts gives the namespace parse_args would give. Every
+    other argv, and so every usage error and help text, goes through
+    parse_args itself.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     words = tuple(argv[:2]) if tuple(argv[:2]) in parser.commands else tuple(argv[:1])
-    command = parser.commands.get(words)
-    if command is None or any(arg.startswith("--=") for arg in argv):
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[len(words):])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    table = parser.commands.get(words)
+    args = None if table is None else _read_flags(table, argv[len(words):])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

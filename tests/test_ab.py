@@ -1,20 +1,27 @@
 """tools/ab.py's summary arithmetic on canned perfbench metrics: ratios,
 wins, quartiles and the gain rule. No benchmark runs here."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 import ab  # noqa: E402  (tools/ is not a package; ab imports its sibling replay)
 
 
 def _pair(base_ops, head_ops, base_p50=8.0, head_p50=8.0):
-    # p90 and peak RSS equal on both sides: every pair ties on them.
-    common = {"op_p90_ms": 10.0, "peak_rss_mb": 38.0}
+    # p90, peak RSS and set-up time equal on both sides: every pair ties on them.
+    common = {"op_p90_ms": 10.0, "peak_rss_mb": 38.0, "setup_s": 0.1}
     return {"base": {"ops_per_s": base_ops, "op_p50_ms": base_p50, **common},
             "head": {"ops_per_s": head_ops, "op_p50_ms": head_p50, **common}}
+
+
+def test_metrics_are_the_end_to_end_metrics_the_benchmark_gates():
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert ab.METRICS == {m["name"]: m["better"] for m in gated}
 
 
 def test_quartiles_interpolate_between_order_statistics():
@@ -38,8 +45,8 @@ def test_ratios_wins_and_quartiles():
     p50 = s["op_p50_ms"]
     assert (p50["wins"], p50["better"]) == (2, "lower")
     assert p50["ratios"] == pytest.approx([7 / 8, 1.0, 9 / 8, 8 / 9], rel=1e-15)
-    assert s["op_p90_ms"]["wins"] == s["peak_rss_mb"]["wins"] == 0
-    assert s["peak_rss_mb"]["median_ratio"] == 1.0
+    assert s["op_p90_ms"]["wins"] == s["peak_rss_mb"]["wins"] == s["setup_s"]["wins"] == 0
+    assert s["peak_rss_mb"]["median_ratio"] == s["setup_s"]["median_ratio"] == 1.0
     assert not any(m["gain"] for m in s.values())
 
 

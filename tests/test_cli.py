@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -735,7 +737,10 @@ def fuzz_argv(draw):
     """(argv, bad): a subcommand with valid flags, then up to two flags broken.
 
     ``bad`` is true when a flag ends with an invalid value or the subcommand
-    does not take it, which must be a usage error.
+    does not take it, which must be a usage error. Each flag is written as
+    ``--flag=value`` or as ``--flag value``; a value opening with "-" is
+    always attached, since argparse reads a separate one such as ``-1e6`` as
+    an option.
     """
     head, flags = draw(st.sampled_from(SUBCOMMAND_FLAGS))
     flags = flags + [("--format", "optional")]
@@ -754,7 +759,10 @@ def fuzz_argv(draw):
             bad.discard(flag)
         else:
             bad.add(flag)
-    argv = list(head) + [f"{flag}={value}" for flag, value in values.items() if value is not None]
+    argv = list(head)
+    for flag, value in values.items():
+        if value is not None:
+            argv += [f"{flag}={value}"] if value.startswith("-") or draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         argv.append("--degrees")
         if not any(flag.startswith("--alpha") and kind != "foreign" for flag, kind in flags):
@@ -789,7 +797,8 @@ class TestCliFuzz:
         if code in (2, 4):
             assert out == ""
         else:
-            fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "csv")
+            joined = " ".join(argv)
+            fmt = "json" if "--format=json" in joined or "--format json" in joined else "csv"
             name = "scan" if "scan" in argv else argv[0]
             columns = list(getattr(cli, f"{name.upper()}_COLUMNS"))
             if fmt == "json":
@@ -805,18 +814,24 @@ class TestCliFuzz:
         assert _run_isolated(argv) == (code, out, err)
 
 
+def _typed(args):
+    """vars() of a namespace with each value's type, so that True and 1 differ."""
+    return {name: (type(value), value) for name, value in vars(args).items()}
+
+
 def _parse_outcome(parse, argv):
-    """vars() of the namespace, or the SystemExit code with stdout and stderr."""
+    """_typed() of the namespace, or the SystemExit code with stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return vars(parse(list(argv)))
+            return _typed(parse(list(argv)))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
 
 class TestParseRoutes:
-    """cli._parse sends a command's flags to its own parser; parse_args must agree."""
+    """cli._parse reads well-formed command flags from the command's flag table and
+    leaves every other argv to parse_args; both routes must give the same outcome."""
 
     CORRELATE = ["correlate", "--alpha", "0.3", "--beta", "0.1"]
     Q = ["constrained", "eval", "--q=0,0,0,0"]
@@ -852,6 +867,16 @@ class TestParseRoutes:
         ["constrained", "scan", "--res", "4", "--rest=0", "--form=json"],
         ["scan", "--objective=eight_variable_sum", "--form", "xml"],
         ["spectrum", *MAXV, "--out"],
+        # argvs the flag table declines, or reads where argparse must agree
+        CORRELATE + ["--alpha", "0.5"],
+        CORRELATE + ["--alpha=x", "--alpha", "0.5"],
+        CORRELATE + ["--degrees=1"],
+        CORRELATE + ["--out", ""],
+        CORRELATE + ["--out="],
+        ["correlate", "--alpha", "-0.5", "--beta", "0.1"],
+        ["correlate", "--alpha", "-1e-3", "--beta", "0.1"],
+        ["correlate", "--alpha", "0.3", "x", "--beta", "0.1"],
+        ["constrained", "eval", "--q=-0.5,0,0,0"],
     ]
 
     @staticmethod
@@ -874,14 +899,33 @@ class TestParseRoutes:
         monkeypatch.setattr(sys, "argv", ["chshlab", *self.Q, "--format", "json"])
         assert _parse_outcome(lambda _: cli._parse(None), []) == _parse_outcome(cli._parser().parse_args, sys.argv[1:])
 
-    def test_each_command_is_parsed_by_its_own_parser(self):
+    # One argv per command that names every flag of its usage line, both
+    # flag forms mixed; a flag the table cannot read fails here.
+    FAST = [
+        "correlate --alpha 0.3 --beta=0.1 --degrees --format json --out=a.csv",
+        "chsh --mode=independent --model sign MAXV --trials 5 --seed=3 --degrees --format=json --out a.csv",
+        "constrained eval --alpha1=0.2 --alpha2 0.9 --beta1 0.4 --beta2=1.3 --degrees --q 0,0,0,0 --format csv"
+        " --out a.csv",
+        "constrained scan --resolution 4 --restarts=0 --bound 1.5 --seed=2 --format json --out=a.csv",
+        "spectrum MAXV --degrees --format=csv --out a.csv",
+        "simulate --alpha1=0.9 --alpha2 0.1 --beta1 0.4 --beta2 1.3 --trials=5 --seed 7 --degrees --format json"
+        " --out=a.csv",
+        "scan --objective=eight_variable_sum --resolution 3 --restarts 1 --bound=2 --seed 4 --format json"
+        " --out a.csv",
+    ]
+
+    @pytest.mark.parametrize("text", FAST)
+    def test_each_command_reads_its_flags_without_argparse(self, monkeypatch, text):
+        argv = argv_of(text)
         parser = cli.build_parser()
-        assert sorted(parser.commands) == [
-            ("chsh",), ("constrained", "eval"), ("constrained", "scan"),
-            ("correlate",), ("scan",), ("simulate",), ("spectrum",),
-        ]
-        for words, command in parser.commands.items():
-            assert command.prog == " ".join(("chshlab", *words))
+        expected = _typed(parser.parse_args(argv))
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(argparse.ArgumentParser, name, fails_with(AssertionError(f"{name} ran")))
+        with mock.patch.object(cli, "_parser", lambda: parser):
+            args = cli._parse(argv)
+        assert _typed(args) == expected
+        given = {arg.partition("=")[0] for arg in argv if arg.startswith("--")}
+        assert given == set(re.findall(r"--[a-z0-9]+", args.parser.format_usage()))
 
 
 # Strings that look like the structure of the indented JSON layout.
