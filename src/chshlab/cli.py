@@ -21,9 +21,9 @@ output byte for byte. CSV output carries the same envelope in '#' comment
 lines above the header row; numeric CSV fields use 17 significant digits.
 
 Exit codes: 0 success (including status rows such as degenerate
-conditioning), 2 usage error (including an unwritable --out path, which
-is created or truncated before the run, as a shell's > would), 3
-internal deterministic-bound violation, 4 numerical failure (any library
+conditioning), 2 usage error (which never touches --out; an --out path
+that cannot be created or truncated, as a shell's > would before the run,
+is one too), 3 status bound-violation, 4 numerical failure (any library
 error once the flags are validated, including a NaN or infinite output
 value, which is never written). Run as a program, a closed stdout pipe
 ends the process by SIGPIPE with nothing on stderr.
@@ -127,51 +127,43 @@ def _json(config: dict, rows: list[dict], status: str) -> str:
     the row braces are rebuilt at each _ROW_BREAK, which cannot occur inside
     a string (strings escape newlines).
     """
-    try:
-        text = "[]"
-        if rows:
-            flat = json.dumps(rows, separators=(_ROW_ITEM, ": "), allow_nan=False)
-            text = "[\n    {\n      " + flat[2:-2].replace(_ROW_BREAK, "\n    },\n    {\n      ") + "\n    }\n  ]"
-        head = json.dumps(config, indent=2, allow_nan=False).replace("\n", "\n  ")
-        return f'{{\n  "config": {head},\n  "rows": {text},\n  "status": {json.dumps(status)}\n}}\n'
-    except ValueError:
-        # A non-finite value: the indent encoder raises it with its own
-        # message ("...not JSON compliant: nan").
-        doc = {"config": config, "rows": rows, "status": status}
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = "[]"
+    if rows:
+        flat = json.dumps(rows, separators=(_ROW_ITEM, ": "), allow_nan=False)
+        text = "[\n    {\n      " + flat[2:-2].replace(_ROW_BREAK, "\n    },\n    {\n      ") + "\n    }\n  ]"
+    head = json.dumps(config, indent=2, allow_nan=False).replace("\n", "\n  ")
+    return f'{{\n  "config": {head},\n  "rows": {text},\n  "status": {json.dumps(status)}\n}}\n'
 
 
 def _render(config: dict, columns: tuple, rows: list[dict], status: str, fmt: str) -> str:
-    if fmt == "json":
-        blank = dict.fromkeys(columns)
-        return _json(config, [{**blank, **row} for row in rows], status)
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, allow_nan=False) + "\n")
-    buf.write("# status: " + status + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    # Absent columns stay empty; csv writes str(v), and "" for None, so only floats and bools are formatted.
-    blank = dict.fromkeys(columns, "")
-    for row in rows:
-        cells, text = {**blank, **row}, ""
-        for k, v in row.items():
-            if isinstance(v, float):
-                cells[k] = f"{v:.17g}"
-                text += cells[k]
-            elif isinstance(v, bool):
-                cells[k] = "true" if v else "false"
-        if "n" in text:  # finite .17g text holds no "n"; inf and NaN do
-            bad = next(v for v in row.values() if isinstance(v, float) and not math.isfinite(v))
-            raise ValueError(f"non-finite value {bad!r}")
-        writer.writerow(cells.values())
-    return buf.getvalue()
-
-
-def _emit(args, subcommand: str, echo: dict, columns: tuple, rows: list[dict], status: str) -> None:
-    """Write the rows under the run configuration: version, subcommand, echo, format, out."""
-    config = {"version": __version__, "subcommand": subcommand,
-              **echo, "format": args.format, "out": args.out}
-    args.stream.write(_render(config, columns, rows, status, args.format))
+    try:
+        if fmt == "json":
+            blank = dict.fromkeys(columns)
+            return _json(config, [{**blank, **row} for row in rows], status)
+        buf = io.StringIO()
+        buf.write("# config: " + json.dumps(config, allow_nan=False) + "\n")
+        buf.write("# status: " + status + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        # Absent columns stay empty; csv writes str(v), and "" for None, so only floats and bools are formatted.
+        blank = dict.fromkeys(columns, "")
+        for row in rows:
+            cells, text = {**blank, **row}, ""
+            for k, v in row.items():
+                if isinstance(v, float):
+                    cells[k] = f"{v:.17g}"
+                    text += cells[k]
+                elif isinstance(v, bool):
+                    cells[k] = "true" if v else "false"
+            if "n" in text:  # finite .17g text holds no "n"; inf and NaN do
+                raise ValueError(text)
+            writer.writerow(cells.values())
+        return buf.getvalue()
+    except ValueError:  # only a NaN or infinite float fails to encode; name the first
+        # A row holds scalars; a config value may also be a list of them (--q).
+        values = [x for doc in (config, *rows) for v in doc.values() for x in (v if isinstance(v, list) else [v])]
+        bad = next(v for v in values if isinstance(v, float) and not math.isfinite(v))
+        raise ValueError(f"non-finite value {bad!r}") from None
 
 
 def _finite(text: str) -> float:
@@ -225,7 +217,7 @@ def _full_angles(args) -> AngleConfig:
     return AngleConfig(*_angles([getattr(args, k) for k in FOUR_ANGLES], args.degrees))
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> tuple:
     alpha, beta = _angles((args.alpha, args.beta), args.degrees)
     dist = joint_distribution(alpha, beta)
     row = {
@@ -238,36 +230,35 @@ def cmd_correlate(args) -> int:
         "p_mp": dist.probability(-1, 1),
         "p_mm": dist.probability(-1, -1),
     }
-    _emit(args, "correlate", {"alpha": alpha, "beta": beta}, CORRELATE_COLUMNS, [row], "ok")
-    return EXIT_OK
+    return "correlate", {"alpha": alpha, "beta": beta}, CORRELATE_COLUMNS, [row], "ok"
 
 
-def cmd_chsh(args) -> int:
+def _check_chsh(args, error) -> None:
+    if args.mode in ("same-lambda", "independent") and args.model is None:
+        error(f"--model is required for mode {args.mode}")
+    if args.mode == "quantum" and args.model is not None:
+        error("--model is not accepted in quantum mode")
+    if args.mode == "same-lambda" and args.model == "quantum-mimic":
+        error("same-lambda mode requires a local-hidden-variable model, not quantum-mimic")
+
+
+def cmd_chsh(args) -> tuple:
     config = _full_angles(args)
-    mode = args.mode
-    model_name = args.model
-    if mode in ("same-lambda", "independent") and model_name is None:
-        args.parser.error(f"--model is required for mode {mode}")
-    if mode == "quantum" and model_name is not None:
-        args.parser.error("--model is not accepted in quantum mode")
-    if mode == "same-lambda" and model_name == "quantum-mimic":
-        args.parser.error("same-lambda mode requires a local-hidden-variable model, not quantum-mimic")
-
-    rng = component_stream(args.seed, f"chsh/{mode}")
-    if model_name == "sign":
-        estimator = chsh_same_lambda if mode == "same-lambda" else chsh_independent
+    rng = component_stream(args.seed, f"chsh/{args.mode}")
+    if args.model == "sign":
+        estimator = chsh_same_lambda if args.mode == "same-lambda" else chsh_independent
         est = estimator(config, args.trials, rng)
     else:  # quantum mode, or independent pairs drawn from the singlet law
         est = quantum_chsh_independent(config, args.trials, rng)
-    lo, hi, deterministic = CHSH_BOUNDS[mode]
+    lo, hi, deterministic = CHSH_BOUNDS[args.mode]
 
     # Statistical allowance for the quantum bound: it constrains the
     # expectation, not the finite-sample mean.
     slack = 0.0 if deterministic else 4.0 * est.stderr
     within = lo - slack <= est.mean <= hi + slack
     row = {
-        "mode": mode,
-        "model": model_name,
+        "mode": args.mode,
+        "model": args.model,
         "estimate": est.mean,
         "stderr": est.stderr,
         "trials": est.n_samples,
@@ -275,9 +266,8 @@ def cmd_chsh(args) -> int:
         "bound_hi": hi,
         "within_bound": within,
     }
-    echo = {"mode": mode, "model": model_name, **vars(config), "trials": args.trials, "seed": args.seed}
-    _emit(args, "chsh", echo, CHSH_COLUMNS, [row], "ok" if within else "bound-violation")
-    return EXIT_OK if within else EXIT_BOUND_VIOLATION
+    echo = {"mode": args.mode, "model": args.model, **vars(config), "trials": args.trials, "seed": args.seed}
+    return "chsh", echo, CHSH_COLUMNS, [row], "ok" if within else "bound-violation"
 
 
 def _constrained_rows(quad: CorrelationQuad) -> tuple[list[dict], str]:
@@ -299,25 +289,28 @@ def _constrained_rows(quad: CorrelationQuad) -> tuple[list[dict], str]:
     return rows + [summary], "ok"
 
 
-def cmd_constrained(args) -> int:
+def _check_constrained(args, error) -> None:
     given = [f"--{k}" for k in FOUR_ANGLES if getattr(args, k) is not None]
     if args.q is not None:
         extra = given + (["--degrees"] if args.degrees else [])
         if extra:
-            args.parser.error(f"argument --q: not allowed with {', '.join(extra)}")
-        quad, echo = args.q, {"q": list(args.q.astuple())}
+            error(f"argument --q: not allowed with {', '.join(extra)}")
     elif len(given) < 4:
         missing = [f"--{k}" for k in FOUR_ANGLES if getattr(args, k) is None]
-        args.parser.error(f"the following arguments are required without --q: {', '.join(missing)}")
+        error(f"the following arguments are required without --q: {', '.join(missing)}")
+
+
+def cmd_constrained(args) -> tuple:
+    if args.q is not None:
+        quad, echo = args.q, {"q": list(args.q.astuple())}
     else:
         config = _full_angles(args)
         quad, echo = correlation_quad(config), vars(config)
     rows, status = _constrained_rows(quad)
-    _emit(args, "constrained", {"action": "eval", **echo}, CONSTRAINED_COLUMNS, rows, status)
-    return EXIT_OK
+    return "constrained", {"action": "eval", **echo}, CONSTRAINED_COLUMNS, rows, status
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple:
     config = _full_angles(args)
     op = build_t(config)
     summary = t_spectrum(op)
@@ -345,8 +338,7 @@ def cmd_spectrum(args) -> int:
     except DegenerateSpectrumError:
         status = "t0-zero"
     rows.append(summary_row)
-    _emit(args, "spectrum", vars(config), SPECTRUM_COLUMNS, rows, status)
-    return EXIT_OK
+    return "spectrum", vars(config), SPECTRUM_COLUMNS, rows, status
 
 
 def _simulate_row(est, analytic: float, **fields) -> dict:
@@ -361,7 +353,7 @@ def _simulate_row(est, analytic: float, **fields) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     config = _full_angles(args)
     n = args.trials
     rows = []
@@ -382,11 +374,10 @@ def cmd_simulate(args) -> int:
         status = "t0-zero"
 
     echo = {**vars(config), "trials": n, "seed": args.seed}
-    _emit(args, "simulate", echo, SIMULATE_COLUMNS, rows, status)
-    return EXIT_OK
+    return "simulate", echo, SIMULATE_COLUMNS, rows, status
 
 
-def _run_scan(args) -> int:
+def _run_scan(args) -> tuple:
     name = args.objective
     report = verify_bound(
         name,
@@ -415,8 +406,7 @@ def _run_scan(args) -> int:
     status = "ok" if report.n_violations == 0 else "violations"
     echo = {"objective": name, "bound": report.bound, "resolution": args.resolution,
             "restarts": args.restarts, "seed": args.seed}
-    _emit(args, "scan", echo, SCAN_COLUMNS, [summary, *violations], status)
-    return EXIT_OK
+    return "scan", echo, SCAN_COLUMNS, [summary, *violations], status
 
 
 def _add_angles(flag, names=FOUR_ANGLES, required: bool = True) -> None:
@@ -437,20 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chshlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     trials, seed = _int_range(2), _int_range(0)
-    # Each command's flag table under the argv words that name it, for _read_flags:
-    # (its actions by option string, the required dests, the namespace its
-    # parse starts from).
-    parser.commands = {}
+    # Under the argv words that name each command: its flag table for _read_flags
+    # (its actions by option string, the required dests, the namespace its parse
+    # starts from), and its cross-flag check, reporting under its usage line.
+    parser.commands, parser.checks = {}, {}
 
-    def command(group, words: tuple, func, help: str, **defaults):
+    def command(group, words: tuple, func, help: str, check=lambda args, error: None, **defaults):
         # Every command takes --format and --out, and reports usage errors
         # under its own usage line. Its defaults name the command as the
         # subparser actions do, so they fill the whole namespace.
         p = group.add_parser(words[-1], help=help)
-        defaults.update(func=func, parser=p, **dict(zip(("subcommand", "action"), words)))
+        defaults.update(func=func, **dict(zip(("subcommand", "action"), words)))
         p.set_defaults(**defaults)
         actions, required = {}, set()
         parser.commands[words] = (actions, required, defaults)
+        parser.checks[words] = lambda args: check(args, p.error)
 
         def flag(name: str, **kwargs) -> None:
             action = actions[name] = p.add_argument(name, **kwargs)
@@ -465,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag = command(sub, ("correlate",), cmd_correlate, "pair correlation and joint outcome law")
     _add_angles(flag, ("alpha", "beta"))
 
-    flag = command(sub, ("chsh",), cmd_chsh, "CHSH estimate in one of the three modes")
+    flag = command(sub, ("chsh",), cmd_chsh, "CHSH estimate in one of the three modes", _check_chsh)
     flag("--mode", choices=["same-lambda", "independent", "quantum"], required=True)
     flag("--model", choices=["sign", "quantum-mimic"], help="LHV model name")
     _add_angles(flag)
@@ -474,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constrained", help="conditioned four-variable table and expectations")
     actions = p.add_subparsers(dest="action", required=True)
-    flag = command(actions, ("constrained", "eval"), cmd_constrained, "the 16-cell table at four angles or at --q")
+    flag = command(actions, ("constrained", "eval"), cmd_constrained, "the 16-cell table at four angles or at --q",
+                   _check_constrained)
     _add_angles(flag, required=False)
     flag("--q", type=_quad, help="4 comma-separated correlations, instead of the angles")
     flag = command(actions, ("constrained", "scan"), _run_scan, "scan --objective constrained_e4",
@@ -504,16 +496,46 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _value(action: argparse.Action, text: str):
+    """text through the flag's type and choices, or None where argparse rejects it."""
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return value if action.choices is None or value in action.choices else None
+
+
+def _join_values(actions: dict, tokens: list[str]) -> list[str]:
+    """tokens with each exact typed flag joined to a following "-..." value it accepts, as "--flag=value".
+
+    argparse reads a separate "-..." token as an option unless it is a
+    plain negative number, so "--alpha -1e-3" would leave --alpha without a
+    value; joined, it reads as "--alpha=-1e-3". A token the flag's type or
+    choices reject (-inf, -x) stays apart and argparse reports it, and so
+    does the value of an untyped flag (--out -x). Tokens after "--" are
+    positional and stay as they are.
+    """
+    joined, i = [], 0
+    while i < len(tokens) and tokens[i] != "--":
+        action = actions.get(tokens[i])
+        token, i = tokens[i], i + 1
+        if (action is not None and action.type is not None and i < len(tokens)
+                and tokens[i].startswith("-") and _value(action, tokens[i]) is not None):
+            token, i = f"{token}={tokens[i]}", i + 1
+        joined.append(token)
+    return joined + tokens[i:]
+
+
 def _read_flags(table, tokens: list[str]) -> argparse.Namespace | None:
     """The namespace parse_args gives a command's flag tokens, or None to leave them to argparse.
 
     Reads only exact option strings of the command's table: a flag that
     takes a value as "--name value" or "--name=value", where a separate value
-    does not open with "-", and a bare --degrees. Each value must pass the
-    flag's type and choices, a repeated flag keeps its last value, and every
-    required flag must be given. Anything else (an abbreviation, -h, --, a
-    rejected value, a missing flag, a stray token) gives None, and argparse
-    reports it.
+    opens with "-" only for a typed flag (the tokens _join_values joins), and
+    a bare --degrees. Each value must pass the flag's type and choices, a
+    repeated flag keeps its last value, and every required flag must be
+    given. Anything else (an abbreviation, -h, --, a rejected value, a
+    missing flag, a stray token) gives None, and argparse reports it.
     """
     actions, required, defaults = table
     values, seen, i = dict(defaults), set(), 0
@@ -528,15 +550,12 @@ def _read_flags(table, tokens: list[str]) -> argparse.Namespace | None:
         else:
             if not eq:
                 # argparse reads a separate "-..." as an option unless it is
-                # a plain negative number; either way it decides.
-                if i == len(tokens) or tokens[i].startswith("-"):
+                # a plain negative number; it decides for an untyped flag.
+                if i == len(tokens) or (action.type is None and tokens[i].startswith("-")):
                     return None
                 text, i = tokens[i], i + 1
-            try:
-                value = text if action.type is None else action.type(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-            if action.choices is not None and value not in action.choices:
+            value = _value(action, text)
+            if value is None:
                 return None
         values[action.dest] = value
         seen.add(action.dest)
@@ -544,19 +563,25 @@ def _read_flags(table, tokens: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """_parser().parse_args(argv), with well-formed command flags read from the command's flag table.
+    """The namespace of argv; every usage error exits 2 here, before --out is touched.
 
-    An argv that opens with a command's words and whose remaining tokens
-    _read_flags accepts gives the namespace parse_args would give. Every
-    other argv, and so every usage error and help text, goes through
-    parse_args itself.
+    The flags are read from the command's flag table when _read_flags
+    accepts them, else by parse_args on the argv as _join_values joins it,
+    which writes every other usage error and help text. Last, the command's
+    cross-flag check runs.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     words = tuple(argv[:2]) if tuple(argv[:2]) in parser.commands else tuple(argv[:1])
     table = parser.commands.get(words)
     args = None if table is None else _read_flags(table, argv[len(words):])
-    return parser.parse_args(argv) if args is None else args
+    if args is None:
+        if table is not None:
+            argv = [*words, *_join_values(table[0], argv[len(words):])]
+        args = parser.parse_args(argv)
+        words = (args.subcommand, args.action) if "action" in args else (args.subcommand,)
+    parser.checks[words](args)
+    return args
 
 
 def main(argv=None) -> int:
@@ -569,8 +594,11 @@ def main(argv=None) -> int:
             out = stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
         except ValueError as exc:  # a NUL byte in the path
             raise OSError(exc) from exc
-        with out as args.stream:
-            return args.func(args)
+        with out as stream:
+            subcommand, echo, columns, rows, status = args.func(args)
+            config = {"version": __version__, "subcommand": subcommand, **echo, "format": args.format, "out": args.out}
+            stream.write(_render(config, columns, rows, status, args.format))
+        return EXIT_BOUND_VIOLATION if status == "bound-violation" else EXIT_OK
     except (AsymmetricSpectrumError, EigenConvergenceError, ValueError) as exc:
         # Flags are validated before any computation, so a ValueError here is
         # a library failure: degenerate conditioning or spectrum, a

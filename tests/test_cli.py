@@ -525,11 +525,14 @@ USAGE_ERRORS = [
       for words, head in [("chsh", "chsh --mode quantum MAXV --trials 2"), ("simulate", "simulate MAXV --trials 2"),
                           ("scan", "scan --resolution 2 --restarts 0"),
                           ("constrained scan", "constrained scan --resolution 2 --restarts 0")]],
-    # angles: finite, at most 1e6 in their own unit. argparse reads "-inf"
-    # after a flag as another option, so that flag gets no value.
+    # angles: finite, at most 1e6 in their own unit. A "-..." token the flag
+    # rejects ("-inf", "-x") is not joined to it, and argparse reads it as
+    # another option, so that flag gets no value; so does an untyped flag.
     *[(words, argv.format(bad), f"argument {flag}: expected a finite real, got '{bad}'")
       for words, argv, flag in NON_FINITE for bad in ("nan", "inf")],
     *[(words, argv.format("-inf"), f"argument {flag}: expected one argument") for words, argv, flag in NON_FINITE],
+    ("correlate", "correlate --alpha -x --beta 0", "argument --alpha: expected one argument"),
+    ("correlate", "correlate --alpha 0 --beta 0 --out -x", "argument --out: expected one argument"),
     ("correlate", "correlate --alpha x --beta 0", "argument --alpha: expected a finite real, got 'x'"),
     ("spectrum", "spectrum --alpha1= --alpha2 0 --beta1 0 --beta2 0",
      "argument --alpha1: expected a finite real, got ''"),
@@ -557,6 +560,18 @@ USAGE_ERRORS = [
     ("", "correlate --alpha 0 --beta 0 --bogus", "unrecognized arguments: --bogus"),
     ("constrained", "constrained --format json eval MAXV", "argument action: invalid choice: 'json'"),
 ]
+# One usage error per cross-flag check, then a single-flag one: (usage words,
+# argv, error line). None of them creates or truncates --out.
+CROSS_FLAG_ERRORS = [
+    ("chsh", "chsh --mode independent MAXV", "--model is required for mode independent"),
+    ("chsh", "chsh --mode quantum --model quantum-mimic MAXV", "--model is not accepted in quantum mode"),
+    ("chsh", "chsh --mode same-lambda --model quantum-mimic MAXV",
+     "same-lambda mode requires a local-hidden-variable model, not quantum-mimic"),
+    ("constrained eval", "constrained eval --q=0,0,0,0 --alpha1 0", "argument --q: not allowed with --alpha1"),
+    ("constrained eval", "constrained eval --alpha1 0 --alpha2 0 --beta2 0",
+     "the following arguments are required without --q: --beta1"),
+    ("chsh", "chsh --mode quantum MAXV --trials 1", "argument --trials: must lie in [2, inf]"),
+]
 # What each command computes once its flags are settled; a usage error comes before all of it.
 WORK = ("joint_distribution", "chsh_same_lambda", "chsh_independent", "quantum_chsh_independent",
         "_constrained_rows", "build_t", "product_estimate", "t_estimate", "verify_bound")
@@ -570,7 +585,8 @@ def fails_with(exc):
 
 
 # Numerical failures, (argv, the cli name replaced, its stand-in, the message
-# after "chshlab: numerical failure: "). A NaN or infinite output is never written.
+# after "chshlab: numerical failure: "). A NaN or infinite output is never
+# written, and both formats name it the same way.
 NUMERICAL_FAILURES = [
     pytest.param("chsh --mode same-lambda --model sign MAXV --trials 100", "chsh_same_lambda",
                  fails_with(ValueError("per-trial values outside (-2, 2)")), "per-trial values outside (-2, 2)",
@@ -580,10 +596,8 @@ NUMERICAL_FAILURES = [
     pytest.param("spectrum MAXV", "t_spectrum", fails_with(AsymmetricSpectrumError("forced")), "forced",
                  id="asymmetric-spectrum"),
     *[pytest.param(f"correlate --alpha 0.1 --beta 0.2 --format {fmt}", "singlet_correlation",
-                   lambda *a, bad=bad: bad, message.format(bad), id=f"{fmt}-{bad!r}")
-      for fmt, message in [("json", "Out of range float values are not JSON compliant: {!r}"),
-                           ("csv", "non-finite value {!r}")]
-      for bad in (math.nan, math.inf, -math.inf)],
+                   lambda *a, bad=bad: bad, f"non-finite value {bad!r}", id=f"{fmt}-{bad!r}")
+      for fmt in ("json", "csv") for bad in (math.nan, math.inf, -math.inf)],
 ]
 
 
@@ -603,6 +617,22 @@ class TestInputBoundary:
         assert captured.err.startswith(f"usage: {prog} [-h] ")
         last = captured.err.splitlines()[-1]
         assert last.startswith(f"{prog}: error: ") and fragment in last
+
+    @pytest.mark.parametrize("words, argv, line", CROSS_FLAG_ERRORS, ids=[argv for _, argv, _ in CROSS_FLAG_ERRORS])
+    def test_usage_error_leaves_out_alone(self, capsys, tmp_path, words, argv, line):
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"kept\r\n")
+        outcomes = []
+        for extra in ([], ["--out", str(out)]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv_of(argv) + extra)
+            outcomes.append((err.value.code, *capsys.readouterr()))
+        assert outcomes[1] == outcomes[0]
+        code, stdout, stderr = outcomes[0]
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"usage: chshlab {words} [-h] ")
+        assert stderr.splitlines()[-1] == f"chshlab {words}: error: {line}"
+        assert out.read_bytes() == b"kept\r\n"
 
     @pytest.mark.parametrize("argv, name, stand_in, message", NUMERICAL_FAILURES)
     def test_numerical_failure_exits_4(self, capsys, monkeypatch, argv, name, stand_in, message):
@@ -739,8 +769,8 @@ def fuzz_argv(draw):
     ``bad`` is true when a flag ends with an invalid value or the subcommand
     does not take it, which must be a usage error. Each flag is written as
     ``--flag=value`` or as ``--flag value``; a value opening with "-" is
-    always attached, since argparse reads a separate one such as ``-1e6`` as
-    an option.
+    always attached (TestParseRoutes covers it in its own token), so the
+    draws that tools/replay.py replays hold no such token.
     """
     head, flags = draw(st.sampled_from(SUBCOMMAND_FLAGS))
     flags = flags + [("--format", "optional")]
@@ -829,9 +859,24 @@ def _parse_outcome(parse, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
+def _words(argv):
+    """The words that name an argv's command."""
+    return tuple(argv[:2]) if argv[0] == "constrained" else tuple(argv[:1])
+
+
+def _argparse_route(table, tokens):
+    """A _read_flags that reads nothing, so _parse takes the parse_args route."""
+    return None
+
+
 class TestParseRoutes:
     """cli._parse reads well-formed command flags from the command's flag table and
-    leaves every other argv to parse_args; both routes must give the same outcome."""
+    leaves every other argv to parse_args; both routes must give the same outcome.
+
+    Either route reads the argv after _join_values has joined each "-..."
+    value a flag accepts, and ends with the command's cross-flag check, so the
+    reference is _parse with the flag table turned off.
+    """
 
     CORRELATE = ["correlate", "--alpha", "0.3", "--beta", "0.1"]
     Q = ["constrained", "eval", "--q=0,0,0,0"]
@@ -877,6 +922,17 @@ class TestParseRoutes:
         ["correlate", "--alpha", "-1e-3", "--beta", "0.1"],
         ["correlate", "--alpha", "0.3", "x", "--beta", "0.1"],
         ["constrained", "eval", "--q=-0.5,0,0,0"],
+        # the cross-flag checks, on both routes
+        ["chsh", "--mode", "same-lambda", *MAXV],
+        ["chsh", "--mode", "quantum", "--model", "sign", *MAXV],
+        ["constrained", "eval", "--q", "0,0,0,0", "--degrees"],
+        ["constrained", "eval", "--alpha1", "-1e-3"],
+        # "-..." values: joined when the flag accepts them, else left to argparse
+        ["correlate", "--alpha", "-1e-3", "--beta", "-1e6", "--degrees"],
+        ["constrained", "eval", "--q", "-0.5,0,0,0", "--q", "-1,2"],
+        ["scan", "--resolution", "2", "--restarts", "0", "--bound", "-1e-3", "--seed", "-5"],
+        ["correlate", "--out", "--alpha", "-1e-3", "--beta", "0"],
+        CORRELATE + ["--", "--alpha", "-1e-3"],
     ]
 
     @staticmethod
@@ -884,7 +940,9 @@ class TestParseRoutes:
         parser = cli.build_parser()
         with mock.patch.object(cli, "_parser", lambda: parser):
             direct = _parse_outcome(cli._parse, argv)
-        assert direct == _parse_outcome(parser.parse_args, argv), argv
+            with mock.patch.object(cli, "_read_flags", _argparse_route):
+                reference = _parse_outcome(cli._parse, argv)
+        assert direct == reference, argv
 
     @pytest.mark.parametrize("argv", EDGES, ids=lambda argv: " ".join(argv) or "(empty)")
     def test_edge_argvs(self, argv):
@@ -899,13 +957,13 @@ class TestParseRoutes:
         monkeypatch.setattr(sys, "argv", ["chshlab", *self.Q, "--format", "json"])
         assert _parse_outcome(lambda _: cli._parse(None), []) == _parse_outcome(cli._parser().parse_args, sys.argv[1:])
 
-    # One argv per command that names every flag of its usage line, both
-    # flag forms mixed; a flag the table cannot read fails here.
+    # Valid argvs that together name every flag of each command's usage line,
+    # both flag forms mixed; a flag the table cannot read fails here.
     FAST = [
         "correlate --alpha 0.3 --beta=0.1 --degrees --format json --out=a.csv",
         "chsh --mode=independent --model sign MAXV --trials 5 --seed=3 --degrees --format=json --out a.csv",
-        "constrained eval --alpha1=0.2 --alpha2 0.9 --beta1 0.4 --beta2=1.3 --degrees --q 0,0,0,0 --format csv"
-        " --out a.csv",
+        "constrained eval --alpha1=0.2 --alpha2 0.9 --beta1 -1e-3 --beta2=1.3 --degrees --format csv --out a.csv",
+        "constrained eval --q -0.5,0,0,0 --format=json --out=a.csv",
         "constrained scan --resolution 4 --restarts=0 --bound 1.5 --seed=2 --format json --out=a.csv",
         "spectrum MAXV --degrees --format=csv --out a.csv",
         "simulate --alpha1=0.9 --alpha2 0.1 --beta1 0.4 --beta2 1.3 --trials=5 --seed 7 --degrees --format json"
@@ -918,14 +976,61 @@ class TestParseRoutes:
     def test_each_command_reads_its_flags_without_argparse(self, monkeypatch, text):
         argv = argv_of(text)
         parser = cli.build_parser()
-        expected = _typed(parser.parse_args(argv))
+        expected = _typed(parser.parse_args(cli._join_values(parser.commands[_words(argv)][0], argv)))
         for name in ("parse_args", "parse_known_args"):
             monkeypatch.setattr(argparse.ArgumentParser, name, fails_with(AssertionError(f"{name} ran")))
         with mock.patch.object(cli, "_parser", lambda: parser):
-            args = cli._parse(argv)
-        assert _typed(args) == expected
-        given = {arg.partition("=")[0] for arg in argv if arg.startswith("--")}
-        assert given == set(re.findall(r"--[a-z0-9]+", args.parser.format_usage()))
+            assert _typed(cli._parse(argv)) == expected
+
+    def test_fast_argvs_name_every_flag_of_each_usage_line(self, capsys):
+        named = {}
+        for argv in map(argv_of, self.FAST):
+            named.setdefault(_words(argv), set()).update(arg.partition("=")[0] for arg in argv if arg.startswith("--"))
+        assert len(named) == 7
+        for words, flags in named.items():
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([*words, "-h"])
+            usage = capsys.readouterr().out.split("\n\n")[0]  # the subparser's usage line, then its help
+            assert usage.startswith(f"usage: chshlab {' '.join(words)} [-h] ")
+            assert flags == set(re.findall(r"--[a-z0-9]+", usage)), words
+
+    # A "-..." value in its own token, and the same value attached with "=".
+    DASH_LED = [
+        ("correlate --alpha -1e-3 --beta 0.1", "correlate --alpha=-1e-3 --beta 0.1"),
+        ("constrained eval --alpha1 -1e6 --alpha2 0 --beta1 0 --beta2 -2.5e-1",
+         "constrained eval --alpha1=-1e6 --alpha2 0 --beta1 0 --beta2=-2.5e-1"),
+        ("scan --resolution 2 --restarts 0 --bound -1e-3", "scan --resolution 2 --restarts 0 --bound=-1e-3"),
+        ("constrained eval --q -0.5,0,0,0", "constrained eval --q=-0.5,0,0,0"),
+        ("chsh --mode quantum MAXV --alpha2 -.5e1 --trials 5", "chsh --mode quantum MAXV --alpha2=-.5e1 --trials 5"),
+    ]
+
+    @pytest.mark.parametrize("separate, attached", DASH_LED, ids=[s for s, _ in DASH_LED])
+    def test_dash_led_value_reads_as_its_attached_form(self, separate, attached):
+        parser = cli.build_parser()
+        expected = _parse_outcome(parser.parse_args, argv_of(attached))
+        assert isinstance(expected, dict)
+        with mock.patch.object(cli, "_parser", lambda: parser):
+            assert _parse_outcome(cli._parse, argv_of(separate)) == expected
+            with mock.patch.object(cli, "_read_flags", _argparse_route):
+                assert _parse_outcome(cli._parse, argv_of(separate)) == expected
+
+    # "-..." tokens that stay apart: a value the flag rejects, the value of an
+    # untyped flag, and anything after "--". Each reads as parse_args reads it.
+    UNJOINED = [
+        "correlate --alpha -inf --beta 0", "correlate --alpha -x --beta 0", "correlate --alpha -- --beta 0",
+        "correlate --alpha 0 --beta 0 --out -x", "correlate --alpha 0 --beta 0 --format -json",
+        "correlate --alpha 0 --beta 0 -- --alpha -1e-3", "chsh --mode quantum MAXV --trials -5",
+        "chsh --mode quantum MAXV --seed -1e3", "constrained eval --q -1,2", "scan --bound -nan",
+        "correlate --alpha 0 --beta 0 --degrees -1e-3", "correlate --alph -1e-3 --beta 0",
+    ]
+
+    @pytest.mark.parametrize("text", UNJOINED)
+    def test_rejected_dash_led_tokens_read_as_parse_args_reads_them(self, text):
+        parser = cli.build_parser()
+        expected = _parse_outcome(parser.parse_args, argv_of(text))
+        assert expected[0] == 2
+        with mock.patch.object(cli, "_parser", lambda: parser):
+            assert _parse_outcome(cli._parse, argv_of(text)) == expected
 
 
 # Strings that look like the structure of the indented JSON layout.
@@ -936,7 +1041,8 @@ SCALARS = [None, True, False, 0, -7, 2**70, 0.0, -0.0, 1e-300, 5e-324, -1.797693
 
 
 class TestJsonRendering:
-    """_render(..., "json") is byte for byte json.dumps(doc, indent=2, allow_nan=False)."""
+    """_render(..., "json") is byte for byte json.dumps(doc, indent=2, allow_nan=False), and a
+    non-finite value raises one message in both formats."""
 
     CONFIG = {"version": "0.1.0", "subcommand": "constrained", "action": "eval",
               "q": [0.5, -0.2, 1.0, -1.0], "format": "json", "out": None}
@@ -981,13 +1087,13 @@ class TestJsonRendering:
         self.assert_identical(self.CONFIG, tuple(columns), rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", ["row", "config"])
-    def test_non_finite_value_raises_the_indent_encoder_message(self, bad, where):
-        config = {**self.CONFIG, "bound": bad} if where == "config" else self.CONFIG
+    @pytest.mark.parametrize("where", ["row", "config", "config list"])
+    def test_non_finite_value_raises_one_message_in_both_formats(self, bad, where):
+        config = {**self.CONFIG, "bound": bad if where == "config" else 0.5}
+        if where == "config list":
+            config["q"] = [0.5, bad, 1.0, -1.0]
         rows = [{"kind": "summary", "value": 1.0}, {"kind": "summary", "value": bad if where == "row" else 2.0}]
-        with pytest.raises(ValueError) as expected:
-            self.expected(config, ("kind", "value"), rows, "ok")
-        with pytest.raises(ValueError) as rendered:
-            cli._render(config, ("kind", "value"), rows, "ok", "json")
-        assert str(rendered.value) == str(expected.value)
-        assert str(rendered.value).endswith(f"not JSON compliant: {bad!r}")
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError) as rendered:
+                cli._render(config, ("kind", "value"), rows, "ok", fmt)
+            assert str(rendered.value) == f"non-finite value {bad!r}", fmt

@@ -31,10 +31,12 @@ argvs, each distinct argv once, in first-seen order:
   ``--degrees``, multiples of 22.5 degrees, the wrapped and three-flip
   angles of ``tests/test_streaming.py``, and angles that flip just below pi;
 * boundary argvs: a NUL byte, an empty path and a missing directory as
-  ``--out``, ``--restarts`` at ``scan.MAX_RESTARTS`` and one above, and
-  the argvs that ``cli`` leaves to the top-level parser or reports under
-  its usage line: ``--=x``, ``-- x`` and ``--version`` after a command,
-  and ``constrained`` alone.
+  ``--out``, ``--restarts`` at ``scan.MAX_RESTARTS`` and one above, the
+  argvs that ``cli`` leaves to the top-level parser or reports under
+  its usage line (``--=x``, ``-- x`` and ``--version`` after a command,
+  and ``constrained`` alone), one argv per cross-flag usage error, and
+  negative values in their own token, those a flag accepts (``--alpha
+  -1e-3``) and those it rejects (``--alpha -inf``, ``--out -x``).
 
 Float bytes can differ across machines and numpy builds, so compare two
 revisions on one machine; this is not a tier-1 test.
@@ -183,7 +185,18 @@ def boundary_argvs(missing_dir: Path) -> list[list[str]]:
     correlate = ["correlate", "--alpha", "0.3", "--beta", "0.1"]
     scan = ["scan", "--objective", "eight_variable_sum", "--resolution", "2", "--seed", "1"]
     q = ["constrained", "eval", "--q=0,0,0,0"]
+    # One argv per cross-flag usage error, then "-..." values in their own token.
+    lines = [
+        f"chsh --mode same-lambda {A}", f"chsh --mode quantum --model sign {A}",
+        f"chsh --mode same-lambda --model quantum-mimic {A}", f"constrained eval --q=0,0,0,0 --degrees {A}",
+        "constrained eval --alpha1 0 --beta2 0",
+        "correlate --alpha -1e-3 --beta 0.1", "correlate --alpha -inf --beta 0.1", "correlate --alpha -x --beta 0",
+        "constrained eval --alpha1 -1e6 --alpha2 0 --beta1 0 --beta2 0", "constrained eval --q -0.5,0,0,0",
+        "scan --resolution 2 --restarts 0 --bound -1e-3", f"chsh --mode quantum {A} --trials -5",
+        "correlate --alpha 0 --beta 0 --out -x",
+    ]
     return [
+        *map(shlex.split, lines),
         correlate + ["--out", "nul\0byte.csv"],
         correlate + ["--out", ""],
         correlate + ["--out", str(missing_dir / "out.csv")],
